@@ -671,9 +671,9 @@ def write_summary(path, trace):
             for m in metrics
         ],
     }
+    text = json.dumps(payload, indent=1, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+        f.write(text + "\n")
     log.info("summary written to %s", path)
 
 

@@ -120,7 +120,8 @@ class MultiSensorDecomposition:
     ``order[j-1]``; zero-dimensional slots are kept) plus the collectively
     unobservable tail of dimension ``u_dim``.  ``Cbar[i-1] = C_i T`` carries
     node i's outputs in the new basis; its blocks beyond node i's own step are
-    structurally zero.
+    structurally zero.  ``slots`` holds the ``N + 1`` index ranges, computed
+    once.
     """
 
     T: np.ndarray
@@ -131,6 +132,10 @@ class MultiSensorDecomposition:
     Cbar: tuple
     cond_T: float
     step_of_node: dict = field(repr=False)
+    slots: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", tuple(_slices((*self.o, self.u_dim))))
 
     @property
     def n(self):
@@ -143,11 +148,11 @@ class MultiSensorDecomposition:
 
     def block_slice(self, j):
         """Index range of sub-state ``j`` (1-based step position)."""
-        return _slices((*self.o, self.u_dim))[j - 1]
+        return self.slots[j - 1]
 
     @property
     def unobs_slice(self):
-        return _slices((*self.o, self.u_dim))[-1]
+        return self.slots[-1]
 
     def source_node(self, j):
         """Node whose sensor step produced sub-state ``j``."""

@@ -37,6 +37,8 @@ class Digraph:
 
     n_nodes: int
     edges: frozenset = field(default_factory=frozenset)
+    _pred: dict = field(init=False, repr=False, compare=False)
+    _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 0:
@@ -55,6 +57,13 @@ class Digraph:
             if j != i:
                 cleaned.add((j, i))
         object.__setattr__(self, "edges", frozenset(cleaned))
+        pred = {v: [] for v in range(1, self.n_nodes + 1)}
+        succ = {v: [] for v in range(1, self.n_nodes + 1)}
+        for j, i in sorted(cleaned):
+            pred[i].append(j)
+            succ[j].append(i)
+        object.__setattr__(self, "_pred", {v: tuple(u) for v, u in pred.items()})
+        object.__setattr__(self, "_succ", {v: tuple(u) for v, u in succ.items()})
 
     @property
     def nodes(self):
@@ -62,11 +71,11 @@ class Digraph:
 
     def in_neighbors(self, i):
         """Nodes j with an edge j→i, ascending."""
-        return tuple(sorted(j for (j, k) in self.edges if k == i))
+        return self._pred.get(i, ())
 
     def out_neighbors(self, j):
         """Nodes i with an edge j→i, ascending."""
-        return tuple(sorted(i for (k, i) in self.edges if k == j))
+        return self._succ.get(j, ())
 
     def closed_in_neighborhood(self, i):
         """``{i}`` plus in-neighbors — the set a node can hear each step."""
@@ -91,15 +100,6 @@ class SpanningStructure:
         return self.parent_sets.get(i, ())
 
 
-def _succ_map(g):
-    succ = {v: [] for v in g.nodes}
-    for j, i in g.edges:
-        succ[j].append(i)
-    for v in succ:
-        succ[v].sort()
-    return succ
-
-
 def strong_components(g):
     """Strongly connected components, in reverse-topological condensation order.
 
@@ -107,7 +107,7 @@ def strong_components(g):
     a sorted tuple, and a component is emitted only after every component it
     has edges into.
     """
-    succ = _succ_map(g)
+    succ = g._succ
     index = {}
     low = {}
     on_stack = set()
@@ -183,8 +183,8 @@ def _layered_structure(g, roots, max_parents):
         raise ValueError("at least one root is required")
     if max_parents < 1:
         raise ValueError(f"max_parents must be >= 1, got {max_parents}")
-    succ = _succ_map(g)
-    pred = {v: g.in_neighbors(v) for v in g.nodes}
+    succ = g._succ
+    pred = g._pred
     # Multi-source BFS layering: layer = shortest edge distance from the roots.
     layer = {r: 0 for r in roots}
     frontier = sorted(roots)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import Plant
-from .errors import InvalidSignal, ShapeError
+from .errors import InvalidSignal, NumericalError, ShapeError
 from .synth_c1 import Condition1Design
 from .synth_c2 import C2ObserverBank
 
@@ -125,223 +125,224 @@ def _check_signal(signal, g, K):
             raise InvalidSignal(f"mode index {m} out of range at step {k}")
 
 
-def _uniform(live):
-    w = 1.0 / len(live)
-    return {l: w for l in live}
+@dataclass(frozen=True, eq=False)
+class _NetworkOperator:
+    """A design compiled into one block-sparse affine network step.
 
+    Node ``i`` runs a local observer on a state row ``s_i`` (zero-padded to
+    a common width) and publishes an estimate ``x̂_i``.  One step is
 
-def _c1_step_weights(comp, ids, mode_edges):
-    """Per-node slot-weight vectors for one component under ``mode_edges``.
+        ν_i      = C_i x[k] − Cs_i s_i[k]          (innovation, padded rows)
+        s_i[k+1] = F_i s_i[k] + H_i ν_i
+        x̂_i[k+1] = U_i s_i[k+1] + Σ_{e: dst_e = i} E_e x̂_{src_e}[k]
 
-    Returns a list over local nodes of ``{local neighbor: weight vector}``
-    with one slot per sub-state plus the unobservable tail, mirroring the
-    statically assembled vectors but reweighted over the surviving parents:
-    a node whose live parents for some sub-state form a proper subset of its
-    designed parents splits the weight uniformly over that subset, and a
-    node with no surviving parent falls back to propagating its own previous
-    estimate of that sub-state.
+    ``U`` is ``None`` when the observer state is the estimate itself
+    (Scheme 1); then ``s[k+1]`` is the new estimate, consensus included.
+    The innovation is formed before the gain multiplies it: folding the
+    gain into ``F`` and ``C`` cancels large terms and loses digits on
+    high-gain designs.
+
+    Each routed ``(child, parent, projector)`` triple puts the parent's
+    weight times ``P[projector]`` on one edge: the dynamics of one sub-state
+    or eigenvalue class mapped back to plant coordinates, or the plant map
+    itself for a relay node.  ``static`` holds the designed edges as
+    ``(src, dst, E)``; :meth:`mode_edges` reweights the routed triples over
+    the parents that survive a switching mode.  Node indices are 0-based.
     """
-    d = comp.decomposition
-    N_c = len(d.o)
-    out = []
-    for i_loc in range(1, N_c + 1):
-        pos = d.step_of_node[i_loc]
-        vecs = {}
 
-        def vec(l):
-            if l not in vecs:
-                vecs[l] = np.zeros(N_c + 1)
-            return vecs[l]
+    F: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
+    Cs: np.ndarray
+    U: object
+    P: np.ndarray
+    static: tuple
+    child: np.ndarray
+    parent: np.ndarray
+    proj: np.ndarray
+    group: np.ndarray
+    group_child: np.ndarray
+    group_proj: np.ndarray
+    edge_pos: dict
+    triple_edge: np.ndarray
 
-        own = vec(i_loc)
-        own[pos - 1] = 1.0
-        own[N_c] = 1.0
-        for j in range(1, N_c + 1):
-            if j == pos or d.o[j - 1] == 0:
-                continue
-            parents = comp.dags[j].parents(i_loc)
-            live = [
-                l for l in parents
-                if (ids[l - 1], ids[i_loc - 1]) in mode_edges
+    def mode_edges(self, mode):
+        """``(src, dst, E)`` under the live edge set ``mode``.
+
+        A ``(child, projector)`` group splits its weight uniformly over its
+        surviving parents; a group with none falls back to the child's own
+        previous estimate.
+        """
+        live = np.zeros(len(self.edge_pos), dtype=bool)
+        live[np.fromiter(
+            (self.edge_pos[e] for e in mode if e in self.edge_pos),
+            dtype=np.intp,
+        )] = True
+        alive = live[self.triple_edge]
+        count = np.bincount(self.group, weights=alive,
+                            minlength=len(self.group_child))
+        keep = np.flatnonzero(alive)
+        fall = np.flatnonzero(count == 0)
+        w = 1.0 / count[self.group[keep]]
+        return (
+            np.concatenate([self.parent[keep], self.group_child[fall]]),
+            np.concatenate([self.child[keep], self.group_child[fall]]),
+            np.concatenate([
+                self.P[self.proj[keep]] * w[:, None, None],
+                self.P[self.group_proj[fall]],
+            ]),
+        )
+
+
+def _stacked_outputs(p):
+    """Every node's ``C_i`` stacked, zero-padded to the largest row count."""
+    r = max(Ci.shape[0] for Ci in p.C)
+    C = np.zeros((p.n_nodes, r, p.n))
+    for i, Ci in enumerate(p.C):
+        C[i, :Ci.shape[0]] = Ci
+    return C
+
+
+def _operator(F, H, C, Cs, U, P, static, groups):
+    """Package compiled blocks; ``static`` and ``groups`` use 1-based ids.
+
+    ``static`` lists ``(child, parent, E)`` edges of the full graph;
+    ``groups`` lists ``(child, projector, parent tuple)``.
+    """
+    n = C.shape[2]
+    P = np.array(P, dtype=float).reshape(len(P), n, n)
+    s = np.array([(i, l) for i, l, _ in static], dtype=np.intp).reshape(-1, 2)
+    rows = [(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
+            for l in parents]
+    t = np.array(rows, dtype=np.intp).reshape(-1, 4)
+    pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
+    edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
+    gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
+    return _NetworkOperator(
+        F=F, H=H, C=C, Cs=Cs, U=U, P=P,
+        static=(s[:, 1] - 1, s[:, 0] - 1,
+                np.array([E for _, _, E in static]).reshape(-1, n, n)),
+        child=t[:, 0] - 1, parent=t[:, 1] - 1, proj=t[:, 2], group=t[:, 3],
+        group_child=gr[:, 0] - 1, group_proj=gr[:, 1],
+        edge_pos=edge_pos,
+        triple_edge=np.array([edge_pos[e] for e in pairs], dtype=np.intp),
+    )
+
+
+def _compile_c1(p, design):
+    """Sub-state-consensus design as a network operator.
+
+    A component member's own block is ``N_mat`` plus its own sub-state and
+    tail slots, its gain ``TH_i``.  On the full graph a neighbor's block is
+    the bank's ``G_il``; under switching, a parent's block for sub-state
+    ``j`` is its weight times ``P_j = T[:, j] A_jj T⁻¹[j, :]``.  Relay nodes
+    copy parents through ``A``.
+    """
+    C = _stacked_outputs(p)
+    F = np.zeros((p.n_nodes, p.n, p.n))
+    H = np.zeros((p.n_nodes, p.n, C.shape[1]))
+    P, static, groups = [], [], []
+    for comp in design.components:
+        d, bank, ids = comp.decomposition, comp.bank, comp.nodes
+        Tinv = np.linalg.inv(d.T)
+        proj = {}
+        for j, oj in enumerate(d.o, 1):
+            if oj:
+                sl = d.block_slice(j)
+                proj[j] = len(P)
+                P.append(d.T[:, sl] @ d.A_sub(j) @ Tinv[sl, :])
+        for i, gi in enumerate(ids, 1):
+            r = p.C[gi - 1].shape[0]
+            F[gi - 1] = bank.N_mat + bank.G[i - 1][i]
+            H[gi - 1, :, :r] = bank.TH[i - 1]
+            static += [(gi, ids[l - 1], Gil)
+                       for l, Gil in bank.G[i - 1].items()
+                       if l != i and Gil.any()]
+            pos = d.step_of_node[i]
+            groups += [
+                (gi, proj[j], tuple(ids[l - 1] for l in comp.dags[j].parents(i)))
+                for j in proj if j != pos
             ]
-            if live:
-                for l, w in _uniform(live).items():
-                    vec(l)[j - 1] += w
-            else:
-                vec(i_loc)[j - 1] += 1.0
-        out.append(vecs)
-    return out
+    relay = design.relay
+    if relay is not None:
+        a = len(P)
+        P.append(relay.A)
+        for i in relay.relay_nodes:
+            static.append((i, relay.static_parent(i), relay.A))
+            groups.append((i, a, relay.dag.parents(i)))
+    return _operator(F, H, C, C, None, P, static, groups)
 
 
-def _c1_step_component(comp, ids, xh, y, weight_vectors, C):
-    """Advance one component's members one step in block coordinates.
+def _compile_c2(p, bank, est0):
+    """Per-eigenvalue bank as a network operator plus its initial state.
 
-    The update is the compact per-node recursion conjugated into the
-    decomposition coordinates: couplings from the block-triangular part,
-    the node's own innovation injected on its sub-state, and each slot's
-    consensus drawn from the weighted neighbors.  The innovation is formed
-    in original coordinates (``y_i - C_i x_hat_i``), exactly as the compact
-    form does; with a user-supplied transform whose published entries are
-    rounded, the structure-enforced ``Cbar`` differs from ``C_i T`` by the
-    rounding residual, and measuring through it would bias the estimate.
+    Node ``i``'s state is its local observer's ``s_i`` with dynamics
+    ``J_i``, gain ``L_i`` and output model ``F_i``; its estimate is ``U_i
+    s_i`` (the detectable columns of ``T · perm``) plus, for each relayed
+    class ``c``, its parents' weights times ``P_c = T[:, c] J_c T⁻¹[c, :]``.
     """
-    d = comp.decomposition
-    bank = comp.bank
-    N_c = len(d.o)
-    T = d.T
-    Tinv = np.linalg.inv(T)
-    A1 = d.Abar.copy()
-    for j in range(1, N_c + 1):
-        sl = d.block_slice(j)
-        A1[sl, sl] = 0.0
-    slu = d.unobs_slice
-    A1[slu, slu] = 0.0
-    z = {l: Tinv @ xh[ids[l - 1] - 1] for l in range(1, N_c + 1)}
-    out = {}
-    for i_loc in range(1, N_c + 1):
-        gi = ids[i_loc - 1]
-        pos = d.step_of_node[i_loc]
-        innov = y[gi - 1] - C[gi - 1] @ xh[gi - 1]
-        z_next = A1 @ z[i_loc]
-        sl_pos = d.block_slice(pos)
-        z_next[sl_pos] += bank.gains[pos - 1] @ innov
-        for l, w in weight_vectors[i_loc - 1].items():
-            zl = z[l]
-            for j in range(1, N_c + 1):
-                if w[j - 1] and d.o[j - 1]:
-                    sl = d.block_slice(j)
-                    z_next[sl] += w[j - 1] * (d.A_sub(j) @ zl[sl])
-            if w[N_c] and d.u_dim:
-                z_next[slu] += w[N_c] * (d.A_unobs @ zl[slu])
-        out[gi] = T @ z_next
-    return out
-
-
-def _relay_step(relay, xh, mode_edges):
-    """Advance the pure-relay nodes: copy a parent estimate through the
-    plant map, averaging over surviving parents, or propagate the node's own
-    previous estimate when every parent link is down."""
-    out = {}
-    if relay is None:
-        return out
-    A = relay.A
-    for i in relay.relay_nodes:
-        parents = relay.dag.parents(i)
-        if mode_edges is None:
-            src = xh[parents[0] - 1]
-        else:
-            live = [l for l in parents if (l, i) in mode_edges]
-            if live:
-                src = sum(xh[l - 1] for l in live) / len(live)
-            else:
-                src = xh[i - 1]
-        out[i] = A @ src
-    return out
-
-
-def _simulate_c1(p, design, x0, est0, K, signal, form):
-    N = p.n_nodes
-    xh = [np.asarray(e, dtype=float).reshape(p.n) for e in est0]
-    x = np.asarray(x0, dtype=float).reshape(p.n)
-    xs = [x.copy()]
-    hats = [[v.copy() for v in xh]]
-    mode_idx = []
-    for k in range(K):
-        y = [p.C[i - 1] @ x for i in range(1, N + 1)]
-        mode_edges = None
-        if signal is not None:
-            mode_idx.append(signal.schedule[k])
-            mode_edges = signal.edges_at(k)
-        else:
-            mode_idx.append(None)
-        new = {}
-        for comp in design.components:
-            ids = comp.nodes
-            if mode_edges is None and form == "compact":
-                bank = comp.bank
-                for i_loc in range(1, len(ids) + 1):
-                    gi = ids[i_loc - 1]
-                    innov = y[gi - 1] - p.C[gi - 1] @ xh[gi - 1]
-                    v = bank.N_mat @ xh[gi - 1] + bank.TH[i_loc - 1] @ innov
-                    for l, Gil in bank.G[i_loc - 1].items():
-                        v = v + Gil @ xh[ids[l - 1] - 1]
-                    new[gi] = v
-            else:
-                if mode_edges is None:
-                    wv = comp.bank.weight_vectors
-                else:
-                    wv = _c1_step_weights(comp, ids, mode_edges)
-                new.update(_c1_step_component(comp, ids, xh, y, wv, p.C))
-        new.update(_relay_step(design.relay, xh, mode_edges))
-        xh = [new[i] for i in range(1, N + 1)]
-        x = p.A @ x
-        xs.append(x.copy())
-        hats.append([v.copy() for v in xh])
-    mode_idx.append(None)
-    return xs, hats, tuple(mode_idx)
-
-
-def _c2_init_states(bank, est0):
-    states = []
-    for rec in bank.nodes:
-        sp = rec.split
-        zbar = sp.perm.T @ (bank.jsys.T_inv @ est0[rec.node - 1])
-        v = sp.inner_split.T @ zbar[sp.det_dim:]
-        states.append(np.concatenate([zbar[:sp.det_dim], v[:sp.aug_dim]]))
-    return states
-
-
-def _simulate_c2(p, bank, x0, est0, K, signal):
-    N = p.n_nodes
+    n = p.n
     jsys = bank.jsys
     T, Tinv = jsys.T, jsys.T_inv
-    xh = [np.asarray(e, dtype=float).reshape(p.n) for e in est0]
-    s = _c2_init_states(bank, xh)
-    x = np.asarray(x0, dtype=float).reshape(p.n)
-    xs = [x.copy()]
-    hats = [[v.copy() for v in xh]]
-    mode_idx = []
+    N = p.n_nodes
+    width = max(r.split.det_dim + r.split.aug_dim for r in bank.nodes)
+    C = _stacked_outputs(p)
+    F = np.zeros((N, width, width))
+    H = np.zeros((N, width, C.shape[1]))
+    Cs = np.zeros((N, C.shape[1], width))
+    U = np.zeros((N, n, width))
+    s0 = np.zeros((N, width))
+    P, proj, static, groups = [], {}, [], []
+    for rec in bank.nodes:
+        i, sp = rec.node, rec.split
+        det, ds = sp.det_dim, sp.det_dim + sp.aug_dim
+        r = p.C[i - 1].shape[0]
+        F[i - 1, :ds, :ds] = sp.local_dynamics
+        H[i - 1, :ds, :r] = rec.gain
+        Cs[i - 1, :r, :ds] = sp.local_output
+        U[i - 1, :, :det] = (T @ sp.perm)[:, :det]
+        zbar = sp.perm.T @ (Tinv @ est0[i - 1])
+        v = sp.inner_split.T @ zbar[det:]
+        s0[i - 1, :ds] = np.concatenate([zbar[:det], v[:sp.aug_dim]])
+        for k, sl in rec.relayed:
+            if k not in proj:
+                proj[k] = len(P)
+                P.append(T[:, sl] @ jsys.classes[k].block @ Tinv[sl, :])
+            for l, w in bank.class_weights[k].weights[i].items():
+                static.append((i, l, w * P[proj[k]]))
+            groups.append((i, proj[k], bank.dags[k].parents(i)))
+    return _operator(F, H, C, Cs, U, P, static, groups), s0
+
+
+def _run(op, A, x0, s0, xh0, K, signal):
+    """Step the plant and every node ``K`` times; ``(x, xhat)`` records."""
+    n = x0.shape[0]
+    x = np.empty((K + 1, n))
+    xhat = np.empty((xh0.shape[0], K + 1, n))
+    x[0] = x0
+    xhat[:, 0] = xh0
+    s, xh = s0, xh0
     for k in range(K):
-        y = [p.C[i - 1] @ x for i in range(1, N + 1)]
-        mode_edges = None
-        if signal is not None:
-            mode_idx.append(signal.schedule[k])
-            mode_edges = signal.edges_at(k)
+        if signal is None:
+            src, dst, E = op.static
         else:
-            mode_idx.append(None)
-        z = [Tinv @ v for v in xh]
-        new_s, new_xh = [], []
-        for rec in bank.nodes:
-            i, sp = rec.node, rec.split
-            si = s[i - 1]
-            s_next = (
-                sp.local_dynamics @ si
-                + rec.gain @ (y[i - 1] - sp.local_output @ si)
-            )
-            parts = [s_next[:sp.det_dim]]
-            for cls_idx, sl in rec.relayed:
-                if mode_edges is None:
-                    row = bank.class_weights[cls_idx].weights[i]
-                else:
-                    parents = bank.dags[cls_idx].parents(i)
-                    live = [l for l in parents if (l, i) in mode_edges]
-                    row = _uniform(live) if live else {i: 1.0}
-                acc = np.zeros(sl.stop - sl.start)
-                for l, w in row.items():
-                    acc += w * z[l - 1][sl]
-                parts.append(jsys.classes[cls_idx].block @ acc)
-            new_s.append(s_next)
-            new_xh.append(T @ (sp.perm @ np.concatenate(parts)))
-        s, xh = new_s, new_xh
-        x = p.A @ x
-        xs.append(x.copy())
-        hats.append([v.copy() for v in xh])
-    mode_idx.append(None)
-    return xs, hats, tuple(mode_idx)
+            src, dst, E = op.mode_edges(signal.modes[signal.schedule[k]])
+        innov = op.C @ x[k] - np.einsum("nri,ni->nr", op.Cs, s)
+        s = (np.einsum("nij,nj->ni", op.F, s)
+             + np.einsum("nir,nr->ni", op.H, innov))
+        nxt = s if op.U is None else np.einsum("nij,nj->ni", op.U, s)
+        np.add.at(nxt, dst, np.einsum("eij,ej->ei", E, xh[src]))
+        xh = nxt
+        x[k + 1] = A @ x[k]
+        xhat[:, k + 1] = xh
+    return x, xhat
 
 
-def simulate(p, bank, x0, est0=None, K=50, signal=None, form="compact"):
+def simulate(p, bank, x0, est0=None, K=50, signal=None):
     """Run the plant and all observers for ``K`` steps.
+
+    The bank is compiled into a block-sparse network operator, and each
+    step advances every node at once.
 
     Parameters
     ----------
@@ -355,12 +356,6 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None, form="compact"):
         Horizon; the trace has ``K + 1`` records.
     signal : SwitchingSignal, optional
         Link-failure signal; omitted means the full graph at every step.
-    form : str
-        ``"compact"`` uses the preassembled per-node matrices (static
-        operation); ``"blocks"`` runs the slot-by-slot recursion in
-        decomposition coordinates.  Switching runs always use the slot form
-        because the surviving-parent weights change step by step.  The
-        per-eigenvalue scheme ignores this parameter.
 
     Returns
     -------
@@ -373,13 +368,14 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None, form="compact"):
         or mode edges outside the baseline graph.
     ShapeError
         On inconsistent dimensions.
+    NumericalError
+        When the state, an estimate or an error norm stops being finite;
+        the message names the first such step.
     """
     if not isinstance(p, Plant):
         raise ShapeError("first argument must be a Plant")
     if K < 1:
         raise ValueError(f"horizon must be at least 1, got {K}")
-    if form not in ("compact", "blocks"):
-        raise ValueError(f"unknown form {form!r}")
     N = p.n_nodes
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (p.n,):
@@ -390,25 +386,33 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None, form="compact"):
     if len(est0) != N or any(e.shape != (p.n,) for e in est0):
         raise ShapeError(f"est0 must hold {N} vectors of {p.n} entries")
     if isinstance(bank, Condition1Design):
-        _check_signal(signal, bank.graph, K)
         scheme = "c1"
-        xs, hats, modes = _simulate_c1(p, bank, x0, est0, K, signal, form)
+        op, s0 = _compile_c1(p, bank), np.array(est0)
     elif isinstance(bank, C2ObserverBank):
-        _check_signal(signal, bank.graph, K)
         scheme = "c2"
-        xs, hats, modes = _simulate_c2(p, bank, x0, est0, K, signal)
+        op, s0 = _compile_c2(p, bank, est0)
     else:
         raise ShapeError(
             "bank must be a Condition1Design or a C2ObserverBank, got "
             f"{type(bank).__name__}"
         )
-    x_arr = np.array(xs)
-    xh_arr = np.array([
-        [hats[k][i] for k in range(K + 1)] for i in range(N)
-    ])
-    diff = xh_arr - x_arr[None, :, :]
-    err = np.linalg.norm(diff, axis=2)
-    rel = err / (1.0 + np.linalg.norm(x_arr, axis=1))[None, :]
+    _check_signal(signal, bank.graph, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_arr, xh_arr = _run(op, p.A, x0, s0, np.array(est0), K, signal)
+        err = np.linalg.norm(xh_arr - x_arr[None, :, :], axis=2)
+        x_norm = np.linalg.norm(x_arr, axis=1)
+    # a finite error norm at every node implies a finite state and estimates
+    finite = np.isfinite(err).all(axis=0) & np.isfinite(x_norm)
+    rel = err / (1.0 + x_norm)[None, :]
+    if not finite.all():
+        raise NumericalError(
+            f"simulation overflowed at step {int(np.argmin(finite))} of {K}: "
+            "the state, an estimate or an error norm is not finite"
+        )
+    if signal is None:
+        modes = (None,) * (K + 1)
+    else:
+        modes = tuple(signal.schedule[:K]) + (None,)
     meta = {
         "scheme": scheme,
         "seed": getattr(signal, "seed", None),

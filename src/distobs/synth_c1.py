@@ -30,7 +30,6 @@ from .conditions import check_condition1
 from .decomp import (
     MultiSensorDecomposition,
     Plant,
-    _block_diag,
     decomposition_from_transform,
     multisensor_decompose,
 )
@@ -287,16 +286,13 @@ class SubstateCertificate:
 
     ``M`` stacks the source node's corrected block over the follower nodes'
     consensus copies (in topological order); its spectral radius governs the
-    whole sub-state's error.  ``H_couplings`` records how earlier sub-states'
-    errors drive this one — bounded inputs that vanish as those sub-states
-    converge, kept for audit.
+    whole sub-state's error.
     """
 
     substate: int
     source: int
     rho: float
     M: np.ndarray
-    H_couplings: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,19 +330,11 @@ def certify_stability(d, gains, weights, tol=None):
             M[oj:, oj:] = np.kron(cw.W22, Ajj)
         else:
             M = Acl
-        H = {}
-        for l in range(1, j):
-            if d.o[l - 1] == 0:
-                continue
-            Ajl = d.A_sub(j, l)
-            Hd = Ajl - L @ d.C_block(source, l)
-            H[l] = _block_diag(Hd, np.kron(np.eye(m), Ajl)) if m else Hd
         certs.append(SubstateCertificate(
             substate=j,
             source=source,
             rho=nk.spectral_radius(M),
             M=M,
-            H_couplings=H,
         ))
     rho_u = nk.spectral_radius(d.A_unobs)
     ok = all(c.rho <= 1.0 - tol.schur_margin for c in certs) and \

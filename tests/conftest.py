@@ -32,14 +32,18 @@ def rotation_block(rng, d, rmin, rmax):
 
 
 def structured_plant(rng, max_nodes=5, max_state=8, block_radius=1.1,
-                     unobs_radius=0.9, coupling=0.4):
+                     unobs_radius=0.9, coupling=0.4, n_nodes=None):
     """Random multi-sensor plant with planted decomposition structure.
 
     Returns ``(plant, oracle)`` where ``oracle`` records the planted per-node
     block dimensions (valid for processing order 1..N), the unobservable
-    dimension and its exact spectrum, and the basis change used.
+    dimension and its exact spectrum, and the basis change used.  The node
+    count is drawn from ``1..max_nodes`` unless ``n_nodes`` fixes it.
     """
-    N = int(rng.integers(1, max_nodes + 1))
+    if n_nodes is None:
+        N = int(rng.integers(1, max_nodes + 1))
+    else:
+        N = n_nodes
     dims = [int(rng.integers(0, 3)) for _ in range(N)]
     if sum(dims) == 0:
         dims[int(rng.integers(0, N))] = int(rng.integers(1, 3))
@@ -133,6 +137,18 @@ def random_strong_graph(rng, n_nodes, extra=2):
         if j != i:
             edges.add((int(j), int(i)))
     return Digraph(n_nodes, edges)
+
+
+def relay_network(rng, n_core, n_relay, extra):
+    """A strongly connected core on ``1..n_core`` (see
+    ``random_strong_graph``) followed by ``n_relay`` nodes, each fed by two
+    earlier nodes; the core is the only source component."""
+    core = random_strong_graph(rng, n_core, extra)
+    edges = set(core.edges)
+    for v in range(n_core + 1, n_core + n_relay + 1):
+        for u in rng.choice(np.arange(1, v), 2, replace=False):
+            edges.add((int(u), v))
+    return Digraph(n_core + n_relay, edges)
 
 
 @pytest.fixture

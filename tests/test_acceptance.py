@@ -2,8 +2,8 @@
 
 Each test pins one externally visible guarantee of the toolkit: golden
 verdicts and matrices on the bundled scenarios, randomized structural and
-convergence properties, switching robustness, and equivalence of the two
-simulation forms.  Tolerances and runtime budgets are part of the contract.
+convergence properties, switching robustness, and equivalence of the
+compiled simulation with the per-node reference recursion.  Tolerances and runtime budgets are part of the contract.
 """
 
 import time
@@ -26,6 +26,7 @@ from distobs import (
 from distobs import numkit as nk
 from distobs.cli import bundled_scenario_path, load_scenario
 from conftest import random_strong_graph, structured_plant
+from reference_sim import reference_simulate
 
 # Reference matrices for the bundled three-state worked example
 # (values carry two to four decimals).
@@ -254,6 +255,7 @@ def test_compact_and_blocks_forms_agree():
         g = random_strong_graph(rng, p.n_nodes)
         design = design_condition1(p, g)
         x0 = rng.standard_normal(p.n)
-        a = simulate(p, design, x0, K=30, form="compact")
-        b = simulate(p, design, x0, K=30, form="blocks")
-        assert np.max(np.abs(a.xhat - b.xhat)) < 1e-9
+        tr = simulate(p, design, x0, K=30)
+        for form in ("compact", "blocks"):
+            _, xhat = reference_simulate(p, design, x0, K=30, form=form)
+            assert np.max(np.abs(tr.xhat - xhat)) < 1e-9

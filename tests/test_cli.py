@@ -102,6 +102,16 @@ def test_load_scenario_rejects(tmp_path, mutate, fragment):
     assert fragment.lower() in str(excinfo.value).lower()
 
 
+def test_readme_scenario_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    _, _, rest = readme.partition("A scenario file looks like:")
+    assert rest, "README has no scenario example"
+    block = rest.split("```json\n", 1)[1].split("```", 1)[0]
+    scn = load_scenario(_write(tmp_path, "example.json", json.loads(block)))
+    assert scn.plant.n_nodes == scn.graph.n_nodes == 2
+    assert scn.simulation["K"] == 50
+
+
 def test_load_scenario_rejects_non_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -180,6 +190,17 @@ def test_destabilizing_given_gain_exits_4(tmp_path, capsys):
     rc = main(["design", _write(tmp_path, "s.json", raw)])
     assert rc == 4
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_overflowing_simulation_exits_4(tmp_path, capsys):
+    raw = json.loads(open(bundled_scenario_path("illustrative.json")).read())
+    raw["simulation"]["K"] = 2000
+    summary = tmp_path / "summary.json"
+    rc = main(["simulate", _write(tmp_path, "s.json", raw),
+               "--summary", str(summary)])
+    assert rc == 4
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not summary.exists() or "NaN" not in summary.read_text()
 
 
 def test_design_writes_bank(tmp_path, capsys):

@@ -13,8 +13,9 @@ from distobs import (
     simulate,
     validate_assumption2,
 )
-from distobs.errors import InvalidSignal, ShapeError
-from conftest import random_strong_graph, structured_plant
+from distobs.errors import InvalidSignal, NumericalError, ShapeError
+from conftest import random_strong_graph, relay_network, structured_plant
+from reference_sim import reference_simulate
 
 WORKED_PLANT = Plant(
     np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [-5.0, 0.0, 2.0]]),
@@ -37,8 +38,6 @@ def test_simulate_validates_inputs():
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=0)
     with pytest.raises(ShapeError):
         simulate(WORKED_PLANT, design, [0.5, -0.5], K=5)
-    with pytest.raises(ValueError):
-        simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=5, form="magic")
     with pytest.raises(ShapeError):
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=5,
                  est0=[np.zeros(2)] * 3)
@@ -66,11 +65,14 @@ def test_simulation_deterministic():
 
 def test_form_equivalence_on_worked_example():
     design = _design()
-    a = simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=30, form="compact")
-    b = simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=30, form="blocks")
-    dev = np.linalg.norm(a.xhat - b.xhat, axis=2) / (
-        1.0 + np.linalg.norm(a.x, axis=1))
-    assert dev.max() < 1e-9
+    tr = simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=30)
+    for form in ("compact", "blocks"):
+        x, xhat = reference_simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0],
+                                     K=30, form=form)
+        assert np.array_equal(tr.x, x)
+        dev = np.linalg.norm(tr.xhat - xhat, axis=2) / (
+            1.0 + np.linalg.norm(tr.x, axis=1))
+        assert dev.max() < 1e-9
 
 
 def test_switching_signal_validation():
@@ -230,6 +232,81 @@ def test_form_equivalence_random(seed):
     g = random_strong_graph(rng, p.n_nodes)
     design = design_condition1(p, g)
     x0 = rng.standard_normal(p.n)
-    a = simulate(p, design, x0, K=30, form="compact")
-    b = simulate(p, design, x0, K=30, form="blocks")
-    assert np.max(np.abs(a.xhat - b.xhat)) < 1e-9
+    tr = simulate(p, design, x0, K=30)
+    for form in ("compact", "blocks"):
+        _, xhat = reference_simulate(p, design, x0, K=30, form=form)
+        assert np.max(np.abs(tr.xhat - xhat)) < 1e-9
+
+
+def _normalized_dev(tr, xhat):
+    return (np.linalg.norm(tr.xhat - xhat, axis=2)
+            / (1.0 + np.linalg.norm(tr.x, axis=1))).max()
+
+
+def test_switched_runs_match_reference_both_schemes():
+    design = _design()
+    x0 = [0.5, -0.5, 1.0]
+    sig = make_assumption2_signal(dag_parent_map(design), WORKED_GRAPH,
+                                  4, 40, 0.6, 42)
+    tr = simulate(WORKED_PLANT, design, x0, K=40, signal=sig)
+    x, xhat = reference_simulate(WORKED_PLANT, design, x0, K=40, signal=sig)
+    assert np.array_equal(tr.x, x)
+    assert _normalized_dev(tr, xhat) < 1e-9
+
+    p = Plant(np.array([[1.5]]),
+              (np.array([[1.0]]), np.zeros((0, 1)), np.zeros((0, 1))))
+    g = Digraph(3, {(1, 2), (1, 3), (2, 1)})
+    bank = design_condition2(p, g, max_parents=2)
+    sig = make_assumption2_signal(dag_parent_map(bank), g, 3, 40, 0.5, 9)
+    tr = simulate(p, bank, [1.0], est0=[[0.3], [-2.0], [4.0]], K=40,
+                  signal=sig)
+    _, xhat = reference_simulate(p, bank, [1.0],
+                                 est0=[[0.3], [-2.0], [4.0]], K=40, signal=sig)
+    assert _normalized_dev(tr, xhat) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_large_network_matches_reference(seed):
+    # 100-node strongly connected core plus 20 relay-only nodes, both
+    # schemes, static and switched.  Seed 5 draws local Scheme-2 gains of
+    # norm about 5e3, whose transients amplify rounding: it fails if the
+    # kernel folds the gain into the dynamics instead of multiplying the
+    # innovation.
+    rng = np.random.default_rng(seed)
+    core, _ = structured_plant(rng, n_nodes=100, unobs_radius=0.8)
+    g = relay_network(rng, 100, 20, 25)
+    p = Plant(core.A, core.C + (np.zeros((0, core.n)),) * 20)
+    x0 = rng.standard_normal(p.n)
+    est0 = rng.standard_normal((p.n_nodes, p.n))
+    for design in (design_condition1(p, g, max_parents=2),
+                   design_condition2(p, g, max_parents=2)):
+        sig = make_assumption2_signal(dag_parent_map(design), g, 4, 30, 0.5,
+                                      seed)
+        for signal in (None, sig):
+            tr = simulate(p, design, x0, est0=est0, K=30, signal=signal)
+            _, xhat = reference_simulate(p, design, x0, est0=est0, K=30,
+                                         signal=signal)
+            assert _normalized_dev(tr, xhat) < 1e-9
+
+
+def test_fractional_weights_match_reference():
+    # node 3 averages two parents for each sensed sub-state
+    g = Digraph(3, {(j, i) for j in (1, 2, 3) for i in (1, 2, 3)})
+    weights = {1: {2: {1: 1.0}, 3: {1: 0.5, 2: 0.5}},
+               2: {1: {2: 1.0}, 3: {1: 0.25, 2: 0.75}}}
+    design = design_condition1(WORKED_PLANT, g, weights=weights)
+    x0 = [0.5, -0.5, 1.0]
+    tr = simulate(WORKED_PLANT, design, x0, K=30)
+    for form in ("compact", "blocks"):
+        _, xhat = reference_simulate(WORKED_PLANT, design, x0, K=30,
+                                     form=form)
+        assert _normalized_dev(tr, xhat) < 1e-9
+
+
+def test_overflow_raises_numerical_error():
+    p = Plant(np.array([[1.5]]),
+              (np.array([[1.0]]), np.zeros((0, 1)), np.zeros((0, 1))))
+    g = Digraph(3, {(1, 2), (1, 3), (2, 1)})
+    bank = design_condition2(p, g)
+    with pytest.raises(NumericalError, match=r"at step \d+ of 2000"):
+        simulate(p, bank, [1.0], K=2000)
