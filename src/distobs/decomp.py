@@ -120,11 +120,13 @@ class MultiSensorDecomposition:
     ``order[j-1]``; zero-dimensional slots are kept) plus the collectively
     unobservable tail of dimension ``u_dim``.  ``Cbar[i-1] = C_i T`` carries
     node i's outputs in the new basis; its blocks beyond node i's own step are
-    structurally zero.  ``slots`` holds the ``N + 1`` index ranges, computed
+    structurally zero.  ``T_inv`` is the inverse of ``T`` that produced
+    ``Abar``, and ``slots`` holds the ``N + 1`` index ranges, both computed
     once.
     """
 
     T: np.ndarray
+    T_inv: np.ndarray
     o: tuple
     u_dim: int
     order: tuple
@@ -184,8 +186,8 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
     its own step are zero in exact arithmetic; here they only have to be small
     (below ``structure_tol`` relative to the parent matrix), after which they
     are set to exactly zero so downstream block algebra sees clean structure.
+    A violation names the block holding the largest offending entry.
     """
-    n = p.n
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:
@@ -194,30 +196,34 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
     Cbar = [Ci @ T for Ci in p.C]
     dims = (*o, u_dim)
     sl = _slices(dims)
+    # sid[r] is the 0-based slot of coordinate r: N sub-states, then the tail.
+    sid = np.repeat(np.arange(len(dims)), dims)
+    upper = sid[:, None] < sid[None, :]
     a_thresh = structure_tol * max(1.0, float(np.linalg.norm(p.A, 2)))
-    for j in range(len(dims)):
-        for l in range(j + 1, len(dims)):
-            blk = Abar[sl[j], sl[l]]
-            if blk.size and np.abs(blk).max() > a_thresh:
-                raise exc(
-                    f"transformed dynamics are not block lower triangular: "
-                    f"block ({j + 1},{l + 1}) has magnitude "
-                    f"{np.abs(blk).max():.3g} (threshold {a_thresh:.3g})"
-                )
-            Abar[sl[j], sl[l]] = 0.0
+    mag = np.where(upper, np.abs(Abar), 0.0)
+    if mag.size:
+        r, c = np.unravel_index(np.argmax(mag), mag.shape)
+        if mag[r, c] > a_thresh:
+            raise exc(
+                f"transformed dynamics are not block lower triangular: "
+                f"block ({sid[r] + 1},{sid[c] + 1}) has magnitude "
+                f"{mag[r, c]:.3g} (threshold {a_thresh:.3g})"
+            )
+    Abar[upper] = 0.0
     pos = {node: k + 1 for k, node in enumerate(order)}
-    for i in range(1, p.n_nodes + 1):
-        Ci = p.C[i - 1]
-        c_scale = float(np.linalg.norm(Ci, 2)) if Ci.size else 0.0
-        c_thresh = structure_tol * max(1.0, c_scale)
-        for j in range(pos[i], len(dims)):
-            blk = Cbar[i - 1][:, sl[j]]
-            if blk.size and np.abs(blk).max() > c_thresh:
-                raise exc(
-                    f"node {i}'s transformed output is nonzero on block "
-                    f"{j + 1}, beyond its own step {pos[i]}"
-                )
-            Cbar[i - 1][:, sl[j]] = 0.0
+    for i, (Ci, Cb) in enumerate(zip(p.C, Cbar), 1):
+        if not Ci.shape[0]:
+            continue
+        c_thresh = structure_tol * max(1.0, float(np.linalg.norm(Ci, 2)))
+        beyond = sid >= pos[i]
+        mag = np.abs(Cb[:, beyond])
+        if mag.size and mag.max() > c_thresh:
+            c = np.flatnonzero(beyond)[np.argmax(mag) % mag.shape[1]]
+            raise exc(
+                f"node {i}'s transformed output is nonzero on block "
+                f"{sid[c] + 1}, beyond its own step {pos[i]}"
+            )
+        Cb[:, beyond] = 0.0
     # Each nonempty diagonal block must be observable from its source node.
     for j, oj in enumerate(o, 1):
         if oj == 0:
@@ -232,6 +238,7 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
             )
     return MultiSensorDecomposition(
         T=T,
+        T_inv=Tinv,
         o=tuple(o),
         u_dim=int(u_dim),
         order=tuple(order),

@@ -244,13 +244,12 @@ def _compile_c1(p, design):
     P, static, groups = [], [], []
     for comp in design.components:
         d, bank, ids = comp.decomposition, comp.bank, comp.nodes
-        Tinv = np.linalg.inv(d.T)
         proj = {}
         for j, oj in enumerate(d.o, 1):
             if oj:
                 sl = d.block_slice(j)
                 proj[j] = len(P)
-                P.append(d.T[:, sl] @ d.A_sub(j) @ Tinv[sl, :])
+                P.append(d.T[:, sl] @ d.A_sub(j) @ d.T_inv[sl, :])
         for i, gi in enumerate(ids, 1):
             r = p.C[gi - 1].shape[0]
             F[gi - 1] = bank.N_mat + bank.G[i - 1][i]

@@ -14,9 +14,12 @@ The per-node update collapses into a compact rule
     xhat_i[k+1] = N_mat xhat_i[k] + TH_i (y_i[k] - C_i xhat_i[k])
                   + sum over in-neighborhood l of  G_il xhat_l[k]
 
-whose matrices this module assembles, and the error dynamics decouple by
-sub-state into block-triangular composites whose spectral radii are
-certified explicitly.
+whose matrices this module assembles.  The error dynamics decouple by
+sub-state: the source node's error follows the closed loop
+``A_jj - L C_jj``, and the followers' copies form a nilpotent block because
+the consensus weights are strictly lower triangular in topological order.
+Each sub-state is therefore certified by the spectral radius of its own
+``o_j x o_j`` closed loop.
 """
 
 from __future__ import annotations
@@ -196,9 +199,7 @@ class CompactObserverBank:
 
     ``N_mat`` propagates the block couplings common to all nodes; ``TH[i-1]``
     injects node i's innovation; ``G[i-1][l]`` multiplies neighbor ``l``'s
-    estimate.  ``weight_vectors[i-1][l]`` records the stacked per-slot weights
-    (one slot per sub-state plus the unobservable tail) from which each
-    ``G[i-1][l]`` was built.
+    estimate.
     """
 
     decomposition: MultiSensorDecomposition
@@ -207,7 +208,6 @@ class CompactObserverBank:
     N_mat: np.ndarray
     TH: tuple
     G: tuple
-    weight_vectors: tuple
 
 
 def _blockdiag_part(d):
@@ -233,42 +233,38 @@ def assemble_compact_bank(d, gains, weights, g):
     N = len(d.o)
     if len(gains) != N:
         raise ShapeError(f"need {N} gains, got {len(gains)}")
-    T = d.T
-    Tinv = np.linalg.inv(T)
+    T, Tinv = d.T, d.T_inv
     A2 = _blockdiag_part(d)
     A1 = d.Abar - A2
     N_mat = T @ A1 @ Tinv
-    slots = list(range(1, N + 1))
+    # G_il = T @ M with M's row block j equal to w_ilj * A_jj T^{-1}[j, :];
+    # those rows depend on the sub-state only, so form them once.
+    rows = {
+        j: d.A_sub(j) @ Tinv[d.block_slice(j), :]
+        for j, oj in enumerate(d.o, 1) if oj
+    }
+    slu = d.unobs_slice
+    tail = d.A_unobs @ Tinv[slu, :]
     TH = []
     G = []
-    wvecs = []
     for i in g.nodes:
         pos = d.step_of_node[i]
         L = gains[pos - 1]
         TH.append(T[:, d.block_slice(pos)] @ L)
         gi = {}
-        wi = {}
         for l in g.closed_in_neighborhood(i):
-            w = np.zeros(N + 1)
-            if l == i:
-                w[pos - 1] = 1.0
-                w[N] = 1.0
-            for j in slots:
-                if j == pos or d.o[j - 1] == 0:
-                    continue
-                w[j - 1] += weights[j].weights[i].get(l, 0.0)
             M = np.zeros((n, n))
-            for j in slots:
-                if w[j - 1] and d.o[j - 1]:
-                    sl = d.block_slice(j)
-                    M[sl, :] = w[j - 1] * (d.A_sub(j) @ Tinv[sl, :])
-            if w[N] and d.u_dim:
-                slu = d.unobs_slice
-                M[slu, :] = d.A_unobs @ Tinv[slu, :]
+            for j, Rj in rows.items():
+                if j == pos:
+                    w = float(l == i)
+                else:
+                    w = weights[j].weights[i].get(l, 0.0)
+                if w:
+                    M[d.block_slice(j), :] = w * Rj
+            if l == i and d.u_dim:
+                M[slu, :] = tail
             gi[l] = T @ M
-            wi[l] = w
         G.append(gi)
-        wvecs.append(wi)
     return CompactObserverBank(
         decomposition=d,
         gains=tuple(gains),
@@ -276,17 +272,19 @@ def assemble_compact_bank(d, gains, weights, g):
         N_mat=N_mat,
         TH=tuple(TH),
         G=tuple(G),
-        weight_vectors=tuple(wvecs),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SubstateCertificate:
-    """Stability certificate for one sub-state's composite error dynamics.
+    """Stability certificate for one sub-state's error dynamics.
 
-    ``M`` stacks the source node's corrected block over the follower nodes'
-    consensus copies (in topological order); its spectral radius governs the
-    whole sub-state's error.
+    ``M`` is the source node's closed loop ``A_jj - L C_jj``.  Stacking the
+    followers' consensus copies under it gives a block lower triangular
+    composite whose follower block ``kron(W22, A_jj)`` is nilpotent, since
+    ``W22`` is strictly lower triangular under the topological order.  The
+    composite's spectrum is therefore ``spec(M)`` plus zeros, and ``rho``,
+    the spectral radius of ``M``, governs the whole sub-state's error.
     """
 
     substate: int
@@ -305,36 +303,28 @@ class StabilityReport:
 
 
 def certify_stability(d, gains, weights, tol=None):
-    """Assemble and check each sub-state's composite error matrix.
+    """Check each sub-state's closed loop and the unobservable tail.
 
-    The verdict is true iff every composite spectral radius and the
+    The verdict is true iff every sub-state's ``rho(A_jj - L C_jj)`` and the
     unobservable tail's spectral radius sit inside the unit circle with
-    margin.  Certification is by direct eigenvalue computation of the
-    assembled matrices — the same objects the convergence argument uses.
+    margin.  ``weights`` holds each nonempty sub-state's
+    :class:`ConsensusWeights`; their construction rejects any follower block
+    ``W22`` that is not strictly lower triangular, which is what makes the
+    followers' part of the composite error nilpotent and lets the
+    ``o_j x o_j`` closed loop stand for the whole sub-state.
     """
     tol = tol or nk.DEFAULT_TOL
     certs = []
     for j, oj in enumerate(d.o, 1):
         if oj == 0:
             continue
-        cw = weights[j]
         source = d.source_node(j)
-        Ajj = d.A_sub(j)
-        L = gains[j - 1]
-        Acl = Ajj - L @ d.C_block(source, j)
-        m = len(cw.topo_order) - 1
-        if m:
-            M = np.zeros(((m + 1) * oj, (m + 1) * oj))
-            M[:oj, :oj] = Acl
-            M[oj:, :oj] = np.kron(cw.W21, Ajj)
-            M[oj:, oj:] = np.kron(cw.W22, Ajj)
-        else:
-            M = Acl
+        Acl = d.A_sub(j) - gains[j - 1] @ d.C_block(source, j)
         certs.append(SubstateCertificate(
             substate=j,
             source=source,
-            rho=nk.spectral_radius(M),
-            M=M,
+            rho=nk.spectral_radius(Acl),
+            M=Acl,
         ))
     rho_u = nk.spectral_radius(d.A_unobs)
     ok = all(c.rho <= 1.0 - tol.schur_margin for c in certs) and \
@@ -516,7 +506,15 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                             f"weights for sub-state of node {src_global} "
                             "reference nodes outside its component"
                         )
-                    rows[glob2loc[node_g]] = {
+                    i = glob2loc[node_g]
+                    for l in row:
+                        if glob2loc[l] not in h.in_neighbors(i):
+                            raise ValueError(
+                                f"weights for sub-state of node {src_global}: "
+                                f"node {node_g} weights {l}, which is not an "
+                                "in-neighbor of it in its component"
+                            )
+                    rows[i] = {
                         glob2loc[l]: float(w) for l, w in row.items()
                     }
                 sub_weights[j] = ConsensusWeights(

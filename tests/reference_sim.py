@@ -67,6 +67,29 @@ def _c1_step_weights(comp, ids, mode_edges):
     return out
 
 
+def _c1_static_weights(comp):
+    """Per-node slot-weight vectors of the static design, from the bank's
+    consensus weights: a node's own sub-state and the unobservable tail come
+    from its own estimate, every other nonempty sub-state from the weighted
+    parents."""
+    d = comp.decomposition
+    weights = comp.bank.weights
+    N_c = len(d.o)
+    out = []
+    for i_loc in range(1, N_c + 1):
+        pos = d.step_of_node[i_loc]
+        vecs = {i_loc: np.zeros(N_c + 1)}
+        vecs[i_loc][pos - 1] = 1.0
+        vecs[i_loc][N_c] = 1.0
+        for j in range(1, N_c + 1):
+            if j == pos or d.o[j - 1] == 0:
+                continue
+            for l, w in weights[j].weights[i_loc].items():
+                vecs.setdefault(l, np.zeros(N_c + 1))[j - 1] += w
+        out.append(vecs)
+    return out
+
+
 def _c1_step_component(comp, ids, xh, y, weight_vectors, C):
     """Advance one component's members one step in block coordinates.
 
@@ -156,7 +179,7 @@ def _simulate_c1(p, design, x0, est0, K, signal, form):
                     new[gi] = v
             else:
                 if mode_edges is None:
-                    wv = comp.bank.weight_vectors
+                    wv = _c1_static_weights(comp)
                 else:
                     wv = _c1_step_weights(comp, ids, mode_edges)
                 new.update(_c1_step_component(comp, ids, xh, y, wv, p.C))

@@ -108,6 +108,59 @@ def test_decomposition_from_transform_cleans_structure():
             p, np.eye(4), (1, 1, 1), structure_tol=1e-6)
 
 
+# Diagonal plant with a planted block structure under T = I: slots 1-3 hold
+# one coordinate each (node 4 measures nothing), the last coordinate is the
+# tail.  Coordinates 0 and 2 share the eigenvalue 2.
+GATE_C = (
+    np.array([[1.0, 0.0, 0.0, 0.0]]),
+    np.array([[0.0, 1.0, 0.0, 0.0]]),
+    np.array([[0.0, 1.0, 1.0, 0.0]]),
+    np.zeros((0, 4)),
+)
+
+
+def _shear(r, c, t):
+    T = np.eye(4)
+    T[r, c] = t
+    return T
+
+
+def test_structural_gate_names_upper_block():
+    # T^-1 A T = A + t (a_0 - a_2) E_02: only block (1,3) breaks
+    p = Plant(np.diag([2.0, 3.0, 5.0, 0.5]), GATE_C)
+    with pytest.raises(InvalidTransform, match=(
+        r"^transformed dynamics are not block lower triangular: "
+        r"block \(1,3\) has magnitude 1\.5 \(threshold 5e-06\)$"
+    )):
+        decomposition_from_transform(p, _shear(0, 2, 0.5), (1, 1, 1, 0))
+
+
+def test_structural_gate_names_node_output():
+    # a_0 = a_2 leaves Abar untouched; only node 1's output picks up 0.5 on
+    # coordinate 2, which lies in block 3
+    p = Plant(np.diag([2.0, 3.0, 2.0, 0.5]), GATE_C)
+    with pytest.raises(InvalidTransform, match=(
+        r"^node 1's transformed output is nonzero on block 3, beyond its own "
+        r"step 1$"
+    )):
+        decomposition_from_transform(p, _shear(0, 2, 0.5), (1, 1, 1, 0))
+
+
+def test_structural_gate_zeroes_dust_exactly():
+    p = Plant(np.diag([2.0, 3.0, 5.0, 0.5]), GATE_C)
+    T = _shear(0, 2, 1e-9)
+    raw_A, raw_C = apply_given_transformation(p, T)
+    assert raw_A[0, 2] != 0.0 and raw_C[0][0, 2] != 0.0
+    d = decomposition_from_transform(p, T, (1, 1, 1, 0))
+    assert d.Abar[0, 2] == 0.0 and d.Cbar[0][0, 2] == 0.0
+    assert np.all(np.triu(d.Abar, 1) == 0.0)
+    for i in range(1, 4):
+        assert np.all(d.Cbar[i - 1][:, i:] == 0.0)
+    np.testing.assert_allclose(np.tril(d.Abar), np.tril(raw_A),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(d.T_inv, np.linalg.inv(T))
+
+
 def test_decomposition_from_transform_dimension_checks():
     p = Plant(STAIR_A, STAIR_C)
     with pytest.raises(ShapeError):

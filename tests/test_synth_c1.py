@@ -9,11 +9,13 @@ from distobs import (
     design_condition1,
     design_gains,
     multisensor_decompose,
+    simulate,
 )
 from distobs import numkit as nk
 from distobs.errors import NotDetectable, NumericalError, ShapeError
 from distobs.synth_c1 import ConsensusWeights, consensus_weights_for_substate
 from distobs.netgraph import spanning_dag
+from conftest import random_strong_graph, structured_plant
 
 WORKED_PLANT = Plant(
     np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [-5.0, 0.0, 2.0]]),
@@ -118,6 +120,99 @@ def test_certify_stability_worked_example():
     for cert in rep.certificates:
         assert cert.rho < 1e-6
     assert rep.rho_unobs == 0.0
+
+
+def _composite_rho(d, gains, cw, j):
+    """Spectral radius of sub-state ``j``'s full composite error matrix: the
+    source's closed loop stacked over the followers' consensus copies
+    (``kron(W21, A_jj)``, ``kron(W22, A_jj)``), as assembled before the
+    certificate was reduced to the closed loop alone."""
+    oj = d.o[j - 1]
+    Ajj = d.A_sub(j)
+    Acl = Ajj - gains[j - 1] @ d.C_block(d.source_node(j), j)
+    m = len(cw.topo_order) - 1
+    M = np.zeros(((m + 1) * oj, (m + 1) * oj))
+    M[:oj, :oj] = Acl
+    M[oj:, :oj] = np.kron(cw.W21, Ajj)
+    M[oj:, oj:] = np.kron(cw.W22, Ajj)
+    return nk.spectral_radius(M)
+
+
+def _assert_certificate_matches_reference(d, gains, weights):
+    tol = nk.DEFAULT_TOL
+    rep = certify_stability(d, gains, weights, tol)
+    ref_ok = nk.spectral_radius(d.A_unobs) <= 1.0 - tol.schur_margin
+    nonempty = [j for j, oj in enumerate(d.o, 1) if oj]
+    assert [c.substate for c in rep.certificates] == nonempty
+    for cert in rep.certificates:
+        j = cert.substate
+        Acl = d.A_sub(j) - gains[j - 1] @ d.C_block(d.source_node(j), j)
+        assert cert.rho == nk.spectral_radius(Acl)
+        np.testing.assert_array_equal(cert.M, Acl)
+        ref_ok &= _composite_rho(d, gains, weights[j], j) <= \
+            1.0 - tol.schur_margin
+    assert rep.ok == ref_ok
+    return rep
+
+
+def test_certificate_matches_composite_reference():
+    design = design_condition1(WORKED_PLANT, WORKED_GRAPH)
+    cases = [design.components[0]]
+    rng = np.random.default_rng(20261018)
+    for _ in range(24):
+        p, _ = structured_plant(rng)
+        design = design_condition1(p, random_strong_graph(rng, p.n_nodes))
+        cases.extend(design.components)
+    verdicts = set()
+    for comp in cases:
+        bank = comp.bank
+        d = bank.decomposition
+        _assert_certificate_matches_reference(d, bank.gains, bank.weights)
+        # without correction each closed loop is A_jj itself, drawn with
+        # spectral radius in [0.3, 1.1]: both verdicts occur
+        idle = tuple(np.zeros_like(L) for L in bank.gains)
+        rep = _assert_certificate_matches_reference(d, idle, bank.weights)
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+def test_certify_stability_rejects_destabilizing_gain():
+    # design_gains would refuse this gain; certify it directly
+    p, g = _two_node_design()
+    d = multisensor_decompose(p)
+    gains = list(design_gains(d))
+    assert gains[0].shape == (2, 1)
+    gains[0] = np.array([[50.0], [50.0]])
+    weights = {
+        j: consensus_weights_for_substate(g, d.source_node(j),
+                                          spanning_dag(g, {d.source_node(j)}, 1))
+        for j in range(1, len(d.o) + 1) if d.o[j - 1]
+    }
+    rep = _assert_certificate_matches_reference(d, gains, weights)
+    assert not rep.ok
+    assert rep.certificates[0].substate == 1
+    assert rep.certificates[0].rho > 1.0
+
+
+def test_consensus_weights_reject_follower_cycle():
+    with pytest.raises(ValueError, match="strictly lower triangular"):
+        ConsensusWeights(source=1, weights={2: {3: 1.0}, 3: {2: 1.0}},
+                         topo_order=(1, 2, 3))
+
+
+def test_design_condition1_rejects_weight_on_non_edge():
+    # node 3 hears node 2 only; a weight on parent 1 could never be applied,
+    # and node 3's error would stall while the certificate passed
+    g = Digraph(3, {(1, 2), (2, 1), (2, 3), (3, 1), (3, 2)})
+    bad = {1: {2: {1: 1.0}, 3: {1: 1.0}}}
+    with pytest.raises(ValueError,
+                       match="node 3 weights 1, which is not an in-neighbor"):
+        design_condition1(WORKED_PLANT, g, weights=bad)
+    good = {1: {2: {1: 1.0}, 3: {2: 1.0}}}
+    design = design_condition1(WORKED_PLANT, g, weights=good)
+    assert design.components[0].stability.ok
+    tr = simulate(WORKED_PLANT, design, np.array([1.0, -1.0, 0.5]), K=200)
+    assert np.all(tr.rel_err[:, -1] < 1e-9)
 
 
 def test_design_condition1_full_network():
