@@ -12,13 +12,15 @@ nobody informs from outside):
 The second implies the first and enables the per-eigenvalue design route;
 the first suffices for the sub-state consensus route.  Verdicts come with
 diagnostics naming the failing component and eigenvalue.
+
+Every verdict reads one table of rank decisions: one eigen-pass of ``A``,
+then one rank test per node and one per source component (outputs stacked)
+for each class on or near the unit circle, so no question is answered twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import numkit as nk
 from .errors import NumericalError
@@ -35,11 +37,6 @@ __all__ = [
 ]
 
 
-def _needs_coverage(cls, tol):
-    """Classes at or numerically near the unit circle must be covered."""
-    return abs(cls.rep) >= 1.0 - tol.eig_cluster_tol
-
-
 def detectable_set(A, C_i, tol=None, info=None):
     """Indices of the eigenvalue classes detectable from ``C_i`` alone.
 
@@ -51,11 +48,11 @@ def detectable_set(A, C_i, tol=None, info=None):
     tol = tol or nk.DEFAULT_TOL
     A = nk.as_square(A, "A")
     info = info or nk.eigen_info(A, tol)
-    out = []
-    for k, cls in enumerate(info.classes):
-        if not _needs_coverage(cls, tol) or nk.pbh_rank_ok(A, C_i, cls.rep, tol):
-            out.append(k)
-    return tuple(out)
+    unstable = info.unstable_classes(tol)
+    return tuple(
+        k for k, cls in enumerate(info.classes)
+        if k not in unstable or nk.pbh_rank_ok(A, C_i, cls.rep, tol)
+    )
 
 
 @dataclass(frozen=True)
@@ -84,24 +81,62 @@ class ConditionVerdict:
         return tuple(c for c in self.components if not c.ok)
 
 
+class _RankTable:
+    """One eigen-pass of ``A`` and the rank decisions the verdicts read.
+
+    ``unstable`` lists the classes needing coverage.  ``local(i)`` is node
+    ``i``'s :func:`detectable_set`, made on first read and kept, so no
+    verdict repeats a rank test another one has made.
+    """
+
+    def __init__(self, p, g, tol):
+        self.p, self.tol = p, tol
+        self.info = nk.eigen_info(p.A, tol)
+        self.unstable = self.info.unstable_classes(tol)
+        self.comps = tuple(source_components(g))
+        self._local = {}
+
+    def detects(self, C):
+        return detectable_set(self.p.A, C, self.tol, self.info)
+
+    def local(self, i):
+        if i not in self._local:
+            self._local[i] = self.detects(self.p.C[i - 1])
+        return self._local[i]
+
+    def _verdict(self, covered, roots):
+        """Verdict over the source components; ``covered[c]`` holds the
+        classes component ``c`` covers, ``roots[c]`` its root map."""
+        checks = []
+        for comp, seen, r in zip(self.comps, covered, roots):
+            failing = tuple(
+                self.info.classes[k].rep for k in self.unstable if k not in seen
+            )
+            checks.append(ComponentCheck(comp, not failing, failing, r))
+        return ConditionVerdict(all(c.ok for c in checks), tuple(checks))
+
+    def condition1(self):
+        """One stacked test per source component and class."""
+        covered = [self.detects(self.p.stacked_output(c)) for c in self.comps]
+        return self._verdict(covered, [{} for _ in self.comps])
+
+    def condition2(self):
+        """Root existence, read from the members' own tests."""
+        roots = []
+        for comp in self.comps:
+            here = {k: tuple(i for i in comp if k in self.local(i))
+                    for k in self.unstable}
+            roots.append({k: nodes for k, nodes in here.items() if nodes})
+        return self._verdict(roots, roots)
+
+
 def check_condition1(p, g, tol=None):
     """Collective detectability of every source component.
 
     For each source component, stacks the outputs of all member nodes and
     runs the rank test at every eigenvalue class on or near the unit circle.
     """
-    tol = tol or nk.DEFAULT_TOL
-    info = nk.eigen_info(p.A, tol)
-    checks = []
-    for comp in source_components(g):
-        C_stack = p.stacked_output(comp)
-        failing = tuple(
-            cls.rep for cls in info.classes
-            if _needs_coverage(cls, tol)
-            and not nk.pbh_rank_ok(p.A, C_stack, cls.rep, tol)
-        )
-        checks.append(ComponentCheck(comp, not failing, failing, {}))
-    return ConditionVerdict(all(c.ok for c in checks), tuple(checks))
+    return _RankTable(p, g, tol or nk.DEFAULT_TOL).condition1()
 
 
 def check_condition2(p, g, tol=None):
@@ -111,25 +146,7 @@ def check_condition2(p, g, tol=None):
     outputs alone; ``roots`` records who does, which is exactly what the
     per-eigenvalue synthesis needs.
     """
-    tol = tol or nk.DEFAULT_TOL
-    info = nk.eigen_info(p.A, tol)
-    covered = [
-        (k, cls) for k, cls in enumerate(info.classes) if _needs_coverage(cls, tol)
-    ]
-    checks = []
-    for comp in source_components(g):
-        roots = {}
-        failing = []
-        for k, cls in covered:
-            here = tuple(
-                i for i in comp if nk.pbh_rank_ok(p.A, p.C[i - 1], cls.rep, tol)
-            )
-            if here:
-                roots[k] = here
-            else:
-                failing.append(cls.rep)
-        checks.append(ComponentCheck(comp, not failing, tuple(failing), roots))
-    return ConditionVerdict(all(c.ok for c in checks), tuple(checks))
+    return _RankTable(p, g, tol or nk.DEFAULT_TOL).condition2()
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,8 @@ class FeasibilityReport:
 
     ``per_node_detectable`` holds each node's locally detectable class
     indices; ``root_sets`` maps each covered class index to every node in the
-    whole graph that detects it.
+    whole graph that detects it.  Every field is read from one table of rank
+    decisions, so the verdicts cannot disagree by accident.
     """
 
     classes: tuple
@@ -158,36 +176,25 @@ def feasibility_report(p, g, tol=None):
     inconsistent at the working tolerance, which is reported as an error
     rather than returned silently.
     """
-    tol = tol or nk.DEFAULT_TOL
-    info = nk.eigen_info(p.A, tol)
-    unstable = tuple(
-        k for k, cls in enumerate(info.classes) if _needs_coverage(cls, tol)
-    )
-    per_node = tuple(
-        detectable_set(p.A, p.C[i - 1], tol, info=info)
-        for i in range(1, p.n_nodes + 1)
-    )
+    t = _RankTable(p, g, tol or nk.DEFAULT_TOL)
+    nodes = range(1, p.n_nodes + 1)
+    per_node = tuple(t.local(i) for i in nodes)
     root_sets = {
-        k: tuple(
-            i for i in range(1, p.n_nodes + 1)
-            if k in per_node[i - 1]
-            and nk.pbh_rank_ok(p.A, p.C[i - 1], info.classes[k].rep, tol)
-        )
-        for k in unstable
+        k: tuple(i for i in nodes if k in t.local(i)) for k in t.unstable
     }
-    c1 = check_condition1(p, g, tol)
-    c2 = check_condition2(p, g, tol)
+    c1 = t.condition1()
+    c2 = t.condition2()
     if c2.ok and not c1.ok:
         raise NumericalError(
             "rank decisions are inconsistent: per-eigenvalue coverage holds "
             "but collective detectability fails; adjust tolerances"
         )
     return FeasibilityReport(
-        classes=info.classes,
-        unstable=unstable,
+        classes=t.info.classes,
+        unstable=t.unstable,
         per_node_detectable=per_node,
         root_sets=root_sets,
-        source_comps=tuple(source_components(g)),
+        source_comps=t.comps,
         cond1=c1,
         cond2=c2,
     )

@@ -301,6 +301,17 @@ def multisensor_decompose(p, order=None, tol=None):
                             structure_tol=1e-8, exc=NumericalError)
 
 
+def _check_transform(p, T):
+    """Reject a transform of the wrong order or with ``cond(T)`` at the limit."""
+    if T.shape[0] != p.n:
+        raise ShapeError(f"T must be {p.n}x{p.n}, got {T.shape[0]}x{T.shape[1]}")
+    cond = np.linalg.cond(T) if p.n else 1.0
+    if cond >= _COND_LIMIT:
+        raise InvalidTransform(
+            f"transform condition number {cond:.3g} exceeds {_COND_LIMIT:.0e}"
+        )
+
+
 def apply_given_transformation(p, T):
     """Raw change of basis: returns ``(T^{-1} A T, [C_i T, ...])``.
 
@@ -308,13 +319,7 @@ def apply_given_transformation(p, T):
     supplied transform produces, dust and all.
     """
     T = nk.as_square(T, "T")
-    if T.shape[0] != p.n:
-        raise ShapeError(f"T must be {p.n}x{p.n}, got {T.shape[0]}x{T.shape[1]}")
-    if p.n and np.linalg.cond(T) >= _COND_LIMIT:
-        raise InvalidTransform(
-            f"transform condition number {np.linalg.cond(T):.3g} exceeds "
-            f"{_COND_LIMIT:.0e}"
-        )
+    _check_transform(p, T)
     Abar = np.linalg.solve(T, p.A @ T)
     return Abar, [Ci @ T for Ci in p.C]
 
@@ -341,13 +346,7 @@ def decomposition_from_transform(p, T, o, u_dim=None, order=None, tol=None,
         raise ShapeError(
             f"block dimensions {o} + unobservable {u_dim} do not sum to {p.n}"
         )
-    if T.shape[0] != p.n:
-        raise ShapeError(f"T must be {p.n}x{p.n}, got {T.shape[0]}x{T.shape[1]}")
-    if p.n and np.linalg.cond(T) >= _COND_LIMIT:
-        raise InvalidTransform(
-            f"transform condition number {np.linalg.cond(T):.3g} exceeds "
-            f"{_COND_LIMIT:.0e}"
-        )
+    _check_transform(p, T)
     order = _check_order(order if order is not None else range(1, p.n_nodes + 1),
                          p.n_nodes)
     return _zero_structural(p, T, o, u_dim, order, tol or nk.DEFAULT_TOL,
@@ -649,10 +648,15 @@ class JordanSystem:
     classes: tuple
     per_node: tuple
     cond_T: float
+    slots: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots",
+                           tuple(_slices([c.dim for c in self.classes])))
 
     def class_slice(self, k):
         """Rows of the transformed coordinates occupied by class ``k``."""
-        return _slices([c.dim for c in self.classes])[k]
+        return self.slots[k]
 
 
 def jordan_system(p, tol=None):

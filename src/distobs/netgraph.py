@@ -11,6 +11,7 @@ golden tests see identical structures.  Node ids are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import NotSpanning
@@ -98,6 +99,51 @@ class SpanningStructure:
 
     def parents(self, i):
         return self.parent_sets.get(i, ())
+
+
+def _check_relay_weights(weights, roots, topo_order, what):
+    """Validate relay weights over a spanning order, raising ``ValueError``.
+
+    Every node of ``topo_order`` outside ``roots`` needs a row of finite,
+    nonnegative weights summing to one on covering nodes (roots or other
+    nodes of ``topo_order``); roots carry no row.  A nonzero weight on a
+    non-root parent must come from before the node in ``topo_order``, so the
+    weights among non-roots are strictly lower triangular in that order,
+    hence nilpotent.  ``what`` names the sub-state or class in messages.
+    """
+    roots = set(roots)
+    rank = {v: k for k, v in enumerate(topo_order)}
+    cyclic = False
+    for i in topo_order:
+        if i in roots:
+            continue
+        row = weights.get(i)
+        if not row:
+            raise ValueError(f"node {i} has no consensus weights for {what}")
+        for l, w in row.items():
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} on edge {l}->{i}")
+            if w < 0:
+                raise ValueError(f"negative weight {w} on edge {l}->{i}")
+            if l not in roots and l not in rank:
+                raise ValueError(
+                    f"node {i} weights {l}, which covers nothing for {what}"
+                )
+            cyclic |= w != 0.0 and l not in roots and rank[l] >= rank[i]
+        total = sum(row.values())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"weights of node {i} sum to {total}, not 1")
+    for i in roots:
+        if weights.get(i):
+            raise ValueError(
+                f"node {i} is a root for {what} and must not carry "
+                "consensus weights for it"
+            )
+    if cyclic:
+        raise ValueError(
+            "consensus weights are not strictly lower triangular under the "
+            "topological order; the relay block would not be nilpotent"
+        )
 
 
 def strong_components(g):

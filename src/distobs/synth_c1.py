@@ -24,7 +24,7 @@ Each sub-state is therefore certified by the spectral radius of its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .decomp import (
 from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
 from .netgraph import (
     Digraph,
+    _check_relay_weights,
     SpanningStructure,
     source_components,
     spanning_dag,
@@ -68,56 +69,19 @@ class ConsensusWeights:
 
     ``weights[i]`` maps each node ``l`` that node ``i`` listens to for this
     sub-state to a nonnegative weight; rows sum to one for every non-source
-    node.  ``W21``/``W22`` are the weight matrices of the non-source nodes
-    (rows in ``topo_order``) against the source column and the other
-    non-source columns; the spanning-tree construction makes ``W22`` strictly
-    lower triangular, hence nilpotent — the property the stability
-    certificates lean on.
+    node, and the source carries none.  Every nonzero weight on a non-source
+    parent comes from before the node in ``topo_order``, so the weights among
+    non-source nodes are strictly lower triangular, hence nilpotent — the
+    property the stability certificates lean on.
     """
 
     source: int
     weights: dict
     topo_order: tuple
-    W21: np.ndarray = field(init=False, repr=False)
-    W22: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nonsource = [v for v in self.topo_order if v != self.source]
-        col = {v: k for k, v in enumerate(nonsource)}
-        W21 = np.zeros((len(nonsource), 1))
-        W22 = np.zeros((len(nonsource), len(nonsource)))
-        for r, i in enumerate(nonsource):
-            row = self.weights.get(i, {})
-            if not row:
-                raise ValueError(
-                    f"node {i} has no consensus weights for source "
-                    f"{self.source}'s sub-state"
-                )
-            total = 0.0
-            for l, w in row.items():
-                if w < 0:
-                    raise ValueError(f"negative weight {w} on edge {l}->{i}")
-                total += w
-                if l == self.source:
-                    W21[r, 0] += w
-                elif l in col:
-                    W22[r, col[l]] += w
-                else:
-                    raise ValueError(
-                        f"node {i} weights {l}, which is not in the component"
-                    )
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(
-                    f"weights of node {i} sum to {total}, not 1"
-                )
-        if np.any(np.triu(W22) != 0.0):
-            raise ValueError(
-                "consensus weights are not strictly lower triangular under "
-                "the topological order; the follower block would not be "
-                "nilpotent"
-            )
-        object.__setattr__(self, "W21", W21)
-        object.__setattr__(self, "W22", W22)
+        _check_relay_weights(self.weights, (self.source,), self.topo_order,
+                             f"source {self.source}'s sub-state")
 
     def parent_of(self, i):
         """The unique maximal-weight provider for node ``i`` (tree weights:

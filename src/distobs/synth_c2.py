@@ -7,7 +7,7 @@ Estimates are exchanged in plant coordinates only; the eigenstructure stays
 internal to each node.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NotDetectable,
     NotSpanning,
 )
-from .netgraph import spanning_dag, spanning_forest
+from .netgraph import _check_relay_weights, spanning_dag, spanning_forest
 
 __all__ = [
     "ClassWeights",
@@ -113,53 +113,10 @@ class ClassWeights:
     roots: tuple
     weights: dict
     topo_order: tuple
-    W_root: np.ndarray = field(init=False, repr=False)
-    W_rest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        root_set = set(self.roots)
-        followers = [v for v in self.topo_order if v not in root_set]
-        rcol = {v: k for k, v in enumerate(sorted(root_set))}
-        col = {v: k for k, v in enumerate(followers)}
-        W_root = np.zeros((len(followers), len(rcol)))
-        W_rest = np.zeros((len(followers), len(followers)))
-        for rr, i in enumerate(followers):
-            row = self.weights.get(i, {})
-            if not row:
-                raise ValueError(
-                    f"node {i} has no consensus weights for eigenvalue "
-                    f"class {self.class_index}"
-                )
-            total = 0.0
-            for l, w in row.items():
-                if w < 0:
-                    raise ValueError(f"negative weight {w} on edge {l}->{i}")
-                total += w
-                if l in rcol:
-                    W_root[rr, rcol[l]] += w
-                elif l in col:
-                    W_rest[rr, col[l]] += w
-                else:
-                    raise ValueError(
-                        f"node {i} weights {l}, which covers nothing for "
-                        f"class {self.class_index}"
-                    )
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"weights of node {i} sum to {total}, not 1")
-        for i in root_set:
-            if self.weights.get(i):
-                raise ValueError(
-                    f"node {i} detects class {self.class_index} locally and "
-                    "must not carry consensus weights for it"
-                )
-        if np.any(np.triu(W_rest) != 0.0):
-            raise ValueError(
-                "consensus weights are not strictly lower triangular under "
-                "the topological order; the relay block would not be "
-                "nilpotent"
-            )
-        object.__setattr__(self, "W_root", W_root)
-        object.__setattr__(self, "W_rest", W_rest)
+        _check_relay_weights(self.weights, self.roots, self.topo_order,
+                             f"eigenvalue class {self.class_index}")
 
     def parents(self, i):
         """Nodes that ``i`` listens to for this class (empty for roots)."""

@@ -203,6 +203,16 @@ def test_overflowing_simulation_exits_4(tmp_path, capsys):
     assert not summary.exists() or "NaN" not in summary.read_text()
 
 
+def test_design_rejects_non_finite_weight_exits_3(tmp_path, capsys):
+    raw = json.loads(open(bundled_scenario_path("sec8.json")).read())
+    raw["options"]["weights"]["1"]["2"]["1"] = float("nan")
+    bank = tmp_path / "bank.json"
+    rc = main(["design", _write(tmp_path, "s.json", raw), "--out", str(bank)])
+    assert rc == 3
+    assert "non-finite weight nan on edge 1->2" in capsys.readouterr().err
+    assert not bank.exists()
+
+
 def test_design_writes_bank(tmp_path, capsys):
     bank_path = tmp_path / "bank.json"
     rc = main(["design", bundled_scenario_path("sec8.json"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distobs import numkit as nk
 from distobs import (
     Digraph,
     Plant,
@@ -77,7 +78,36 @@ def test_per_eigenvalue_implies_collective(seed):
     rep = feasibility_report(p, g)
     if rep.cond2.ok:
         assert rep.cond1.ok
+    # the standalone readers agree with the report's single table
+    assert check_condition1(p, g) == rep.cond1
+    assert check_condition2(p, g) == rep.cond2
+    assert rep.per_node_detectable == tuple(
+        detectable_set(p.A, C_i) for C_i in p.C
+    )
     for comp1, comp2 in zip(rep.cond1.components, rep.cond2.components):
         assert comp1.component == comp2.component
         if comp2.ok:
             assert comp1.ok
+
+
+def test_feasibility_report_makes_each_rank_decision_once(monkeypatch):
+    # two unstable classes; source components (1, 2) and (4,); node 3 hears
+    # node 2 only, so it is tested on its own outputs but leads no component
+    p = Plant(
+        np.diag([2.0, 1.5, 0.5]),
+        (np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]),
+         np.eye(3), np.array([[1.0, 1.0, 0.0]])),
+    )
+    g = Digraph(4, {(1, 2), (2, 1), (2, 3)})
+    calls = {"eigen_info": 0, "pbh_rank_ok": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(nk, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(nk, name, counted)
+    rep = feasibility_report(p, g)
+    N, U, S = p.n_nodes, len(rep.unstable), len(rep.source_comps)
+    assert (N, U, S) == (4, 2, 2)
+    assert calls == {"eigen_info": 1, "pbh_rank_ok": N * U + S * U}
+    assert rep.cond1.ok and rep.cond2.ok
+    assert rep.root_sets == {0: (1, 3, 4), 1: (2, 3, 4)}

@@ -125,16 +125,27 @@ def test_certify_stability_worked_example():
 def _composite_rho(d, gains, cw, j):
     """Spectral radius of sub-state ``j``'s full composite error matrix: the
     source's closed loop stacked over the followers' consensus copies
-    (``kron(W21, A_jj)``, ``kron(W22, A_jj)``), as assembled before the
-    certificate was reduced to the closed loop alone."""
+    (``kron(W21, A_jj)``, ``kron(W22, A_jj)``, the follower rows in
+    ``topo_order`` against the source column and the other followers), as
+    assembled before the certificate was reduced to the closed loop alone."""
     oj = d.o[j - 1]
     Ajj = d.A_sub(j)
     Acl = Ajj - gains[j - 1] @ d.C_block(d.source_node(j), j)
-    m = len(cw.topo_order) - 1
+    followers = [v for v in cw.topo_order if v != cw.source]
+    col = {v: k for k, v in enumerate(followers)}
+    m = len(followers)
+    W21 = np.zeros((m, 1))
+    W22 = np.zeros((m, m))
+    for r, i in enumerate(followers):
+        for l, w in cw.weights[i].items():
+            if l == cw.source:
+                W21[r, 0] += w
+            else:
+                W22[r, col[l]] += w
     M = np.zeros(((m + 1) * oj, (m + 1) * oj))
     M[:oj, :oj] = Acl
-    M[oj:, :oj] = np.kron(cw.W21, Ajj)
-    M[oj:, oj:] = np.kron(cw.W22, Ajj)
+    M[oj:, :oj] = np.kron(W21, Ajj)
+    M[oj:, oj:] = np.kron(W22, Ajj)
     return nk.spectral_radius(M)
 
 
@@ -258,6 +269,13 @@ def test_design_condition1_weights_override():
     outside = {1: {3: {1: 1.0}}}
     with pytest.raises(ValueError):
         design_condition1(WORKED_PLANT, WORKED_GRAPH, weights=outside)
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+def test_design_condition1_rejects_non_finite_weight(w):
+    with pytest.raises(ValueError, match="non-finite weight"):
+        design_condition1(WORKED_PLANT, WORKED_GRAPH,
+                          weights={1: {2: {1: w}}})
 
 
 def test_design_condition1_given_gain_failure_is_numerical():

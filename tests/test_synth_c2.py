@@ -12,6 +12,8 @@ from distobs import (
 )
 from distobs import numkit as nk
 from distobs.errors import Condition2Infeasible, NotDetectable, ShapeError
+from distobs.synth_c1 import ConsensusWeights
+from distobs.synth_c2 import ClassWeights
 
 SCALAR_PLANT = Plant(
     np.array([[1.5]]),
@@ -133,3 +135,48 @@ def test_design_condition2_mixed_stable_classes():
         n_s = rec.split.det_dim + rec.split.aug_dim
         if n_s and rec.gain.size:
             pass  # gain validated Schur-stable during synthesis
+
+
+def _consensus_weights(weights, roots, topo_order):
+    (source,) = roots
+    return ConsensusWeights(source=source, weights=weights,
+                            topo_order=topo_order)
+
+
+def _class_weights(weights, roots, topo_order):
+    return ClassWeights(0, 2.0, roots, weights, topo_order)
+
+
+BOTH_WEIGHT_KINDS = pytest.mark.parametrize(
+    "make", [_consensus_weights, _class_weights],
+    ids=["ConsensusWeights", "ClassWeights"],
+)
+
+
+@BOTH_WEIGHT_KINDS
+@pytest.mark.parametrize("weights", [
+    {2: {1: 1.0}, 3: {2: 1.0}},
+    {2: {1: 1.0}, 3: {1: 0.25, 2: 0.75}},
+    # a zero weight on a later node closes no cycle
+    {2: {1: 1.0, 3: 0.0}, 3: {2: 1.0}},
+])
+def test_relay_weights_accept_valid_rows(make, weights):
+    cw = make(weights, (1,), (1, 2, 3))
+    assert cw.weights == weights
+
+
+@BOTH_WEIGHT_KINDS
+@pytest.mark.parametrize("weights, match", [
+    ({2: {1: 1.0}, 3: {1: 1.5, 2: -0.5}}, "negative weight -0.5 on edge 2->3"),
+    ({2: {1: 1.0}, 3: {1: 0.5, 2: 0.25}}, "weights of node 3 sum to 0.75"),
+    ({1: {2: 1.0}, 2: {1: 1.0}, 3: {2: 1.0}}, "node 1 is a root"),
+    ({2: {3: 1.0}, 3: {1: 1.0}}, "strictly lower triangular"),
+    ({2: {2: 1.0}, 3: {1: 1.0}}, "strictly lower triangular"),
+    ({2: {1: 1.0}, 3: {4: 1.0}}, "node 3 weights 4, which covers nothing"),
+    ({2: {1: 1.0}}, "node 3 has no consensus weights"),
+    ({2: {1: 1.0}, 3: {2: float("nan")}}, "non-finite weight nan on edge 2->3"),
+    ({2: {1: float("inf")}, 3: {2: 1.0}}, "non-finite weight inf on edge 1->2"),
+])
+def test_relay_weights_reject_invalid_rows(make, weights, match):
+    with pytest.raises(ValueError, match=match):
+        make(weights, (1,), (1, 2, 3))
