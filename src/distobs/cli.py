@@ -44,7 +44,7 @@ from .simkit import (
     validate_assumption2,
 )
 from .synth_c1 import Condition1Design, design_condition1
-from .synth_c2 import design_condition2
+from .synth_c2 import _design_condition2, design_condition2
 
 __all__ = [
     "Scenario",
@@ -439,13 +439,15 @@ def bundled_scenario_path(name):
 
 
 def _resolve_scheme(p, g, tol, requested):
+    """``(scheme, report)``: the scheme to design with, and the feasibility
+    report when ``auto`` needed one to choose (else ``None``)."""
     if requested != "auto":
-        return requested
+        return requested, None
     rep = feasibility_report(p, g, tol)
     if rep.cond2.ok:
-        return "c2"
+        return "c2", rep
     if rep.cond1.ok:
-        return "c1"
+        return "c1", rep
     bad = rep.cond1.failing_components()[0]
     eigs = ", ".join(f"{lam:.6g}" for lam in bad.failing)
     raise NotDetectable(
@@ -455,14 +457,26 @@ def _resolve_scheme(p, g, tol, requested):
     )
 
 
-def _design(scn, scheme, tol, order=None):
+def _design(scn, scheme, tol, order=None, report=None):
+    """Design ``scn`` under ``scheme``; ``report`` is the feasibility report
+    already computed for it, if any.
+
+    ``options.gains`` are Scheme-1 sub-state gains or Scheme-2 node gains,
+    as ``options.scheme`` says; under another scheme they are not used and
+    that scheme synthesizes its own.
+    """
     opts = scn.options
     order = order if order is not None else opts["order"]
+    gains = opts["gains"] or None
+    if gains and opts["scheme"] not in ("auto", scheme):
+        log.warning("options.gains are %s gains; designing %s with "
+                    "synthesized gains instead", opts["scheme"], scheme)
+        gains = None
     if scheme == "c1":
         design = design_condition1(
             scn.plant, scn.graph, tol=tol,
             max_parents=opts["max_parents"],
-            gains=opts["gains"] or None,
+            gains=gains,
             transform=opts["transform"],
             transform_o=opts["transform_o"],
             structure_tol=opts["structure_tol"],
@@ -470,10 +484,8 @@ def _design(scn, scheme, tol, order=None):
             weights=opts["weights"] or None,
         )
     else:
-        design = design_condition2(
-            scn.plant, scn.graph, tol=tol,
-            max_parents=opts["max_parents"],
-            gains=opts["gains"] or None,
+        design = _design_condition2(
+            scn.plant, scn.graph, tol, opts["max_parents"], gains, report,
         )
     return design, order
 
@@ -817,9 +829,9 @@ def cmd_design(args):
     scn = load_scenario(args.scenario)
     tol = _tol_for(scn, args)
     scheme = args.scheme or scn.options["scheme"]
-    scheme = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
+    scheme, report = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
     order = _order_for(scn, args)
-    design, order = _design(scn, scheme, tol, order)
+    design, order = _design(scn, scheme, tol, order, report)
     print(f"scheme: {scheme}")
     _print_design(design, scheme)
     if not _certified(design, scheme):
@@ -877,9 +889,9 @@ def cmd_simulate(args):
             )
     else:
         scheme = args.scheme or scn.options["scheme"]
-        scheme = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
+        scheme, report = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
         order = _order_for(scn, args)
-        design, order = _design(scn, scheme, tol, order)
+        design, order = _design(scn, scheme, tol, order, report)
     sim = scn.simulation
     K = sim["K"]
     signal = _signal_for(scn, design, args, K)

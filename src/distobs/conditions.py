@@ -14,8 +14,10 @@ the first suffices for the sub-state consensus route.  Verdicts come with
 diagnostics naming the failing component and eigenvalue.
 
 Every verdict reads one table of rank decisions: one eigen-pass of ``A``,
-then one rank test per node and one per source component (outputs stacked)
-for each class on or near the unit circle, so no question is answered twice.
+then one rank test per distinct output matrix and one per source component
+(outputs stacked) for each class on or near the unit circle, so no question
+is answered twice.  Nodes with identical outputs (most often relay-only nodes
+that measure nothing) share one set of tests.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ class _RankTable:
     """One eigen-pass of ``A`` and the rank decisions the verdicts read.
 
     ``unstable`` lists the classes needing coverage.  ``local(i)`` is node
-    ``i``'s :func:`detectable_set`, made on first read and kept, so no
-    verdict repeats a rank test another one has made.
+    ``i``'s :func:`detectable_set`, made once per distinct output matrix on
+    first read and kept, so no verdict repeats a rank test another one has
+    made and nodes with identical outputs share one.
     """
 
     def __init__(self, p, g, tol):
@@ -100,9 +103,10 @@ class _RankTable:
         return detectable_set(self.p.A, C, self.tol, self.info)
 
     def local(self, i):
-        if i not in self._local:
-            self._local[i] = self.detects(self.p.C[i - 1])
-        return self._local[i]
+        r = self.p._output_rep[i - 1]
+        if r not in self._local:
+            self._local[r] = self.detects(self.p.C[r - 1])
+        return self._local[r]
 
     def _verdict(self, covered, roots):
         """Verdict over the source components; ``covered[c]`` holds the

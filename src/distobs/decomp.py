@@ -21,7 +21,8 @@ transform is given in print at limited precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class Plant:
 
     ``C[i-1]`` is node i's output matrix ``y_i = C_i x`` (row count may be 0
     for a node that measures nothing).
+
+    Everything a node computes alone depends only on its ``C_i``, so nodes
+    are grouped by identical output matrix (see ``_output_rep``).
     """
 
     A: np.ndarray
@@ -72,6 +76,15 @@ class Plant:
         )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", Cs)
+
+    @cached_property
+    def _output_rep(self):
+        """``_output_rep[i-1]`` is the lowest node id whose ``C`` has node
+        i's shape and the same bytes.  The match is exact: matrices one ulp
+        apart, or ``-0.0`` against ``0.0``, stay apart."""
+        first = {}
+        return tuple(first.setdefault((Ci.shape, Ci.tobytes()), i)
+                     for i, Ci in enumerate(self.C, 1))
 
     @property
     def n(self):
@@ -662,6 +675,10 @@ class JordanSystem:
 def jordan_system(p, tol=None):
     """Compute grouped Jordan coordinates of ``p`` and split them per node.
 
+    :func:`node_local_split` runs once per distinct output matrix, for the
+    lowest node id that has it; nodes with identical outputs receive a copy
+    of that split renumbered to their own id, sharing its arrays.
+
     Parameters
     ----------
     p : Plant
@@ -679,12 +696,14 @@ def jordan_system(p, tol=None):
     tol = tol or nk.DEFAULT_TOL
     T, classes = jordan_grouped(p.A, tol)
     T_inv = np.linalg.solve(T, np.eye(p.n))
-    per_node = tuple(
-        node_local_split(T, classes, i, p.C[i - 1], tol)
-        for i in range(1, p.n_nodes + 1)
-    )
+    per_node = []
+    for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
+        per_node.append(
+            node_local_split(T, classes, i, C_i, tol) if r == i
+            else replace(per_node[r - 1], node=i)
+        )
     cond_T = float(np.linalg.cond(T)) if p.n else 1.0
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, classes=classes,
-        per_node=per_node, cond_T=cond_T,
+        per_node=tuple(per_node), cond_T=cond_T,
     )

@@ -20,7 +20,7 @@ from .errors import (
     NotDetectable,
     NotSpanning,
 )
-from .netgraph import _check_relay_weights, spanning_dag, spanning_forest
+from .netgraph import _check_relay_weights, spanning_dag
 
 __all__ = [
     "ClassWeights",
@@ -151,17 +151,25 @@ def eig_consensus_weights(g, roots, rep, class_index=0):
         If the roots do not reach every node, naming the offending
         eigenvalue.
     """
+    return _relay_structure(g, roots, rep, class_index, 1)[0]
+
+
+def _relay_structure(g, roots, rep, class_index, max_parents):
+    """One class's static weights and routing DAG, from one layering.
+
+    The DAG lists each node's parent candidates by ``(layer, id)``, so its
+    first parent is the single forest parent the static weights use.
+    Returns ``(ClassWeights, SpanningStructure)``; raises like
+    :func:`eig_consensus_weights`.
+    """
     root_set = frozenset(roots)
     if not root_set:
         raise Condition2Infeasible(
             f"eigenvalue {rep:.6g} is detected by no node",
             eigenvalue=rep,
         )
-    if root_set >= set(g.nodes):
-        return ClassWeights(class_index, rep, tuple(sorted(root_set)), {},
-                            g.nodes)
     try:
-        forest = spanning_forest(g, root_set)
+        dag = spanning_dag(g, root_set, max_parents)
     except NotSpanning as exc:
         missing = ", ".join(str(v) for v in sorted(exc.unreachable))
         raise Condition2Infeasible(
@@ -170,11 +178,12 @@ def eig_consensus_weights(g, roots, rep, class_index=0):
             eigenvalue=rep,
         ) from exc
     weights = {
-        i: {forest.parents(i)[0]: 1.0}
+        i: {dag.parents(i)[0]: 1.0}
         for i in g.nodes if i not in root_set
     }
-    return ClassWeights(class_index, rep, tuple(sorted(root_set)), weights,
-                        forest.topo_order)
+    cw = ClassWeights(class_index, rep, tuple(sorted(root_set)), weights,
+                      dag.topo_order)
+    return cw, dag
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +303,8 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
 
     Checks per-eigenvalue coverage, computes the grouped eigenstructure and
     every node's split, synthesizes deadbeat local gains, and routes each
-    unstable class from the nodes that detect it to everyone else.
+    unstable class from the nodes that detect it to everyone else.  Nodes
+    with identical output matrices share one split and one synthesized gain.
 
     Parameters
     ----------
@@ -320,8 +330,15 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     IllConditionedJordan
         If the eigenbasis cannot be certified.
     """
+    return _design_condition2(p, g, tol, max_parents, gains, None)
+
+
+def _design_condition2(p, g, tol, max_parents, gains, report):
+    """:func:`design_condition2`, reusing ``report`` when the caller already
+    holds ``feasibility_report(p, g, tol)`` (``None`` computes it)."""
     tol = tol or nk.DEFAULT_TOL
-    report = feasibility_report(p, g, tol)
+    if report is None:
+        report = feasibility_report(p, g, tol)
     if not report.cond2.ok:
         comp = report.cond2.failing_components()[0]
         rep = comp.failing[0]
@@ -334,22 +351,26 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     jsys = jordan_system(p, tol)
     gains = dict(gains or {})
     gain_list = []
-    for i in range(1, p.n_nodes + 1):
-        split = jsys.per_node[i - 1]
-        gain_list.append(
-            local_observer(split, given=gains.pop(i, None), tol=tol)
-        )
+    made = {}
+    for i, split in enumerate(jsys.per_node, 1):
+        given = gains.pop(i, None)
+        if given is not None:
+            gain_list.append(local_observer(split, given=given, tol=tol))
+            continue
+        r = p._output_rep[i - 1]
+        if r not in made:
+            made[r] = local_observer(split, tol=tol)
+        gain_list.append(made[r])
     if gains:
         raise ValueError(f"gains given for unknown nodes {sorted(gains)}")
     needed = sorted({k for s in jsys.per_node for k in s.undetectable})
     class_weights = {}
     dags = {}
     for k in needed:
-        roots = report.root_sets.get(k, ())
-        class_weights[k] = eig_consensus_weights(
-            g, roots, jsys.classes[k].rep, k,
+        class_weights[k], dags[k] = _relay_structure(
+            g, report.root_sets.get(k, ()), jsys.classes[k].rep, k,
+            max_parents,
         )
-        dags[k] = spanning_dag(g, set(roots), max_parents)
     return assemble_c2_bank(
         jsys, gain_list, class_weights, g, dags=dags,
         max_parents=max_parents, report=report,

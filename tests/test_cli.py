@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from distobs import numkit as nk
 from distobs.cli import (
     bundled_scenario_path,
     load_bank,
     load_scenario,
     main,
+    save_bank,
 )
 from distobs.errors import ScenarioError
 
@@ -327,6 +329,40 @@ def test_illustrative_auto_resolves_c2(capsys):
     text = capsys.readouterr().out
     assert "scheme: c2" in text
     assert "per-node observer dimensions: [1, 1, 1]" in text
+
+
+def test_design_auto_computes_feasibility_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, _orig=nk.eigen_info, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(nk, "eigen_info", counted)
+    assert main(["design", bundled_scenario_path("illustrative.json")]) == 0
+    capsys.readouterr()
+    # one feasibility report picks the scheme and feeds the Scheme-2 design;
+    # the Jordan basis takes the other eigen-pass
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("scheme", ["c2", "auto"])
+def test_design_sec8_scheme2_synthesizes_own_gains(tmp_path, capsys, scheme):
+    # sec8.json declares Scheme 1, so its options.gains are sub-state gains
+    # that Scheme 2 must not read as node gains
+    scenario = bundled_scenario_path("sec8.json")
+    bank = tmp_path / "bank.json"
+    rc = main(["design", scenario, "--scheme", scheme, "--out", str(bank)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "scheme: c2" in captured.out
+    assert ("distobs WARNING: options.gains are c1 gains; designing c2 with "
+            "synthesized gains instead") in captured.err
+    design, loaded, p, g, tol = load_bank(str(bank))
+    assert loaded == "c2"
+    again = tmp_path / "again.json"
+    save_bank(str(again), design, loaded, tol,
+              load_scenario(scenario).options, None)
+    assert again.read_bytes() == bank.read_bytes()
 
 
 def _distobs_command():

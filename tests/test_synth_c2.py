@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distobs import (
     Digraph,
     Plant,
     assemble_c2_bank,
+    check_condition1,
     design_condition2,
+    detectable_set,
     eig_consensus_weights,
+    feasibility_report,
+    jordan_grouped,
     jordan_system,
     local_observer,
+    node_local_split,
+    source_components,
 )
+from distobs import decomp, synth_c2
 from distobs import numkit as nk
+from distobs.conditions import ComponentCheck, ConditionVerdict, FeasibilityReport
 from distobs.errors import Condition2Infeasible, NotDetectable, ShapeError
 from distobs.synth_c1 import ConsensusWeights
 from distobs.synth_c2 import ClassWeights
+from conftest import random_strong_graph, structured_plant
 
 SCALAR_PLANT = Plant(
     np.array([[1.5]]),
@@ -180,3 +190,180 @@ def test_relay_weights_accept_valid_rows(make, weights):
 def test_relay_weights_reject_invalid_rows(make, weights, match):
     with pytest.raises(ValueError, match=match):
         make(weights, (1,), (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# nodes with identical output matrices share their node-local results
+
+
+def _per_node_reference(p, g, tol=nk.DEFAULT_TOL):
+    """Every node-local result made for each node on its own: splits, gains
+    and a feasibility report built from one ``detectable_set`` per node."""
+    T, classes = jordan_grouped(p.A, tol)
+    splits = [node_local_split(T, classes, i, C_i, tol)
+              for i, C_i in enumerate(p.C, 1)]
+    gains = [local_observer(sp, tol=tol) for sp in splits]
+    info = nk.eigen_info(p.A, tol)
+    local = tuple(detectable_set(p.A, C_i, tol, info) for C_i in p.C)
+    unstable = info.unstable_classes(tol)
+    comps = tuple(source_components(g))
+    checks = []
+    for comp in comps:
+        roots = {k: tuple(i for i in comp if k in local[i - 1])
+                 for k in unstable}
+        roots = {k: r for k, r in roots.items() if r}
+        failing = tuple(info.classes[k].rep for k in unstable
+                        if k not in roots)
+        checks.append(ComponentCheck(comp, not failing, failing, roots))
+    report = FeasibilityReport(
+        classes=info.classes,
+        unstable=unstable,
+        per_node_detectable=local,
+        root_sets={k: tuple(i for i in range(1, p.n_nodes + 1)
+                            if k in local[i - 1]) for k in unstable},
+        source_comps=comps,
+        cond1=check_condition1(p, g, tol),
+        cond2=ConditionVerdict(all(c.ok for c in checks), tuple(checks)),
+    )
+    return splits, gains, report
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_split(a, b):
+    assert (a.node, a.detectable, a.undetectable, a.det_dim, a.aug_dim) == (
+        b.node, b.detectable, b.undetectable, b.det_dim, b.aug_dim)
+    for name in ("perm", "inner_split", "local_dynamics", "local_output"):
+        assert _same_bits(getattr(a, name), getattr(b, name)), name
+
+
+def _with_shared_outputs(p, rng):
+    """``p`` plus three sensorless nodes, two exact copies of one nonzero
+    output matrix and one copy perturbed by one ulp, in shuffled order.
+    Returns the plant and the node ids of (original, ulp copy)."""
+    n = p.n
+    k = next(i for i, C_i in enumerate(p.C) if C_i.shape[0])
+    ulp = p.C[k].copy()
+    ulp[0, 0] = np.nextafter(ulp[0, 0], np.inf)
+    Cs = list(p.C) + [np.zeros((0, n))] * 3 + [p.C[k].copy()] * 2 + [ulp]
+    perm = rng.permutation(len(Cs))
+    where = {int(old): new for new, old in enumerate(perm, 1)}
+    return (Plant(p.A, tuple(Cs[j] for j in perm)),
+            (where[k], where[len(Cs) - 1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_shared_outputs_match_per_node_reference(seed):
+    rng = np.random.default_rng(seed)
+    base, _ = structured_plant(rng)
+    p, (orig, ulp) = _with_shared_outputs(base, rng)
+    g = random_strong_graph(rng, p.n_nodes)
+    # exact grouping: the ulp copy shares nothing with the original
+    assert p._output_rep[ulp - 1] == ulp != p._output_rep[orig - 1]
+    assert len(set(p._output_rep)) < p.n_nodes
+    splits, gains, ref = _per_node_reference(p, g)
+    assert repr(feasibility_report(p, g)) == repr(ref)
+    jsys = jordan_system(p)
+    for got, want in zip(jsys.per_node, splits):
+        _assert_same_split(got, want)
+    if not ref.cond2.ok:
+        return
+    bank = design_condition2(p, g)
+    assert repr(bank.report) == repr(ref)
+    for rec, sp, L in zip(bank.nodes, splits, gains):
+        _assert_same_split(rec.split, sp)
+        assert _same_bits(rec.gain, L)
+    # static weights take the first parent of the multi-parent DAG
+    for k, cw in design_condition2(p, g, max_parents=2).class_weights.items():
+        ref_cw = eig_consensus_weights(g, cw.roots, cw.rep, k)
+        assert (cw.weights, cw.topo_order) == (ref_cw.weights,
+                                               ref_cw.topo_order)
+
+
+def test_output_grouping_is_exact():
+    z = np.zeros((1, 2))
+    p = Plant(np.eye(2), (z, np.zeros((0, 2)), -z, z.copy(),
+                          np.zeros((0, 2)), np.array([[0.0, 5e-324]])))
+    assert p._output_rep == (1, 2, 3, 1, 2, 6)
+
+
+def test_node_local_work_is_done_once_per_distinct_output(monkeypatch):
+    # nodes 1 and 2 share an output, node 3 has its own and nodes 4..12
+    # measure nothing: D = 3 distinct output matrices
+    n_nodes = 12
+    C = ((np.array([[1.0, 0.0, 0.0]]),) * 2 + (np.array([[0.0, 1.0, 0.0]]),)
+         + (np.zeros((0, 3)),) * 9)
+    p = Plant(np.diag([2.0, 1.5, 0.5]), C)
+    edges = ({(1, 2), (2, 3), (3, 1)} | {(v, v + 1) for v in range(3, n_nodes)}
+             | {(v, v + 2) for v in range(3, n_nodes - 1)})
+    g = Digraph(n_nodes, edges)
+    D = 3
+    calls = {}
+
+    def count(owner, name):
+        calls[name] = 0
+
+        def counted(*args, _orig=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(nk, "pbh_rank_ok")
+    rep = feasibility_report(p, g)
+    U, S = len(rep.unstable), len(rep.source_comps)
+    assert (U, S) == (2, 1)
+    assert calls["pbh_rank_ok"] == D * U + S * U
+    assert rep.per_node_detectable == ((0, 2), (0, 2), (1, 2)) + ((2,),) * 9
+
+    count(decomp, "node_local_split")
+    jsys = jordan_system(p)
+    assert calls["node_local_split"] == D
+    assert [sp.node for sp in jsys.per_node] == list(range(1, n_nodes + 1))
+
+    count(synth_c2, "local_observer")
+    count(synth_c2, "spanning_dag")
+    bank = design_condition2(p, g, max_parents=2)
+    assert calls["local_observer"] == D
+    # one layering per relayed class serves both its weights and its DAG:
+    # the static weights take each node's first DAG parent
+    assert calls["spanning_dag"] == len(bank.class_weights) == 2
+    for k, cw in bank.class_weights.items():
+        dag = bank.dags[k]
+        assert cw.topo_order == dag.topo_order
+        assert cw.weights == {i: {ps[0]: 1.0}
+                              for i, ps in dag.parent_sets.items()}
+        assert max(len(ps) for ps in dag.parent_sets.values()) == 2
+
+
+SHARED_PLANT = Plant(
+    np.diag([2.0, 0.5]),
+    (np.zeros((0, 2)), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])),
+)
+SHARED_GRAPH = Digraph(3, {(1, 2), (2, 3), (3, 1)})
+
+
+def test_shared_output_failure_names_lowest_node(monkeypatch):
+    # a placement that leaves the unstable mode in place fails the group's
+    # first synthesized gain, which is node 2's
+    monkeypatch.setattr(nk, "place_observer_gain",
+                        lambda A, C, poles, tol=None: np.zeros(C.T.shape))
+    with pytest.raises(NotDetectable, match="^node 2: local error"):
+        design_condition2(SHARED_PLANT, SHARED_GRAPH)
+    # a given gain is validated on its own node only
+    with pytest.raises(NotDetectable, match="^node 3: local error"):
+        design_condition2(SHARED_PLANT, SHARED_GRAPH,
+                          gains={2: np.array([[2.0], [0.0]])})
+
+
+def test_shared_output_given_gain_stays_with_its_node():
+    base = design_condition2(SHARED_PLANT, SHARED_GRAPH)
+    own = np.array([[1.9], [0.0]])
+    bank = design_condition2(SHARED_PLANT, SHARED_GRAPH, gains={2: own})
+    assert _same_bits(bank.nodes[1].gain, own)
+    assert _same_bits(bank.nodes[2].gain, base.nodes[2].gain)
+    with pytest.raises(NotDetectable, match="^node 2: local error"):
+        design_condition2(SHARED_PLANT, SHARED_GRAPH,
+                          gains={2: np.array([[0.0], [0.0]])})
