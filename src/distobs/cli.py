@@ -8,7 +8,6 @@ requested design is infeasible on this network, 3 schema or input error,
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -638,7 +637,11 @@ def load_bank(path):
 
 def write_trace_csv(path, trace):
     """Write a trace as CSV: ``step, mode, x_*``, then per node its
-    estimate columns, absolute error, and normalized error."""
+    estimate columns, absolute error, and normalized error.
+
+    Values are written with ``repr``, so they read back bit for bit; the
+    bytes are those of ``csv.writer`` (comma-separated, CRLF line ends).
+    """
     n = trace.x.shape[1]
     N = trace.n_nodes
     header = ["step", "mode"]
@@ -646,18 +649,19 @@ def write_trace_csv(path, trace):
     for i in range(1, N + 1):
         header += [f"xhat_{i}_{d}" for d in range(1, n + 1)]
         header += [f"err_{i}", f"relerr_{i}"]
+    per_node = np.concatenate([
+        trace.xhat, trace.err[:, :, None], trace.rel_err[:, :, None],
+    ], axis=2)
+    values = np.hstack([
+        trace.x, per_node.transpose(1, 0, 2).reshape(trace.n_steps, -1),
+    ])
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for k in range(trace.n_steps):
-            mode = trace.mode_indices[k]
-            row = [k, "" if mode is None else mode]
-            row += [repr(float(v)) for v in trace.x[k]]
-            for i in range(1, N + 1):
-                row += [repr(float(v)) for v in trace.xhat[i - 1, k]]
-                row += [repr(float(trace.err[i - 1, k])),
-                        repr(float(trace.rel_err[i - 1, k]))]
-            w.writerow(row)
+        f.write(",".join(header) + "\r\n")
+        f.writelines(
+            f"{k},{'' if mode is None else mode},{','.join(map(repr, row))}\r\n"
+            for k, (mode, row) in enumerate(zip(trace.mode_indices,
+                                                values.tolist()))
+        )
     log.info("trace written to %s", path)
 
 

@@ -89,7 +89,8 @@ class _RankTable:
     ``unstable`` lists the classes needing coverage.  ``local(i)`` is node
     ``i``'s :func:`detectable_set`, made once per distinct output matrix on
     first read and kept, so no verdict repeats a rank test another one has
-    made and nodes with identical outputs share one.
+    made and nodes with identical outputs share one.  :meth:`detectors`
+    inverts the per-node sets into the root sets, once per report.
     """
 
     def __init__(self, p, g, tol):
@@ -108,6 +109,16 @@ class _RankTable:
             self._local[r] = self.detects(self.p.C[r - 1])
         return self._local[r]
 
+    def detectors(self, nodes):
+        """Each class needing coverage mapped to the nodes of ``nodes``
+        (ascending ids) that detect it on their own."""
+        out = {k: [] for k in self.unstable}
+        for i in nodes:
+            for k in self.local(i):
+                if k in out:
+                    out[k].append(i)
+        return {k: tuple(found) for k, found in out.items()}
+
     def _verdict(self, covered, roots):
         """Verdict over the source components; ``covered[c]`` holds the
         classes component ``c`` covers, ``roots[c]`` its root map."""
@@ -124,12 +135,20 @@ class _RankTable:
         covered = [self.detects(self.p.stacked_output(c)) for c in self.comps]
         return self._verdict(covered, [{} for _ in self.comps])
 
-    def condition2(self):
-        """Root existence, read from the members' own tests."""
+    def condition2(self, detectors=None):
+        """Root existence, read from the members' own tests.
+
+        ``detectors`` is a :meth:`detectors` map over any superset of the
+        source components' members (default: exactly those members).  Roots
+        come out in ascending order, the order components list members in.
+        """
+        if detectors is None:
+            detectors = self.detectors(sorted(i for c in self.comps for i in c))
         roots = []
         for comp in self.comps:
-            here = {k: tuple(i for i in comp if k in self.local(i))
-                    for k in self.unstable}
+            members = frozenset(comp)
+            here = {k: tuple(i for i in nodes if i in members)
+                    for k, nodes in detectors.items()}
             roots.append({k: nodes for k, nodes in here.items() if nodes})
         return self._verdict(roots, roots)
 
@@ -183,11 +202,9 @@ def feasibility_report(p, g, tol=None):
     t = _RankTable(p, g, tol or nk.DEFAULT_TOL)
     nodes = range(1, p.n_nodes + 1)
     per_node = tuple(t.local(i) for i in nodes)
-    root_sets = {
-        k: tuple(i for i in nodes if k in t.local(i)) for k in t.unstable
-    }
+    root_sets = t.detectors(nodes)
     c1 = t.condition1()
-    c2 = t.condition2()
+    c2 = t.condition2(root_sets)
     if c2.ok and not c1.ok:
         raise NumericalError(
             "rank decisions are inconsistent: per-eigenvalue coverage holds "

@@ -21,7 +21,7 @@ transform is given in print at limited precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -564,6 +564,14 @@ class NodeSplit:
     det_dim: int
     aug_dim: int
 
+    def renumbered(self, node):
+        """This split for node ``node``, a node with the same outputs: a
+        shallow copy sharing every array, made without running
+        ``__init__``."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, node=node)
+        return twin
+
 
 def node_local_split(T, classes, node, C_i, tol=None):
     """Split the grouped Jordan coordinates by node ``node``'s own visibility.
@@ -677,7 +685,8 @@ def jordan_system(p, tol=None):
 
     :func:`node_local_split` runs once per distinct output matrix, for the
     lowest node id that has it; nodes with identical outputs receive a copy
-    of that split renumbered to their own id, sharing its arrays.
+    of that split renumbered to their own id (:meth:`NodeSplit.renumbered`),
+    sharing its arrays.
 
     Parameters
     ----------
@@ -700,7 +709,7 @@ def jordan_system(p, tol=None):
     for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
         per_node.append(
             node_local_split(T, classes, i, C_i, tol) if r == i
-            else replace(per_node[r - 1], node=i)
+            else per_node[r - 1].renumbered(i)
         )
     cond_T = float(np.linalg.cond(T)) if p.n else 1.0
     return JordanSystem(

@@ -11,6 +11,7 @@ dozen steps.
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -142,12 +143,20 @@ class _NetworkOperator:
     gain into ``F`` and ``C`` cancels large terms and loses digits on
     high-gain designs.
 
+    An edge set is a triple ``(src, E, index)``.  The sum over edges is one
+    ``np.bincount`` over the local part followed by the edge products, where
+    ``index`` (see :func:`_scatter_index`) holds the flat ``(node,
+    coordinate)`` target of each entry.  Entries are added in array order,
+    so each estimate takes its local part first, then its edges in compiled
+    order.  ``static`` holds the designed edges with one block per ``(src,
+    dst)`` link.
+
     Each routed ``(child, parent, projector)`` triple puts the parent's
     weight times ``P[projector]`` on one edge: the dynamics of one sub-state
     or eigenvalue class mapped back to plant coordinates, or the plant map
-    itself for a relay node.  ``static`` holds the designed edges as
-    ``(src, dst, E)``; :meth:`mode_edges` reweights the routed triples over
-    the parents that survive a switching mode.  Node indices are 0-based.
+    itself for a relay node.  :meth:`mode_edges` reweights the routed
+    triples over the parents that survive a switching mode.  Node indices
+    are 0-based.
     """
 
     F: np.ndarray
@@ -167,7 +176,7 @@ class _NetworkOperator:
     triple_edge: np.ndarray
 
     def mode_edges(self, mode):
-        """``(src, dst, E)`` under the live edge set ``mode``.
+        """``(src, E, index)`` under the live edge set ``mode``.
 
         A ``(child, projector)`` group splits its weight uniformly over its
         surviving parents; a group with none falls back to the child's own
@@ -186,11 +195,13 @@ class _NetworkOperator:
         w = 1.0 / count[self.group[keep]]
         return (
             np.concatenate([self.parent[keep], self.group_child[fall]]),
-            np.concatenate([self.child[keep], self.group_child[fall]]),
             np.concatenate([
                 self.P[self.proj[keep]] * w[:, None, None],
                 self.P[self.group_proj[fall]],
             ]),
+            _scatter_index(
+                np.concatenate([self.child[keep], self.group_child[fall]]),
+                len(self.C), self.C.shape[2]),
         )
 
 
@@ -203,25 +214,59 @@ def _stacked_outputs(p):
     return C
 
 
+def _scatter_index(dst, N, n):
+    """Bincount targets of one step: each of the ``N × n`` estimate entries
+    once for the local part, then the rows of each edge's destination."""
+    return np.concatenate([
+        np.arange(N * n), (dst[:, None] * n + np.arange(n)).ravel(),
+    ])
+
+
+def _merge_links(src, dst, E):
+    """One block per ``(src, dst)`` link: blocks sharing a link are summed
+    in order of appearance, and links keep the order they first appear in.
+    A link with one block keeps it unchanged."""
+    first = {}
+    slot = np.array(
+        [first.setdefault(e, len(first))
+         for e in zip(src.tolist(), dst.tolist())],
+        dtype=np.intp,
+    )
+    _, lead = np.unique(slot, return_index=True)
+    out = E[lead]
+    rest = np.delete(np.arange(slot.size), lead)
+    while rest.size:
+        # the earliest remaining block of each link, one per link per pass
+        _, nxt = np.unique(slot[rest], return_index=True)
+        out[slot[rest[nxt]]] += E[rest[nxt]]
+        rest = np.delete(rest, nxt)
+    return src[lead], dst[lead], out
+
+
 def _operator(F, H, C, Cs, U, P, static, groups):
     """Package compiled blocks; ``static`` and ``groups`` use 1-based ids.
 
-    ``static`` lists ``(child, parent, E)`` edges of the full graph;
-    ``groups`` lists ``(child, projector, parent tuple)``.
+    ``static`` is ``(children, parents, blocks)``, one entry per designed
+    edge block of the full graph; ``groups`` lists ``(child, projector,
+    parent tuple)``.
     """
     n = C.shape[2]
     P = np.array(P, dtype=float).reshape(len(P), n, n)
-    s = np.array([(i, l) for i, l, _ in static], dtype=np.intp).reshape(-1, 2)
     rows = [(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
             for l in parents]
     t = np.array(rows, dtype=np.intp).reshape(-1, 4)
     pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
     edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
     gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
+    child, parent, blocks = static
+    src, dst, E = _merge_links(
+        np.array(parent, dtype=np.intp) - 1,
+        np.array(child, dtype=np.intp) - 1,
+        np.asarray(blocks, dtype=float).reshape(-1, n, n),
+    )
     return _NetworkOperator(
         F=F, H=H, C=C, Cs=Cs, U=U, P=P,
-        static=(s[:, 1] - 1, s[:, 0] - 1,
-                np.array([E for _, _, E in static]).reshape(-1, n, n)),
+        static=(src, E, _scatter_index(dst, C.shape[0], n)),
         child=t[:, 0] - 1, parent=t[:, 1] - 1, proj=t[:, 2], group=t[:, 3],
         group_child=gr[:, 0] - 1, group_proj=gr[:, 1],
         edge_pos=edge_pos,
@@ -269,6 +314,7 @@ def _compile_c1(p, design):
         for i in relay.relay_nodes:
             static.append((i, relay.static_parent(i), relay.A))
             groups.append((i, a, relay.dag.parents(i)))
+    static = tuple(zip(*static)) or ((), (), ())
     return _operator(F, H, C, C, None, P, static, groups)
 
 
@@ -279,6 +325,8 @@ def _compile_c2(p, bank, est0):
     ``J_i``, gain ``L_i`` and output model ``F_i``; its estimate is ``U_i
     s_i`` (the detectable columns of ``T · perm``) plus, for each relayed
     class ``c``, its parents' weights times ``P_c = T[:, c] J_c T⁻¹[c, :]``.
+    Nodes with identical outputs (``Plant._output_rep``) share one split, so
+    those that also share one gain are filled as one group.
     """
     n = p.n
     jsys = bank.jsys
@@ -291,26 +339,37 @@ def _compile_c2(p, bank, est0):
     Cs = np.zeros((N, C.shape[1], width))
     U = np.zeros((N, n, width))
     s0 = np.zeros((N, width))
-    P, proj, static, groups = [], {}, [], []
+    Z = np.asarray(est0) @ Tinv.T
+    rep = jsys.plant._output_rep
+    members = {}
     for rec in bank.nodes:
-        i, sp = rec.node, rec.split
+        key = (rep[rec.node - 1], id(rec.gain))
+        members.setdefault(key, (rec, []))[1].append(rec.node - 1)
+    for rec, idx in members.values():
+        sp = rec.split
         det, ds = sp.det_dim, sp.det_dim + sp.aug_dim
-        r = p.C[i - 1].shape[0]
-        F[i - 1, :ds, :ds] = sp.local_dynamics
-        H[i - 1, :ds, :r] = rec.gain
-        Cs[i - 1, :r, :ds] = sp.local_output
-        U[i - 1, :, :det] = (T @ sp.perm)[:, :det]
-        zbar = sp.perm.T @ (Tinv @ est0[i - 1])
-        v = sp.inner_split.T @ zbar[det:]
-        s0[i - 1, :ds] = np.concatenate([zbar[:det], v[:sp.aug_dim]])
+        r = rec.gain.shape[1]
+        F[idx, :ds, :ds] = sp.local_dynamics
+        H[idx, :ds, :r] = rec.gain
+        Cs[idx, :r, :ds] = sp.local_output
+        U[idx, :, :det] = (T @ sp.perm)[:, :det]
+        zbar = Z[idx] @ sp.perm
+        s0[idx, :det] = zbar[:, :det]
+        s0[idx, det:ds] = (zbar[:, det:] @ sp.inner_split)[:, :sp.aug_dim]
+    P, proj, links, groups = [], {}, [], []
+    for rec in bank.nodes:
+        i = rec.node
         for k, sl in rec.relayed:
             if k not in proj:
                 proj[k] = len(P)
                 P.append(T[:, sl] @ jsys.classes[k].block @ Tinv[sl, :])
-            for l, w in bank.class_weights[k].weights[i].items():
-                static.append((i, l, w * P[proj[k]]))
+            links += [(i, l, proj[k], w)
+                      for l, w in bank.class_weights[k].weights[i].items()]
             groups.append((i, proj[k], bank.dags[k].parents(i)))
-    return _operator(F, H, C, Cs, U, P, static, groups), s0
+    child, parent, cls, w = zip(*links) if links else ((),) * 4
+    P = np.array(P, dtype=float).reshape(len(P), n, n)
+    blocks = np.array(w, dtype=float)[:, None, None] * P[list(cls)]
+    return _operator(F, H, C, Cs, U, P, (child, parent, blocks), groups), s0
 
 
 def _run(op, A, x0, s0, xh0, K, signal):
@@ -323,15 +382,18 @@ def _run(op, A, x0, s0, xh0, K, signal):
     s, xh = s0, xh0
     for k in range(K):
         if signal is None:
-            src, dst, E = op.static
+            src, E, index = op.static
         else:
-            src, dst, E = op.mode_edges(signal.modes[signal.schedule[k]])
+            src, E, index = op.mode_edges(signal.modes[signal.schedule[k]])
         innov = op.C @ x[k] - np.einsum("nri,ni->nr", op.Cs, s)
         s = (np.einsum("nij,nj->ni", op.F, s)
              + np.einsum("nir,nr->ni", op.H, innov))
-        nxt = s if op.U is None else np.einsum("nij,nj->ni", op.U, s)
-        np.add.at(nxt, dst, np.einsum("eij,ej->ei", E, xh[src]))
-        xh = nxt
+        local = s if op.U is None else np.einsum("nij,nj->ni", op.U, s)
+        xh = np.bincount(index, weights=np.concatenate([
+            local.ravel(), np.einsum("eij,ej->ei", E, xh[src]).ravel(),
+        ])).reshape(xh.shape)
+        if op.U is None:
+            s = xh
         x[k + 1] = A @ x[k]
         xhat[:, k + 1] = xh
     return x, xhat
@@ -459,6 +521,37 @@ def dag_parent_map(design):
     return out
 
 
+class _ParentSets:
+    """Routed ``(label, node, parent tuple)`` entries against edge columns.
+
+    ``col`` maps an edge to its column; the edges of ``edges`` come first,
+    in their order, then any parent edge they lack.  ``cols[q]`` lists the
+    columns of entry ``q``'s parent edges, and ``flat`` lays these lists end
+    to end, entry ``q``'s from ``start[q]``.  :meth:`cover` reads which
+    entries see a live parent edge in each window.  Entries with no parents
+    are left out.
+    """
+
+    def __init__(self, entries, edges=()):
+        self.entries = [e for e in entries if e[2]]
+        self.col = {e: c for c, e in enumerate(edges)}
+        self.cols = [[self.col.setdefault((l, i), len(self.col))
+                      for l in parents]
+                     for _, i, parents in self.entries]
+        self.start = np.cumsum([0] + [len(c) for c in self.cols],
+                               dtype=np.intp)[:-1]
+        self.flat = np.array([c for cs in self.cols for c in cs], dtype=np.intp)
+
+    def cover(self, live, T):
+        """``(window, entry)`` flags from the ``(step, column)`` liveness
+        array ``live``: true when some step of the ``T``-step window keeps
+        an edge from one of the entry's parents."""
+        windows = np.logical_or.reduceat(live, np.arange(0, len(live), T),
+                                         axis=0)
+        return np.logical_or.reduceat(windows[:, self.flat], self.start,
+                                      axis=1)
+
+
 def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     """Random link-failure signal that keeps every parent set periodically
     alive.
@@ -468,7 +561,8 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     each routed ``(node, parent set)`` pair sees at least one live parent
     edge inside the window — when the random draw starved a pair for a whole
     window, the first designed parent's edge is restored at the window's
-    last step.
+    last step.  Pairs are repaired in the order of ``dag_parents``, and a
+    restored edge also serves every later pair it feeds.
 
     Parameters
     ----------
@@ -493,33 +587,31 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
         raise ValueError(f"window must be at least 1, got {T}")
     rng = np.random.default_rng(seed)
     edges = sorted(set(baseline.edges))
-    live = []
-    for _ in range(K):
-        keep = rng.random(len(edges)) >= drop_prob
-        live.append({e for e, k in zip(edges, keep) if k})
-    for w0 in range(0, K, T):
-        w1 = min(w0 + T, K)
-        for label, pmap in dag_parents.items():
-            for i, parents in pmap.items():
-                if not parents:
-                    continue
-                if any(
-                    (l, i) in live[k]
-                    for k in range(w0, w1) for l in parents
-                ):
-                    continue
-                live[w1 - 1].add((parents[0], i))
-    modes = []
-    index = {}
-    schedule = []
-    for step_edges in live:
-        key = frozenset(step_edges)
-        if key not in index:
-            index[key] = len(modes)
-            modes.append(key)
-        schedule.append(index[key])
+    sets = _ParentSets(
+        ((label, i, parents) for label, pmap in dag_parents.items()
+         for i, parents in pmap.items()),
+        edges,
+    )
+    live = np.zeros((K, len(sets.col)), dtype=bool)
+    live[:, :len(edges)] = rng.random((K, len(edges))) >= drop_prob
+    if K and sets.entries:
+        restored = set()
+        for w, q in zip(*np.nonzero(~sets.cover(live, T))):
+            if any((w, c) in restored for c in sets.cols[q]):
+                continue
+            c = sets.cols[q][0]
+            restored.add((w, c))
+            live[min(w * T + T, K) - 1, c] = True
+    rows, first, inverse = np.unique(live, axis=0, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    cols = list(sets.col)
     return SwitchingSignal(
-        modes=tuple(modes), schedule=tuple(schedule), window_T=T, seed=seed,
+        modes=tuple(frozenset(compress(cols, rows[u].tolist())) for u in order),
+        schedule=tuple(rank[inverse.reshape(-1)].tolist()),
+        window_T=T, seed=seed,
     )
 
 
@@ -543,23 +635,31 @@ def validate_assumption2(signal, dag_parents, T=None):
 
     Scans each window of ``T`` steps (default: the signal's own declared
     window) and reports the first ``(window, node, label)`` for which no
-    step in the window keeps an edge from any designed parent.
+    step in the window keeps an edge from any designed parent.  A mode index
+    out of range raises :class:`InvalidSignal` unless an earlier window
+    already fails.
     """
     T = signal.window_T if T is None else T
     if T < 1:
         raise ValueError(f"window must be at least 1, got {T}")
-    K = len(signal.schedule)
-    for w, w0 in enumerate(range(0, K, T)):
-        w1 = min(w0 + T, K)
-        step_edges = [signal.edges_at(k) for k in range(w0, w1)]
-        for label, pmap in sorted(dag_parents.items()):
-            for i, parents in sorted(pmap.items()):
-                if not parents:
-                    continue
-                if not any(
-                    (l, i) in es for es in step_edges for l in parents
-                ):
-                    return Assumption2Check(False, (w, i, label))
+    sched = np.asarray(signal.schedule, dtype=np.intp).reshape(-1)
+    bad = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
+    K = int(bad[0]) // T * T if bad.size else sched.size
+    sets = _ParentSets(
+        (label, i, parents) for label, pmap in sorted(dag_parents.items())
+        for i, parents in sorted(pmap.items())
+    )
+    if K and sets.entries:
+        by_mode = np.zeros((len(signal.modes), len(sets.col)), dtype=bool)
+        for m, mode in enumerate(signal.modes):
+            by_mode[m, [c for e, c in sets.col.items() if e in mode]] = True
+        starved = np.nonzero(~sets.cover(by_mode[sched[:K]], T))
+        if starved[0].size:
+            w, q = int(starved[0][0]), int(starved[1][0])
+            label, i, _ = sets.entries[q]
+            return Assumption2Check(False, (w, i, label))
+    if bad.size:
+        signal.edges_at(int(bad[0]))
     return Assumption2Check(True, None)
 
 
@@ -587,19 +687,12 @@ def convergence_metrics(trace):
     diverging run fails it, while a converged run sitting at the rounding
     floor passes.
     """
-    out = []
-    K1 = trace.n_steps
-    tail = max(3, K1 // 4)
-    for i in range(1, trace.n_nodes + 1):
-        r = trace.rel_err[i - 1]
-        seg = r[-tail:]
-        mono = bool(
-            np.all(seg[1:] <= seg[:-1] * 1.05 + 1e-13)
-        )
-        out.append(NodeConvergence(
-            node=i,
-            final_rel_error=float(r[-1]),
-            monotone_tail=mono,
-            rel_errors=r,
-        ))
-    return tuple(out)
+    r = trace.rel_err
+    seg = r[:, -max(3, trace.n_steps // 4):]
+    mono = np.all(seg[:, 1:] <= seg[:, :-1] * 1.05 + 1e-13, axis=1)
+    return tuple(
+        NodeConvergence(node=i, final_rel_error=f, monotone_tail=m,
+                        rel_errors=r[i - 1])
+        for i, f, m in zip(range(1, trace.n_nodes + 1), r[:, -1].tolist(),
+                           mono.tolist())
+    )

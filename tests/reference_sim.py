@@ -12,11 +12,15 @@ independent implementation rather than against itself:
   signal (switching runs always use it);
 * relay nodes copy a parent estimate through the plant map;
 * Scheme-2 banks step each node's local observer and relayed classes.
+
+It also keeps the step-by-step switching-signal generator and validator
+that ``make_assumption2_signal`` and ``validate_assumption2`` replaced with
+whole-array window tests.
 """
 
 import numpy as np
 
-from distobs import C2ObserverBank, Condition1Design
+from distobs import C2ObserverBank, Condition1Design, SwitchingSignal
 
 
 def _uniform(live):
@@ -259,3 +263,60 @@ def reference_simulate(p, bank, x0, est0=None, K=50, signal=None,
     x = np.array(xs)
     xhat = np.array([[hats[k][i] for k in range(K + 1)] for i in range(N)])
     return x, xhat
+
+
+def reference_assumption2_signal(dag_parents, baseline, T, K, drop_prob,
+                                 seed):
+    """Step-by-step ``make_assumption2_signal``: one draw per step, then a
+    window-by-window repair that tests each routed pair against the live
+    edge sets, restored edges included."""
+    rng = np.random.default_rng(seed)
+    edges = sorted(set(baseline.edges))
+    live = []
+    for _ in range(K):
+        keep = rng.random(len(edges)) >= drop_prob
+        live.append({e for e, k in zip(edges, keep) if k})
+    for w0 in range(0, K, T):
+        w1 = min(w0 + T, K)
+        for label, pmap in dag_parents.items():
+            for i, parents in pmap.items():
+                if not parents:
+                    continue
+                if any(
+                    (l, i) in live[k]
+                    for k in range(w0, w1) for l in parents
+                ):
+                    continue
+                live[w1 - 1].add((parents[0], i))
+    modes = []
+    index = {}
+    schedule = []
+    for step_edges in live:
+        key = frozenset(step_edges)
+        if key not in index:
+            index[key] = len(modes)
+            modes.append(key)
+        schedule.append(index[key])
+    return SwitchingSignal(
+        modes=tuple(modes), schedule=tuple(schedule), window_T=T, seed=seed,
+    )
+
+
+def reference_validate_assumption2(signal, dag_parents, T=None):
+    """Window-by-window ``validate_assumption2``: the first ``(window, node,
+    label)`` in sorted label and node order whose window keeps no parent
+    edge, or ``None``."""
+    T = signal.window_T if T is None else T
+    K = len(signal.schedule)
+    for w, w0 in enumerate(range(0, K, T)):
+        w1 = min(w0 + T, K)
+        step_edges = [signal.edges_at(k) for k in range(w0, w1)]
+        for label, pmap in sorted(dag_parents.items()):
+            for i, parents in sorted(pmap.items()):
+                if not parents:
+                    continue
+                if not any(
+                    (l, i) in es for es in step_edges for l in parents
+                ):
+                    return (w, i, label)
+    return None

@@ -9,6 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from distobs import (
+    Digraph,
+    Plant,
+    dag_parent_map,
+    design_condition1,
+    make_assumption2_signal,
+    simulate,
+)
 from distobs import numkit as nk
 from distobs.cli import (
     bundled_scenario_path,
@@ -16,6 +24,7 @@ from distobs.cli import (
     load_scenario,
     main,
     save_bank,
+    write_trace_csv,
 )
 from distobs.errors import ScenarioError
 
@@ -277,6 +286,51 @@ def test_trace_csv_layout(tmp_path, capsys):
     final_relerrs = [float(rows[-1][header.index(f"relerr_{i}")])
                      for i in (1, 2, 3)]
     assert max(final_relerrs) < 1e-8
+
+
+def _csv_writer_trace(path, trace):
+    """The trace CSV written row by row through ``csv.writer``, one
+    ``repr`` per value."""
+    n = trace.x.shape[1]
+    N = trace.n_nodes
+    header = ["step", "mode"] + [f"x_{d}" for d in range(1, n + 1)]
+    for i in range(1, N + 1):
+        header += [f"xhat_{i}_{d}" for d in range(1, n + 1)]
+        header += [f"err_{i}", f"relerr_{i}"]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for k in range(trace.n_steps):
+            mode = trace.mode_indices[k]
+            row = [k, "" if mode is None else mode]
+            row += [repr(float(v)) for v in trace.x[k]]
+            for i in range(N):
+                row += [repr(float(v)) for v in trace.xhat[i, k]]
+                row += [repr(float(trace.err[i, k])),
+                        repr(float(trace.rel_err[i, k]))]
+            w.writerow(row)
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_trace_csv_bytes_match_csv_writer(tmp_path, switched):
+    p = Plant(np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [-5.0, 0.0, 2.0]]),
+              (np.array([[4.0, 4.0, 1.0]]),
+               np.array([[11.0, 13.0, 3.0], [16.0, 18.0, 4.0]]),
+               np.zeros((1, 3))))
+    g = Digraph(3, {(1, 2), (2, 1), (2, 3)})
+    design = design_condition1(p, g)
+    signal = None
+    if switched:
+        signal = make_assumption2_signal(dag_parent_map(design), g, 4, 30,
+                                         0.5, 3)
+    trace = simulate(p, design, [0.5, -0.5, 1.0], est0=[[1e-300, -2.0, 3e7]] * 3,
+                     K=30, signal=signal)
+    write_trace_csv(tmp_path / "fast.csv", trace)
+    _csv_writer_trace(tmp_path / "reference.csv", trace)
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    modes = [line.split(b",")[1] for line in data.split(b"\r\n")[1:-2]]
+    assert all(modes) if switched else not any(modes)
 
 
 def test_summary_json(tmp_path, capsys):

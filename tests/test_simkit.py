@@ -1,6 +1,11 @@
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from distobs import simkit
 from distobs import (
     Digraph,
     Plant,
@@ -14,8 +19,18 @@ from distobs import (
     validate_assumption2,
 )
 from distobs.errors import InvalidSignal, NumericalError, ShapeError
-from conftest import random_strong_graph, relay_network, structured_plant
-from reference_sim import reference_simulate
+from conftest import (
+    random_orthogonal,
+    random_strong_graph,
+    relay_network,
+    rotation_block,
+    structured_plant,
+)
+from reference_sim import (
+    reference_assumption2_signal,
+    reference_simulate,
+    reference_validate_assumption2,
+)
 
 WORKED_PLANT = Plant(
     np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [-5.0, 0.0, 2.0]]),
@@ -310,3 +325,100 @@ def test_overflow_raises_numerical_error():
     bank = design_condition2(p, g)
     with pytest.raises(NumericalError, match=r"at step \d+ of 2000"):
         simulate(p, bank, [1.0], K=2000)
+
+
+@lru_cache(maxsize=None)
+def _relay_parent_maps():
+    """A 12-node core plus 6 relay nodes, and the routed parent sets of both
+    schemes' designs with two parents per node."""
+    rng = np.random.default_rng(1)
+    core, _ = structured_plant(rng, n_nodes=12, unobs_radius=0.8)
+    g = relay_network(rng, 12, 6, 4)
+    p = Plant(core.A, core.C + (np.zeros((0, core.n)),) * 6)
+    return g, tuple(dag_parent_map(design(p, g, max_parents=2))
+                    for design in (design_condition1, design_condition2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
+       K=st.integers(0, 40), drop=st.floats(0.0, 0.95),
+       scheme=st.sampled_from([0, 1]), window=st.integers(1, 8))
+def test_signal_matches_loop_reference(seed, T, K, drop, scheme, window):
+    g, maps = _relay_parent_maps()
+    pm = maps[scheme]
+    sig = make_assumption2_signal(pm, g, T, K, drop, seed)
+    ref = reference_assumption2_signal(pm, g, T, K, drop, seed)
+    assert sig.modes == ref.modes and sig.schedule == ref.schedule
+    # an unrepaired draw and a mismatched window both starve parent sets
+    raw = reference_assumption2_signal({}, g, T, K, drop, seed)
+    for s in (sig, raw):
+        for w in (None, window):
+            assert (validate_assumption2(s, pm, w).violation
+                    == reference_validate_assumption2(s, pm, w))
+
+
+def test_signal_repair_serves_later_parent_sets():
+    # every draw drops both links.  Pair "a" restores (1, 3) at the last
+    # step of each window, which keeps pair "b" alive too, so (2, 3) is
+    # never restored.
+    g = Digraph(3, {(1, 3), (2, 3)})
+    pm = {"a": {3: (1,)}, "b": {3: (2, 1)}}
+    sig = make_assumption2_signal(pm, g, 3, 6, 0.999999, 0)
+    ref = reference_assumption2_signal(pm, g, 3, 6, 0.999999, 0)
+    assert sig.modes == ref.modes and sig.schedule == ref.schedule
+    restored = frozenset({(1, 3)})
+    assert [sig.edges_at(k) for k in range(6)] == [
+        frozenset(), frozenset(), restored] * 2
+    assert validate_assumption2(sig, pm)
+
+
+def test_validation_reports_violation_before_bad_mode():
+    g = Digraph(2, {(1, 2)})
+    pm = {"a": {2: (1,)}}
+    starved = SwitchingSignal(modes=(frozenset(),), schedule=(0, 0, 5),
+                              window_T=2)
+    assert validate_assumption2(starved, pm).violation == (0, 2, "a")
+    # the window holding the bad index raises even where its earlier steps
+    # starve the parent set
+    fed = SwitchingSignal(modes=(frozenset(g.edges), frozenset()),
+                          schedule=(0, 0, 1, 5), window_T=2)
+    with pytest.raises(InvalidSignal, match="out of range at step 3"):
+        validate_assumption2(fed, pm)
+
+
+def _two_class_relay_plant():
+    """Node 1 measures the whole state of a plant with two unstable
+    classes; nodes 2 to 5 measure nothing, so each relays both classes."""
+    rng = np.random.default_rng(4)
+    Q = random_orthogonal(rng, 4)
+    Abar = np.zeros((4, 4))
+    Abar[:2, :2] = rotation_block(rng, 2, 1.1, 1.2)
+    Abar[2:, 2:] = rotation_block(rng, 2, 1.3, 1.4)
+    C = (np.eye(4),) + (np.zeros((0, 4)),) * 4
+    g = Digraph(5, {(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)})
+    return Plant(Q @ Abar @ Q.T, C), g
+
+
+def test_shared_links_compile_to_one_block():
+    p, g = _two_class_relay_plant()
+    bank = design_condition2(p, g, max_parents=2)
+    classes_per_link = Counter(
+        (l, i) for cw in bank.class_weights.values()
+        for i, row in cw.weights.items() for l in row
+    )
+    assert max(classes_per_link.values()) >= 2
+    src, _, index = simkit._compile_c2(p, bank, [np.zeros(p.n)] * 5)[0].static
+    dst = index[p.n_nodes * p.n::p.n] // p.n
+    links = list(zip((src + 1).tolist(), (dst + 1).tolist()))
+    assert len(set(links)) == len(links)
+    assert set(links) == set(classes_per_link)
+
+    rng = np.random.default_rng(7)
+    x0 = rng.standard_normal(p.n)
+    est0 = rng.standard_normal((p.n_nodes, p.n))
+    sig = make_assumption2_signal(dag_parent_map(bank), g, 3, 40, 0.5, 11)
+    for signal in (None, sig):
+        tr = simulate(p, bank, x0, est0=est0, K=40, signal=signal)
+        _, xhat = reference_simulate(p, bank, x0, est0=est0, K=40,
+                                     signal=signal)
+        assert _normalized_dev(tr, xhat) < 1e-9
