@@ -90,6 +90,11 @@ def _schema(cond, msg):
         raise ScenarioError(msg)
 
 
+def _is_int(v):
+    """A JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_keys(d, where, allowed, required=()):
     _schema(isinstance(d, dict), f"{where} must be an object")
     unknown = set(d) - set(allowed)
@@ -172,7 +177,7 @@ def _parse_graph(obj, n_nodes):
         required=("n_nodes", "edges"),
     )
     _schema(
-        isinstance(obj["n_nodes"], int) and obj["n_nodes"] == n_nodes,
+        _is_int(obj["n_nodes"]) and obj["n_nodes"] == n_nodes,
         f"graph.n_nodes must equal the number of output maps ({n_nodes})",
     )
     edges = []
@@ -180,7 +185,7 @@ def _parse_graph(obj, n_nodes):
     for k, e in enumerate(obj["edges"]):
         _schema(
             isinstance(e, list) and len(e) == 2
-            and all(isinstance(v, int) for v in e),
+            and all(_is_int(v) for v in e),
             f"graph.edges[{k}] must be a [from, to] pair of node ids",
         )
         _schema(
@@ -221,7 +226,7 @@ def _parse_options(obj, p, g):
     if "order" in obj:
         _schema(
             isinstance(obj["order"], list)
-            and all(isinstance(v, int) for v in obj["order"]),
+            and all(_is_int(v) for v in obj["order"]),
             "options.order must be a list of node ids",
         )
         _schema(
@@ -251,7 +256,7 @@ def _parse_options(obj, p, g):
     if "transform_o" in obj and obj["transform_o"] is not None:
         _schema(
             isinstance(obj["transform_o"], list)
-            and all(isinstance(v, int) and v >= 0 for v in obj["transform_o"]),
+            and all(_is_int(v) and v >= 0 for v in obj["transform_o"]),
             "options.transform_o must be a list of nonnegative ints",
         )
         out["transform_o"] = tuple(obj["transform_o"])
@@ -298,7 +303,7 @@ def _parse_options(obj, p, g):
         out["scheme"] = obj["scheme"]
     if "max_parents" in obj:
         _schema(
-            isinstance(obj["max_parents"], int) and obj["max_parents"] >= 1,
+            _is_int(obj["max_parents"]) and obj["max_parents"] >= 1,
             "options.max_parents must be a positive int",
         )
         out["max_parents"] = obj["max_parents"]
@@ -322,18 +327,18 @@ def _parse_switching(obj, g):
             for e in mode:
                 _schema(
                     isinstance(e, list) and len(e) == 2
-                    and all(isinstance(v, int) for v in e),
+                    and all(_is_int(v) for v in e),
                     f"switching.modes[{m}]: bad edge {e!r}",
                 )
                 edges.append((e[0], e[1]))
             modes.append(frozenset(edges))
         _schema(
             isinstance(obj["schedule"], list)
-            and all(isinstance(v, int) for v in obj["schedule"]),
+            and all(_is_int(v) for v in obj["schedule"]),
             "switching.schedule must be a list of mode indices",
         )
         _schema(
-            isinstance(obj["T"], int) and obj["T"] >= 1,
+            _is_int(obj["T"]) and obj["T"] >= 1,
             "switching.T must be a positive int",
         )
         return {
@@ -348,7 +353,7 @@ def _parse_switching(obj, g):
         required=("T", "drop_prob"),
     )
     _schema(
-        isinstance(obj["T"], int) and obj["T"] >= 1,
+        _is_int(obj["T"]) and obj["T"] >= 1,
         "switching.T must be a positive int",
     )
     dp = obj["drop_prob"]
@@ -359,7 +364,7 @@ def _parse_switching(obj, g):
     )
     seed = obj.get("seed")
     _schema(
-        seed is None or isinstance(seed, int),
+        seed is None or _is_int(seed),
         "switching.seed must be an int",
     )
     return {
@@ -373,7 +378,7 @@ def _parse_simulation(obj, p):
     _check_keys(obj, "simulation", allowed=allowed, required=("x0", "K"))
     out = {"x0": _num_vector(obj["x0"], "simulation.x0", p.n)}
     _schema(
-        isinstance(obj["K"], int) and obj["K"] >= 1,
+        _is_int(obj["K"]) and obj["K"] >= 1,
         "simulation.K must be an int >= 1",
     )
     out["K"] = obj["K"]

@@ -11,7 +11,8 @@ dozen steps.
 
 import hashlib
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 
@@ -46,6 +47,31 @@ class SwitchingSignal:
     schedule: tuple
     window_T: int
     seed: object = None
+
+    @cached_property
+    def _edge_table(self):
+        """``(edges, live)``: every edge of some mode in sorted order, and
+        the ``(mode, edge)`` flags of which mode holds which edge."""
+        edges = sorted(set().union(*self.modes))
+        col = {e: c for c, e in enumerate(edges)}
+        sizes = [len(mode) for mode in self.modes]
+        live = np.zeros((len(self.modes), len(edges)), dtype=bool)
+        live[np.repeat(np.arange(len(sizes)), sizes),
+             np.fromiter(map(col.__getitem__, chain.from_iterable(self.modes)),
+                         dtype=np.intp, count=sum(sizes))] = True
+        live.flags.writeable = False
+        return edges, live
+
+    def _columns(self, edges):
+        """``(mode, edge)`` flags of ``edges``, in their order; an edge that
+        no mode holds reads dead throughout."""
+        table, live = self._edge_table
+        col = {e: c for c, e in enumerate(table)}
+        kc = np.array([(k, col[e]) for k, e in enumerate(edges) if e in col],
+                      dtype=np.intp).reshape(-1, 2)
+        out = np.zeros((len(self.modes), len(edges)), dtype=bool)
+        out[:, kc[:, 0]] = live[:, kc[:, 1]]
+        return out
 
     def edges_at(self, k):
         """Edge set alive at step ``k``."""
@@ -100,30 +126,40 @@ def _scenario_hash(p, x0, est0, K, signal, scheme):
     if signal is not None:
         h.update(str(signal.window_T).encode())
         h.update(np.asarray(signal.schedule, dtype=np.int64).tobytes())
-        for mode in signal.modes:
-            h.update(str(sorted(mode)).encode())
+        # each mode as the text of its sorted edge list
+        edges, live = signal._edge_table
+        strs = [repr(e) for e in edges]
+        for row in live.tolist():
+            h.update(("[" + ", ".join(compress(strs, row)) + "]").encode())
     return h.hexdigest()
 
 
 def _check_signal(signal, g, K):
     if signal is None:
         return
-    baseline = set(g.edges)
-    for m, mode in enumerate(signal.modes):
-        extra = set(mode) - baseline
-        if extra:
-            raise InvalidSignal(
-                f"mode {m} contains edges {sorted(extra)} absent from the "
-                "baseline graph"
-            )
+    edges, live = signal._edge_table
+    alien = np.fromiter((e not in g.edges for e in edges), dtype=bool,
+                        count=len(edges))
+    bad = live & alien
+    if bad.any():
+        m = int(np.argmax(bad.any(axis=1)))
+        raise InvalidSignal(
+            f"mode {m} contains edges "
+            f"{list(compress(edges, bad[m].tolist()))} absent from the "
+            "baseline graph"
+        )
     if len(signal.schedule) < K:
         raise InvalidSignal(
             f"schedule covers {len(signal.schedule)} steps, horizon is {K}"
         )
-    for k in range(K):
-        m = signal.schedule[k]
-        if not 0 <= m < len(signal.modes):
-            raise InvalidSignal(f"mode index {m} out of range at step {k}")
+    sched = np.asarray(signal.schedule[:K])
+    if sched.dtype.kind not in "iu":
+        raise InvalidSignal("the schedule must hold integer mode indices")
+    out = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
+    if out.size:
+        k = int(out[0])
+        raise InvalidSignal(
+            f"mode index {signal.schedule[k]} out of range at step {k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +179,25 @@ class _NetworkOperator:
     gain into ``F`` and ``C`` cancels large terms and loses digits on
     high-gain designs.
 
-    An edge set is a triple ``(src, E, index)``.  The sum over edges is one
-    ``np.bincount`` over the local part followed by the edge products, where
-    ``index`` (see :func:`_scatter_index`) holds the flat ``(node,
-    coordinate)`` target of each entry.  Entries are added in array order,
-    so each estimate takes its local part first, then its edges in compiled
-    order.  ``static`` holds the designed edges with one block per ``(src,
-    dst)`` link.
+    The sum over edges is one ``np.bincount`` over the local part followed
+    by the edge terms, where an ``index`` (see :func:`_scatter_index`) holds
+    the flat ``(node, coordinate)`` target of each entry.  Entries are added
+    in array order, so each estimate takes its local part first, then its
+    edges in compiled order.  ``static`` is the triple ``(src, E, index)``
+    of the designed edges, one block per ``(src, dst)`` link.
 
-    Each routed ``(child, parent, projector)`` triple puts the parent's
-    weight times ``P[projector]`` on one edge: the dynamics of one sub-state
-    or eigenvalue class mapped back to plant coordinates, or the plant map
-    itself for a relay node.  :meth:`mode_edges` reweights the routed
-    triples over the parents that survive a switching mode.  Node indices
-    are 0-based.
+    A switching signal instead drives a fixed list of rows, each one
+    projector ``P[q]`` applied to one node's estimate: every routed
+    ``(child, parent, projector)`` triple — the dynamics of one sub-state or
+    eigenvalue class mapped back to plant coordinates, or the plant map
+    itself for a relay node — then every ``(child, projector)`` group's
+    fallback to the child's own estimate.  ``rows`` holds each row's flat
+    ``node * len(P) + q`` position in the step's products ``P[q] x̂_node``
+    and ``row_index`` its scatter targets.  ``edges`` lists the distinct
+    routed links, ``triple_edge`` and ``group`` give each triple's link and
+    group, and :meth:`weights` turns a signal into one weight row per mode.
+    Node indices are 0-based, the links of ``edges`` 1-based ``(parent,
+    child)`` pairs.
     """
 
     F: np.ndarray
@@ -166,43 +207,30 @@ class _NetworkOperator:
     U: object
     P: np.ndarray
     static: tuple
-    child: np.ndarray
-    parent: np.ndarray
-    proj: np.ndarray
-    group: np.ndarray
-    group_child: np.ndarray
-    group_proj: np.ndarray
-    edge_pos: dict
+    rows: np.ndarray
+    row_index: np.ndarray
+    edges: list
     triple_edge: np.ndarray
+    group: np.ndarray
 
-    def mode_edges(self, mode):
-        """``(src, E, index)`` under the live edge set ``mode``.
+    def weights(self, signal, K):
+        """``(W, step)``: the row weights ``W[step[k]]`` of step ``k``.
 
-        A ``(child, projector)`` group splits its weight uniformly over its
-        surviving parents; a group with none falls back to the child's own
-        previous estimate.
+        A group splits its weight uniformly over the parents whose link is
+        alive; a group with none gives weight 1 to its fallback row.  ``W``
+        holds one row per mode that the first ``K`` steps use.
         """
-        live = np.zeros(len(self.edge_pos), dtype=bool)
-        live[np.fromiter(
-            (self.edge_pos[e] for e in mode if e in self.edge_pos),
-            dtype=np.intp,
-        )] = True
-        alive = live[self.triple_edge]
-        count = np.bincount(self.group, weights=alive,
-                            minlength=len(self.group_child))
-        keep = np.flatnonzero(alive)
-        fall = np.flatnonzero(count == 0)
-        w = 1.0 / count[self.group[keep]]
-        return (
-            np.concatenate([self.parent[keep], self.group_child[fall]]),
-            np.concatenate([
-                self.P[self.proj[keep]] * w[:, None, None],
-                self.P[self.group_proj[fall]],
-            ]),
-            _scatter_index(
-                np.concatenate([self.child[keep], self.group_child[fall]]),
-                len(self.C), self.C.shape[2]),
-        )
+        used, step = np.unique(np.asarray(signal.schedule[:K], dtype=np.intp),
+                               return_inverse=True)
+        alive = signal._columns(self.edges)[used][:, self.triple_edge]
+        n_groups = self.rows.size - self.group.size
+        count = np.bincount(
+            (self.group + n_groups * np.arange(used.size)[:, None]).ravel(),
+            weights=alive.ravel(), minlength=used.size * n_groups,
+        ).reshape(used.size, n_groups)
+        W = np.concatenate(
+            [alive / np.maximum(count, 1)[:, self.group], count == 0], axis=1)
+        return W, step.reshape(-1)
 
 
 def _stacked_outputs(p):
@@ -252,25 +280,27 @@ def _operator(F, H, C, Cs, U, P, static, groups):
     """
     n = C.shape[2]
     P = np.array(P, dtype=float).reshape(len(P), n, n)
-    rows = [(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
-            for l in parents]
-    t = np.array(rows, dtype=np.intp).reshape(-1, 4)
+    t = np.array([(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
+                  for l in parents], dtype=np.intp).reshape(-1, 4)
+    gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
     pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
     edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
-    gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
     child, parent, blocks = static
     src, dst, E = _merge_links(
         np.array(parent, dtype=np.intp) - 1,
         np.array(child, dtype=np.intp) - 1,
         np.asarray(blocks, dtype=float).reshape(-1, n, n),
     )
+    row_src = np.concatenate([t[:, 1], gr[:, 0]]) - 1
     return _NetworkOperator(
         F=F, H=H, C=C, Cs=Cs, U=U, P=P,
         static=(src, E, _scatter_index(dst, C.shape[0], n)),
-        child=t[:, 0] - 1, parent=t[:, 1] - 1, proj=t[:, 2], group=t[:, 3],
-        group_child=gr[:, 0] - 1, group_proj=gr[:, 1],
-        edge_pos=edge_pos,
+        rows=row_src * len(P) + np.concatenate([t[:, 2], gr[:, 1]]),
+        row_index=_scatter_index(np.concatenate([t[:, 0], gr[:, 0]]) - 1,
+                                 C.shape[0], n),
+        edges=list(edge_pos),
         triple_edge=np.array([edge_pos[e] for e in pairs], dtype=np.intp),
+        group=t[:, 3],
     )
 
 
@@ -380,17 +410,24 @@ def _run(op, A, x0, s0, xh0, K, signal):
     x[0] = x0
     xhat[:, 0] = xh0
     s, xh = s0, xh0
+    if signal is None:
+        src, E, index = op.static
+    else:
+        W, step = op.weights(signal, K)
+        # column block q of P_all is P[q]ᵀ, so xh @ P_all holds every P[q] x̂
+        P_all = op.P.transpose(2, 0, 1).reshape(n, -1)
+        index = op.row_index
     for k in range(K):
-        if signal is None:
-            src, E, index = op.static
-        else:
-            src, E, index = op.mode_edges(signal.modes[signal.schedule[k]])
         innov = op.C @ x[k] - np.einsum("nri,ni->nr", op.Cs, s)
         s = (np.einsum("nij,nj->ni", op.F, s)
              + np.einsum("nir,nr->ni", op.H, innov))
         local = s if op.U is None else np.einsum("nij,nj->ni", op.U, s)
+        if signal is None:
+            net = np.einsum("eij,ej->ei", E, xh[src])
+        else:
+            net = (xh @ P_all).reshape(-1, n)[op.rows] * W[step[k], :, None]
         xh = np.bincount(index, weights=np.concatenate([
-            local.ravel(), np.einsum("eij,ej->ei", E, xh[src]).ravel(),
+            local.ravel(), net.ravel(),
         ])).reshape(xh.shape)
         if op.U is None:
             s = xh
@@ -425,8 +462,9 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     Raises
     ------
     InvalidSignal
-        On a schedule shorter than the horizon, a mode index out of range,
-        or mode edges outside the baseline graph.
+        On a schedule shorter than the horizon, a mode index that is not an
+        integer or is out of range, or mode edges outside the baseline
+        graph.
     ShapeError
         On inconsistent dimensions.
     NumericalError
@@ -650,9 +688,7 @@ def validate_assumption2(signal, dag_parents, T=None):
         for i, parents in sorted(pmap.items())
     )
     if K and sets.entries:
-        by_mode = np.zeros((len(signal.modes), len(sets.col)), dtype=bool)
-        for m, mode in enumerate(signal.modes):
-            by_mode[m, [c for e, c in sets.col.items() if e in mode]] = True
+        by_mode = signal._columns(list(sets.col))
         starved = np.nonzero(~sets.cover(by_mode[sched[:K]], T))
         if starved[0].size:
             w, q = int(starved[0][0]), int(starved[1][0])

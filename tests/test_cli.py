@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distobs
 from distobs import (
     Digraph,
     Plant,
@@ -111,6 +112,41 @@ def test_load_scenario_rejects(tmp_path, mutate, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert fragment.lower() in str(excinfo.value).lower()
+
+
+_BOTH_LINKS = [[1, 2], [2, 1]]
+
+
+def _one_node(s):
+    s["plant"]["C"] = [[[1.0]]]
+    s["graph"] = {"n_nodes": True, "edges": []}
+
+
+def _switch(**sw):
+    return lambda s: s["simulation"].update(switching=sw)
+
+
+# each scenario runs when ``true`` is read as the integer 1
+@pytest.mark.parametrize("mutate", [
+    _one_node,
+    lambda s: s["graph"].update(edges=[[True, 2], [2, 1]]),
+    lambda s: s.update(options={"order": [True, 2]}),
+    lambda s: s.update(options={"transform_o": [True]}),
+    lambda s: s.update(options={"max_parents": True}),
+    _switch(modes=[[[True, 2], [2, 1]]], schedule=[0] * 5, T=1),
+    _switch(modes=[_BOTH_LINKS, _BOTH_LINKS], schedule=[0, True, 0, 0, 0],
+            T=1),
+    _switch(modes=[_BOTH_LINKS], schedule=[0] * 5, T=True),
+    _switch(T=True, drop_prob=0.5),
+    _switch(T=2, drop_prob=0.5, seed=True),
+    lambda s: s["simulation"].update(K=True),
+], ids=["n_nodes", "edge", "order", "transform_o", "max_parents",
+        "mode_edge", "schedule", "explicit_T", "generated_T", "seed", "K"])
+def test_boolean_integer_fields_exit_3(tmp_path, capsys, mutate):
+    payload = _minimal_scenario()
+    mutate(payload)
+    assert main(["simulate", _write(tmp_path, "s.json", payload)]) == 3
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_readme_scenario_example_loads(tmp_path):
@@ -362,6 +398,15 @@ def test_switching_scenario_runs_and_converges(tmp_path, capsys):
         assert m["final_rel_error"] < 1e-6
 
 
+def test_switching_scenario_hash_golden(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    assert main(["simulate", bundled_scenario_path("sec8_switching.json"),
+                 "--summary", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["scenario_hash"] == (
+        "158f025ba74c8a7ba6432ad3ebf766e12bace4f02244c85446c4b37a4d5f6fda")
+
+
 def test_switching_seed_override(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -424,8 +469,9 @@ def _distobs_command():
 
     The installed script when one is on PATH.  Otherwise the
     ``[project.scripts]`` target from pyproject.toml, run by this interpreter
-    the way the generated script runs it, so a source checkout on PYTHONPATH
-    exercises the same entry point.
+    the way the generated script runs it, with the directory of the package
+    these tests import first on its path, so a source checkout exercises
+    the same entry point.
     """
     exe = shutil.which("distobs")
     if exe:
@@ -435,8 +481,10 @@ def _distobs_command():
     with open(pyproject, "rb") as f:
         target = tomllib.load(f)["project"]["scripts"]["distobs"]
     module, attr = target.split(":")
+    src = str(Path(distobs.__file__).resolve().parents[1])
     return [sys.executable, "-c",
-            f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+            f"import sys; sys.path.insert(0, {src!r}); "
+            f"from {module} import {attr}; sys.exit({attr}())"]
 
 
 def test_console_script_entry_point():

@@ -107,9 +107,16 @@ def test_switching_signal_validation():
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=5, signal=sig)
     # an edge outside the baseline graph is rejected
     alien = SwitchingSignal(
-        modes=(frozenset({(3, 1)}),), schedule=(0,) * 5, window_T=1)
-    with pytest.raises(InvalidSignal):
+        modes=(frozenset({(1, 2)}), frozenset({(3, 2), (1, 2), (3, 1)})),
+        schedule=(0,) * 5, window_T=1)
+    with pytest.raises(InvalidSignal, match=r"^mode 1 contains edges "
+                       r"\[\(3, 1\), \(3, 2\)\] absent from the baseline"):
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=5, signal=alien)
+    # a fractional index is not truncated to a mode
+    frac = SwitchingSignal(
+        modes=(frozenset(), frozenset()), schedule=(0, 0.5, 1), window_T=1)
+    with pytest.raises(InvalidSignal, match="integer mode indices"):
+        simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=3, signal=frac)
 
 
 def test_assumption2_signal_roundtrip():
@@ -325,6 +332,56 @@ def test_overflow_raises_numerical_error():
     bank = design_condition2(p, g)
     with pytest.raises(NumericalError, match=r"at step \d+ of 2000"):
         simulate(p, bank, [1.0], K=2000)
+
+
+def test_overflow_step_under_switching():
+    # the same first non-finite step as the static run: rows of dead links
+    # carry weight 0 and must not turn an earlier step non-finite
+    p = Plant(np.array([[1.5]]),
+              (np.array([[1.0]]), np.zeros((0, 1)), np.zeros((0, 1))))
+    g = Digraph(3, {(1, 2), (1, 3), (2, 1)})
+    bank = design_condition2(p, g)
+    sig = make_assumption2_signal(dag_parent_map(bank), g, 3, 2000, 0.5, 9)
+    assert any(len(mode) < 3 for mode in sig.modes)
+    with pytest.raises(NumericalError, match=r"at step 876 of 2000"):
+        simulate(p, bank, [1.0], K=2000, signal=sig)
+
+
+def test_switched_third_weights_match_reference():
+    # relay node 6 keeps three parents under both schemes, so a step with
+    # all three links alive weighs each by 1/3, which is not exact in binary
+    p = Plant(WORKED_PLANT.A, WORKED_PLANT.C + (np.zeros((0, 3)),) * 4)
+    feeds = {(3, 6), (4, 6), (5, 6)}
+    g = Digraph(7, {(1, 2), (2, 1), (2, 3), (1, 4), (2, 5), (3, 4), (4, 5),
+                    (5, 3), (6, 7), (4, 7)} | feeds)
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal(3)
+    est0 = rng.standard_normal((7, 3))
+    for design in (design_condition1, design_condition2):
+        bank = design(p, g, max_parents=3)
+        pm = dag_parent_map(bank)
+        assert any(sorted(pmap.get(6, ())) == [3, 4, 5] for pmap in pm.values())
+        sig = make_assumption2_signal(pm, g, 4, 60, 0.3, 5)
+        assert any(feeds <= sig.edges_at(k) for k in range(60))
+        tr = simulate(p, bank, x0, est0=est0, K=60, signal=sig)
+        _, xhat = reference_simulate(p, bank, x0, est0=est0, K=60,
+                                     signal=sig)
+        assert _normalized_dev(tr, xhat) < 1e-9
+
+
+def test_scenario_hash_golden():
+    # digests of the hashed bytes: plant, initial values, horizon, scheme
+    # and, under switching, the window, schedule and sorted mode edge lists
+    design = _design()
+    x0 = [0.5, -0.5, 1.0]
+    static = simulate(WORKED_PLANT, design, x0, K=20)
+    assert static.metadata["scenario_hash"] == (
+        "afcd5fb351950cccd78d5301d3950a6697d4a19023e6e518b1215af4807dd0a8")
+    sig = make_assumption2_signal(dag_parent_map(design), WORKED_GRAPH,
+                                  4, 40, 0.6, 42)
+    switched = simulate(WORKED_PLANT, design, x0, K=40, signal=sig)
+    assert switched.metadata["scenario_hash"] == (
+        "ca95b8dffafc54d27ffbb5b6724219da9ad645222286f4c54019d3348cc2ba86")
 
 
 @lru_cache(maxsize=None)
