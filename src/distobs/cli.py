@@ -43,7 +43,7 @@ from .simkit import (
     validate_assumption2,
 )
 from .synth_c1 import Condition1Design, design_condition1
-from .synth_c2 import _design_condition2, design_condition2
+from .synth_c2 import _design_condition2
 
 __all__ = [
     "Scenario",
@@ -95,6 +95,54 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_num(v):
+    """A finite JSON number.  Booleans are not numbers, and neither are the
+    ``NaN`` and ``Infinity`` literals that ``json.load`` accepts, nor
+    integers too large for a float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def _weight(v, where):
+    """A consensus weight: a finite number, or a ``NaN`` or ``Infinity``
+    literal that the design rejects naming its edge."""
+    _schema(_is_num(v) or isinstance(v, float), f"{where} must be a number")
+    return float(v)
+
+
+def _pos_int(v, where):
+    _schema(_is_int(v) and v >= 1, f"{where} must be a positive int")
+    return v
+
+
+def _positive(v, where):
+    _schema(_is_num(v) and v > 0, f"{where} must be a positive number")
+    return float(v)
+
+
+def _edge(e, where, n_nodes):
+    """A ``[from, to]`` pair of node ids in ``1..n_nodes``, as a tuple."""
+    _schema(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e),
+        f"{where} must be a [from, to] pair of node ids",
+    )
+    _schema(all(1 <= v <= n_nodes for v in e), f"{where}: node id out of range")
+    return (e[0], e[1])
+
+
+def _node_order(v, where, g):
+    """A permutation of the node ids of ``g``, as a tuple."""
+    _schema(
+        isinstance(v, list) and all(_is_int(i) for i in v),
+        f"{where} must be a list of node ids",
+    )
+    _schema(
+        sorted(v) == list(g.nodes),
+        f"{where} must list every node id exactly once",
+    )
+    return tuple(v)
+
+
 def _check_keys(d, where, allowed, required=()):
     _schema(isinstance(d, dict), f"{where} must be an object")
     unknown = set(d) - set(allowed)
@@ -116,10 +164,7 @@ def _num_matrix(obj, where, cols=None):
     _schema(len(widths) == 1, f"{where}: ragged rows")
     for row in obj:
         for v in row:
-            _schema(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"{where}: non-numeric entry {v!r}",
-            )
+            _schema(_is_num(v), f"{where}: non-numeric or non-finite entry {v!r}")
     M = np.array(obj, dtype=float)
     _schema(
         cols is None or M.shape[1] == cols,
@@ -130,11 +175,8 @@ def _num_matrix(obj, where, cols=None):
 
 def _num_vector(obj, where, length):
     _schema(
-        isinstance(obj, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in obj
-        ),
-        f"{where} must be a numeric array",
+        isinstance(obj, list) and all(_is_num(v) for v in obj),
+        f"{where} must be an array of finite numbers",
     )
     v = np.array(obj, dtype=float)
     _schema(
@@ -155,6 +197,14 @@ def _int_keyed(obj, where):
     return out
 
 
+def _read_json(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _parse_plant(obj):
     _check_keys(obj, "plant", allowed=("A", "C"), required=("A", "C"))
     A = _num_matrix(obj["A"], "plant.A")
@@ -172,216 +222,156 @@ def _parse_plant(obj):
 
 
 def _parse_graph(obj, n_nodes):
-    _check_keys(
-        obj, "graph", allowed=("n_nodes", "edges"),
-        required=("n_nodes", "edges"),
-    )
+    _check_keys(obj, "graph", allowed=("n_nodes", "edges"),
+                required=("n_nodes", "edges"))
     _schema(
         _is_int(obj["n_nodes"]) and obj["n_nodes"] == n_nodes,
         f"graph.n_nodes must equal the number of output maps ({n_nodes})",
     )
-    edges = []
     _schema(isinstance(obj["edges"], list), "graph.edges must be a list")
-    for k, e in enumerate(obj["edges"]):
-        _schema(
-            isinstance(e, list) and len(e) == 2
-            and all(_is_int(v) for v in e),
-            f"graph.edges[{k}] must be a [from, to] pair of node ids",
-        )
-        _schema(
-            1 <= e[0] <= n_nodes and 1 <= e[1] <= n_nodes,
-            f"graph.edges[{k}]: node id out of range",
-        )
-        edges.append((e[0], e[1]))
-    return Digraph(n_nodes, edges)
+    return Digraph(n_nodes, [
+        _edge(e, f"graph.edges[{k}]", n_nodes)
+        for k, e in enumerate(obj["edges"])
+    ])
 
 
-def _parse_tolerances(obj):
-    allowed = ("rank_tol", "eig_cluster_tol", "schur_margin")
-    _check_keys(obj, "options.tolerances", allowed=allowed)
-    fields = {}
-    for k in allowed:
-        if k in obj:
-            v = obj[k]
-            _schema(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and v > 0,
-                f"options.tolerances.{k} must be a positive number",
-            )
-            fields[k] = float(v)
-    return dataclasses.replace(nk.DEFAULT_TOL, **fields)
+_TOL_KEYS = tuple(f.name for f in dataclasses.fields(nk.ToleranceConfig))
 
 
-def _parse_options(obj, p, g):
-    allowed = (
-        "order", "poles_policy", "tolerances", "transform", "transform_o",
-        "structure_tol", "gains", "weights", "scheme", "max_parents",
-    )
-    _check_keys(obj, "options", allowed=allowed)
+def _parse_tolerances(obj, where):
+    _check_keys(obj, where, allowed=_TOL_KEYS)
+    return dataclasses.replace(nk.DEFAULT_TOL, **{
+        k: _positive(v, f"{where}.{k}") for k, v in obj.items()
+    })
+
+
+# the design options of a scenario; a bank holds them at its top level
+_OPTION_KEYS = (
+    "order", "poles_policy", "tolerances", "transform", "transform_o",
+    "structure_tol", "gains", "weights", "scheme", "max_parents",
+)
+
+
+def _parse_options(obj, p, g, where="options"):
+    """Normalized design options; ``where`` names the object in messages."""
+    _check_keys(obj, where, allowed=_OPTION_KEYS)
     out = {
         "order": None, "poles_policy": "deadbeat", "tolerances": None,
         "transform": None, "transform_o": None, "structure_tol": 1e-6,
         "gains": {}, "weights": {}, "scheme": "auto", "max_parents": 1,
     }
     if "order" in obj:
-        _schema(
-            isinstance(obj["order"], list)
-            and all(_is_int(v) for v in obj["order"]),
-            "options.order must be a list of node ids",
-        )
-        _schema(
-            sorted(obj["order"]) == list(g.nodes),
-            "options.order must list every node id exactly once",
-        )
-        out["order"] = tuple(obj["order"])
+        out["order"] = _node_order(obj["order"], f"{where}.order", g)
     if "poles_policy" in obj:
         _schema(
             obj["poles_policy"] == "deadbeat",
             f"unsupported poles policy {obj['poles_policy']!r}",
         )
-        out["poles_policy"] = obj["poles_policy"]
     if "tolerances" in obj:
-        out["tolerances"] = _parse_tolerances(obj["tolerances"])
-    if "transform" in obj and obj["transform"] is not None:
-        out["transform"] = _num_matrix(obj["transform"], "options.transform",
+        out["tolerances"] = _parse_tolerances(obj["tolerances"],
+                                              f"{where}.tolerances")
+    if obj.get("transform") is not None:
+        out["transform"] = _num_matrix(obj["transform"], f"{where}.transform",
                                        cols=p.n)
         _schema(
             out["transform"].shape == (p.n, p.n),
-            "options.transform must be square of the state dimension",
+            f"{where}.transform must be square of the state dimension",
         )
         _schema(
             "transform_o" in obj,
-            "options.transform requires options.transform_o",
+            f"{where}.transform requires {where}.transform_o",
         )
-    if "transform_o" in obj and obj["transform_o"] is not None:
+    if obj.get("transform_o") is not None:
         _schema(
             isinstance(obj["transform_o"], list)
             and all(_is_int(v) and v >= 0 for v in obj["transform_o"]),
-            "options.transform_o must be a list of nonnegative ints",
+            f"{where}.transform_o must be a list of nonnegative ints",
         )
         out["transform_o"] = tuple(obj["transform_o"])
     if "structure_tol" in obj:
-        v = obj["structure_tol"]
-        _schema(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0,
-            "options.structure_tol must be a positive number",
-        )
-        out["structure_tol"] = float(v)
+        out["structure_tol"] = _positive(obj["structure_tol"],
+                                         f"{where}.structure_tol")
     if "gains" in obj:
-        gains = {}
-        for node, mat in _int_keyed(obj["gains"], "options.gains").items():
+        gains = _int_keyed(obj["gains"], f"{where}.gains")
+        for node in gains:
             _schema(
-                node in set(g.nodes),
-                f"options.gains: node {node} out of range",
+                1 <= node <= g.n_nodes,
+                f"{where}.gains: node {node} out of range",
             )
-            gains[node] = _num_matrix(mat, f"options.gains[{node}]")
-        out["gains"] = gains
+        out["gains"] = {
+            node: _num_matrix(mat, f"{where}.gains[{node}]")
+            for node, mat in gains.items()
+        }
     if "weights" in obj:
-        weights = {}
-        for src, per_node in _int_keyed(obj["weights"], "options.weights").items():
-            rows = {}
-            for i, row in _int_keyed(
-                per_node, f"options.weights[{src}]"
-            ).items():
-                parents = {}
-                for l, w in _int_keyed(
-                    row, f"options.weights[{src}][{i}]"
-                ).items():
-                    _schema(
-                        isinstance(w, (int, float)) and not isinstance(w, bool),
-                        f"options.weights[{src}][{i}][{l}] must be a number",
-                    )
-                    parents[l] = float(w)
-                rows[i] = parents
-            weights[src] = rows
-        out["weights"] = weights
+        at = f"{where}.weights"
+        out["weights"] = {
+            src: {
+                i: {l: _weight(w, f"{at}[{src}][{i}][{l}]")
+                    for l, w in _int_keyed(row, f"{at}[{src}][{i}]").items()}
+                for i, row in _int_keyed(per, f"{at}[{src}]").items()
+            }
+            for src, per in _int_keyed(obj["weights"], at).items()
+        }
     if "scheme" in obj:
         _schema(
             obj["scheme"] in _SCHEMES,
-            f"options.scheme must be one of {_SCHEMES}",
+            f"{where}.scheme must be one of {_SCHEMES}",
         )
         out["scheme"] = obj["scheme"]
     if "max_parents" in obj:
-        _schema(
-            _is_int(obj["max_parents"]) and obj["max_parents"] >= 1,
-            "options.max_parents must be a positive int",
-        )
-        out["max_parents"] = obj["max_parents"]
+        out["max_parents"] = _pos_int(obj["max_parents"],
+                                      f"{where}.max_parents")
     return out
 
 
-def _parse_switching(obj, g):
+def _parse_switching(obj, n_nodes):
     _schema(isinstance(obj, dict), "simulation.switching must be an object")
     if "schedule" in obj:
         _check_keys(
             obj, "simulation.switching", allowed=("modes", "schedule", "T"),
             required=("modes", "schedule", "T"),
         )
+        _schema(isinstance(obj["modes"], list),
+                "switching.modes must be a list of edge lists")
         modes = []
         for m, mode in enumerate(obj["modes"]):
             _schema(
                 isinstance(mode, list),
                 f"switching.modes[{m}] must be an edge list",
             )
-            edges = []
-            for e in mode:
-                _schema(
-                    isinstance(e, list) and len(e) == 2
-                    and all(_is_int(v) for v in e),
-                    f"switching.modes[{m}]: bad edge {e!r}",
-                )
-                edges.append((e[0], e[1]))
-            modes.append(frozenset(edges))
+            modes.append(frozenset(
+                _edge(e, f"switching.modes[{m}][{k}]", n_nodes)
+                for k, e in enumerate(mode)
+            ))
         _schema(
             isinstance(obj["schedule"], list)
             and all(_is_int(v) for v in obj["schedule"]),
             "switching.schedule must be a list of mode indices",
         )
-        _schema(
-            _is_int(obj["T"]) and obj["T"] >= 1,
-            "switching.T must be a positive int",
-        )
         return {
             "kind": "explicit",
             "signal": SwitchingSignal(
                 modes=tuple(modes), schedule=tuple(obj["schedule"]),
-                window_T=obj["T"],
+                window_T=_pos_int(obj["T"], "switching.T"),
             ),
         }
     _check_keys(
         obj, "simulation.switching", allowed=("T", "drop_prob", "seed"),
         required=("T", "drop_prob"),
     )
-    _schema(
-        _is_int(obj["T"]) and obj["T"] >= 1,
-        "switching.T must be a positive int",
-    )
+    T = _pos_int(obj["T"], "switching.T")
     dp = obj["drop_prob"]
-    _schema(
-        isinstance(dp, (int, float)) and not isinstance(dp, bool)
-        and 0 <= dp < 1,
-        "switching.drop_prob must be in [0, 1)",
-    )
+    _schema(_is_num(dp) and 0 <= dp < 1, "switching.drop_prob must be in [0, 1)")
     seed = obj.get("seed")
-    _schema(
-        seed is None or _is_int(seed),
-        "switching.seed must be an int",
-    )
-    return {
-        "kind": "generated", "T": obj["T"], "drop_prob": float(dp),
-        "seed": seed,
-    }
+    _schema(seed is None or _is_int(seed), "switching.seed must be an int")
+    return {"kind": "generated", "T": T, "drop_prob": float(dp), "seed": seed}
 
 
 def _parse_simulation(obj, p):
     allowed = ("x0", "est0", "K", "switching")
     _check_keys(obj, "simulation", allowed=allowed, required=("x0", "K"))
     out = {"x0": _num_vector(obj["x0"], "simulation.x0", p.n)}
-    _schema(
-        _is_int(obj["K"]) and obj["K"] >= 1,
-        "simulation.K must be an int >= 1",
-    )
-    out["K"] = obj["K"]
+    out["K"] = _pos_int(obj["K"], "simulation.K")
     if obj.get("est0") is None:
         out["est0"] = None
     else:
@@ -395,7 +385,7 @@ def _parse_simulation(obj, p):
         ]
     out["switching"] = None
     if obj.get("switching") is not None:
-        out["switching"] = _parse_switching(obj["switching"], p)
+        out["switching"] = _parse_switching(obj["switching"], p.n_nodes)
     return out
 
 
@@ -407,18 +397,15 @@ def load_scenario(path):
     ScenarioError
         On any schema violation, with a message naming the offending field.
     """
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    raw = _read_json(path)
     _check_keys(
         raw, "scenario",
         allowed=("format_version", "plant", "graph", "options", "simulation"),
         required=("format_version", "plant", "graph"),
     )
     _schema(
-        raw["format_version"] == SCENARIO_FORMAT,
+        _is_int(raw["format_version"])
+        and raw["format_version"] == SCENARIO_FORMAT,
         f"unsupported scenario format_version {raw['format_version']!r}",
     )
     p = _parse_plant(raw["plant"])
@@ -461,37 +448,27 @@ def _resolve_scheme(p, g, tol, requested):
     )
 
 
-def _design(scn, scheme, tol, order=None, report=None):
-    """Design ``scn`` under ``scheme``; ``report`` is the feasibility report
-    already computed for it, if any.
+def _design(p, g, options, scheme, tol, report=None):
+    """Design ``(p, g)`` under ``scheme`` with normalized ``options``;
+    ``report`` is the feasibility report already computed for it, if any.
 
     ``options.gains`` are Scheme-1 sub-state gains or Scheme-2 node gains,
     as ``options.scheme`` says; under another scheme they are not used and
     that scheme synthesizes its own.
     """
-    opts = scn.options
-    order = order if order is not None else opts["order"]
-    gains = opts["gains"] or None
-    if gains and opts["scheme"] not in ("auto", scheme):
+    gains = options["gains"] or None
+    if gains and options["scheme"] not in ("auto", scheme):
         log.warning("options.gains are %s gains; designing %s with "
-                    "synthesized gains instead", opts["scheme"], scheme)
+                    "synthesized gains instead", options["scheme"], scheme)
         gains = None
     if scheme == "c1":
-        design = design_condition1(
-            scn.plant, scn.graph, tol=tol,
-            max_parents=opts["max_parents"],
-            gains=gains,
-            transform=opts["transform"],
-            transform_o=opts["transform_o"],
-            structure_tol=opts["structure_tol"],
-            order=order,
-            weights=opts["weights"] or None,
+        return design_condition1(
+            p, g, tol=tol, max_parents=options["max_parents"], gains=gains,
+            transform=options["transform"], transform_o=options["transform_o"],
+            structure_tol=options["structure_tol"], order=options["order"],
+            weights=options["weights"] or None,
         )
-    else:
-        design = _design_condition2(
-            scn.plant, scn.graph, tol, opts["max_parents"], gains, report,
-        )
-    return design, order
+    return _design_condition2(p, g, tol, options["max_parents"], gains, report)
 
 
 def _used_gains(design, scheme):
@@ -579,61 +556,36 @@ def save_bank(path, design, scheme, tol, options, order):
 def load_bank(path):
     """Rebuild a design from its serialized defining data.
 
+    A bank is a scenario's ``plant`` and ``graph``, its design option fields
+    at the top level (``null`` where unset) and the scheme, ``c1`` or
+    ``c2``.  Every field passes the scenario schema, and the design re-runs
+    the same synthesis as the ``design`` command.
+
     Returns ``(design, scheme, plant, graph, tolerances)``.
     """
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
-    _schema(isinstance(raw, dict), "bank file must be an object")
+    raw = _read_json(path)
     _schema(
-        raw.get("kind") == "distobs-bank",
+        isinstance(raw, dict) and raw.get("kind") == "distobs-bank",
         f"{path} is not an observer bank file",
     )
-    _schema(
-        raw.get("format_version") == BANK_FORMAT,
-        f"unsupported bank format_version {raw.get('format_version')!r}",
+    _check_keys(
+        raw, "bank", allowed=("format_version", "kind", "plant", "graph")
+        + _OPTION_KEYS, required=("format_version", "scheme", "plant", "graph"),
     )
-    scheme = raw.get("scheme")
+    _schema(
+        _is_int(raw["format_version"])
+        and raw["format_version"] == BANK_FORMAT,
+        f"unsupported bank format_version {raw['format_version']!r}",
+    )
+    scheme = raw["scheme"]
     _schema(scheme in ("c1", "c2"), f"bad bank scheme {scheme!r}")
     p = _parse_plant(raw["plant"])
     g = _parse_graph(raw["graph"], p.n_nodes)
-    tol = _parse_tolerances(raw.get("tolerances", {}))
-    gains = {
-        int(i): _num_matrix(m, f"gains[{i}]")
-        for i, m in raw.get("gains", {}).items()
-    }
-    order = tuple(raw["order"]) if raw.get("order") else None
-    if scheme == "c1":
-        transform = raw.get("transform")
-        if transform is not None:
-            transform = _num_matrix(transform, "transform", cols=p.n)
-        transform_o = (
-            tuple(raw["transform_o"]) if raw.get("transform_o") else None
-        )
-        weights = None
-        if raw.get("weights"):
-            weights = {
-                int(s): {
-                    int(i): {int(l): float(w) for l, w in row.items()}
-                    for i, row in per.items()
-                }
-                for s, per in raw["weights"].items()
-            }
-        design = design_condition1(
-            p, g, tol=tol, max_parents=raw.get("max_parents", 1),
-            gains=gains or None, transform=transform,
-            transform_o=transform_o,
-            structure_tol=raw.get("structure_tol", 1e-6),
-            order=order, weights=weights,
-        )
-    else:
-        design = design_condition2(
-            p, g, tol=tol, max_parents=raw.get("max_parents", 1),
-            gains=gains or None,
-        )
-    return design, scheme, p, g, tol
+    options = _parse_options({
+        k: v for k, v in raw.items() if k in _OPTION_KEYS and v is not None
+    }, p, g, where="bank")
+    tol = options["tolerances"] or nk.DEFAULT_TOL
+    return _design(p, g, options, scheme, tol), scheme, p, g, tol
 
 
 # ---------------------------------------------------------------------------
@@ -702,26 +654,38 @@ def write_summary(path, trace):
 # commands
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _tol_for(scn, args):
-    tol = scn.options["tolerances"] or nk.DEFAULT_TOL
-    fields = {}
-    if getattr(args, "tol_rank", None) is not None:
-        fields["rank_tol"] = args.tol_rank
-    if getattr(args, "tol_eig", None) is not None:
-        fields["eig_cluster_tol"] = args.tol_eig
-    return dataclasses.replace(tol, **fields) if fields else tol
+    """The scenario's tolerances with ``--tol-rank``/``--tol-eig`` applied."""
+    fields = {
+        field: _positive(getattr(args, dest), _flag(dest))
+        for dest, field in (("tol_rank", "rank_tol"),
+                            ("tol_eig", "eig_cluster_tol"))
+        if getattr(args, dest) is not None
+    }
+    return dataclasses.replace(scn.options["tolerances"] or nk.DEFAULT_TOL,
+                               **fields)
 
 
-def _order_for(scn, args):
-    if getattr(args, "order", None):
+def _design_for(scn, args, tol):
+    """``(design, scheme, options)`` of the in-process design of ``scn``,
+    with ``--order`` and ``--scheme`` applied."""
+    options = scn.options
+    if args.order is not None:
         try:
-            order = tuple(int(v) for v in args.order.split(","))
+            order = [int(v) for v in args.order.split(",")]
         except ValueError:
             raise ScenarioError(
                 f"--order must be comma-separated node ids, got {args.order!r}"
             ) from None
-        return order
-    return scn.options["order"]
+        options = dict(options, order=_node_order(order, "--order", scn.graph))
+    scheme, report = _resolve_scheme(scn.plant, scn.graph, tol,
+                                     args.scheme or options["scheme"])
+    design = _design(scn.plant, scn.graph, options, scheme, tol, report)
+    return design, scheme, options
 
 
 def _fmt_eig(lam):
@@ -837,10 +801,7 @@ def _certified(design, scheme):
 def cmd_design(args):
     scn = load_scenario(args.scenario)
     tol = _tol_for(scn, args)
-    scheme = args.scheme or scn.options["scheme"]
-    scheme, report = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
-    order = _order_for(scn, args)
-    design, order = _design(scn, scheme, tol, order, report)
+    design, scheme, options = _design_for(scn, args, tol)
     print(f"scheme: {scheme}")
     _print_design(design, scheme)
     if not _certified(design, scheme):
@@ -849,7 +810,7 @@ def cmd_design(args):
             "see the component report above"
         )
     if args.out:
-        save_bank(args.out, design, scheme, tol, scn.options, order)
+        save_bank(args.out, design, scheme, tol, options, options["order"])
         print(f"bank written to {args.out}")
     return 0
 
@@ -880,27 +841,21 @@ def cmd_simulate(args):
         raise ScenarioError(
             f"{scn.path} has no simulation section; add x0 and K"
         )
-    tol = _tol_for(scn, args)
     if args.bank:
-        design, scheme, p_bank, g_bank, tol = load_bank(args.bank)
-        if not (
-            np.array_equal(p_bank.A, scn.plant.A)
-            and len(p_bank.C) == len(scn.plant.C)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(p_bank.C, scn.plant.C)
-            )
-            and g_bank.edges == scn.graph.edges
-        ):
-            raise ScenarioError(
-                f"bank {args.bank} was designed for a different plant or "
-                "graph than this scenario"
-            )
+        fixed = [_flag(dest) for dest in ("scheme", "order", "tol_rank",
+                                          "tol_eig")
+                 if getattr(args, dest) is not None]
+        _schema(not fixed, f"{', '.join(fixed)} cannot be combined with a "
+                "bank: the bank fixes the scheme, order and tolerances")
+        design, scheme, p_bank, g_bank, _ = load_bank(args.bank)
+        _schema(
+            _plant_payload(p_bank) == _plant_payload(scn.plant)
+            and g_bank.edges == scn.graph.edges,
+            f"bank {args.bank} was designed for a different plant or graph "
+            "than this scenario",
+        )
     else:
-        scheme = args.scheme or scn.options["scheme"]
-        scheme, report = _resolve_scheme(scn.plant, scn.graph, tol, scheme)
-        order = _order_for(scn, args)
-        design, order = _design(scn, scheme, tol, order, report)
+        design, scheme, _ = _design_for(scn, args, _tol_for(scn, args))
     sim = scn.simulation
     K = sim["K"]
     signal = _signal_for(scn, design, args, K)

@@ -126,9 +126,9 @@ def _scenario_hash(p, x0, est0, K, signal, scheme):
     if signal is not None:
         h.update(str(signal.window_T).encode())
         h.update(np.asarray(signal.schedule, dtype=np.int64).tobytes())
-        # each mode as the text of its sorted edge list
+        # each mode as the text of its sorted edge list, node ids as ints
         edges, live = signal._edge_table
-        strs = [repr(e) for e in edges]
+        strs = [repr((int(a), int(b))) for a, b in edges]
         for row in live.tolist():
             h.update(("[" + ", ".join(compress(strs, row)) + "]").encode())
     return h.hexdigest()

@@ -104,6 +104,19 @@ def test_switching_scenario_contents():
         switching={"T": 0, "drop_prob": 0.5}), "switching.T"),
     (lambda s: s["simulation"].update(
         switching={"T": 2, "drop_prob": 1.5}), "drop_prob"),
+    # json.load accepts the NaN and Infinity literals json.dumps writes
+    (lambda s: s["simulation"].update(x0=[float("nan")]), "simulation.x0"),
+    (lambda s: s["simulation"].update(est0=[[1.0], [float("inf")]]),
+     "est0[2]"),
+    (lambda s: s.update(options={"gains": {"1": [[float("nan")]]}}),
+     "gains[1]: non-numeric or non-finite"),
+    (lambda s: s.update(options={"structure_tol": float("inf")}),
+     "structure_tol"),
+    (lambda s: s.update(options={"tolerances": {"rank_tol": float("inf")}}),
+     "rank_tol"),
+    # an integer too large for a float
+    (lambda s: s["plant"].update(A=[[10 ** 400]]),
+     "plant.A: non-numeric or non-finite"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_load_scenario_rejects(tmp_path, mutate, fragment):
     payload = _minimal_scenario()
@@ -140,8 +153,10 @@ def _switch(**sw):
     _switch(T=True, drop_prob=0.5),
     _switch(T=2, drop_prob=0.5, seed=True),
     lambda s: s["simulation"].update(K=True),
+    lambda s: s.update(format_version=True),
 ], ids=["n_nodes", "edge", "order", "transform_o", "max_parents",
-        "mode_edge", "schedule", "explicit_T", "generated_T", "seed", "K"])
+        "mode_edge", "schedule", "explicit_T", "generated_T", "seed", "K",
+        "format_version"])
 def test_boolean_integer_fields_exit_3(tmp_path, capsys, mutate):
     payload = _minimal_scenario()
     mutate(payload)
@@ -299,6 +314,87 @@ def test_bank_guard_rejects_other_scenario(tmp_path, capsys):
                str(bank_path)])
     assert rc == 3
     assert "different plant" in capsys.readouterr().err
+
+
+def _fig3_c1_bank(tmp_path):
+    bank = tmp_path / "bank.json"
+    assert main(["design", bundled_scenario_path("fig3.json"), "--scheme",
+                 "c1", "--out", str(bank)]) == 0
+    return bank
+
+
+# each edited bank loaded without an input error before banks went through
+# the scenario schema
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda b: b.update(max_parents="2"), "bank.max_parents"),
+    (lambda b: b.update(max_parents=True), "bank.max_parents"),
+    (lambda b: b.update(order=[1.5, 2.5, 3.5]), "bank.order"),
+    (lambda b: b.update(order=[True, 2, 3]), "bank.order"),
+    (lambda b: b.update(structure_tol=-1.0), "bank.structure_tol"),
+    (lambda b: b.update(extra=1), "unknown key"),
+    (lambda b: b.pop("plant"), "missing key"),
+    (lambda b: b["gains"].update({"9": [[1.0]]}), "node 9 out of range"),
+    (lambda b: b.update(transform_o=[-1]), "bank.transform_o"),
+    (lambda b: b.update(tolerances={"rank_tol": float("inf")}),
+     "bank.tolerances.rank_tol"),
+], ids=["max_parents_str", "max_parents_bool", "order_float", "order_bool",
+        "structure_tol", "unknown_key", "missing_plant", "gain_node",
+        "transform_o", "rank_tol_inf"])
+def test_load_bank_rejects(tmp_path, capsys, mutate, fragment):
+    bank = _fig3_c1_bank(tmp_path)
+    raw = json.loads(bank.read_text())
+    mutate(raw)
+    bank.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["simulate", bundled_scenario_path("fig3.json"), str(bank)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and fragment in err
+
+
+@pytest.mark.parametrize("flag", ["--scheme", "--order", "--tol-rank",
+                                  "--tol-eig"])
+def test_bank_fixed_flags_exit_3(tmp_path, capsys, flag):
+    bank = _fig3_c1_bank(tmp_path)
+    value = {"--scheme": "c1", "--order": "1,2,3", "--tol-rank": "1e-9",
+             "--tol-eig": "1e-7"}[flag]
+    capsys.readouterr()
+    rc = main(["simulate", bundled_scenario_path("fig3.json"), str(bank),
+               flag, value])
+    assert rc == 3
+    assert (f"input error: {flag} cannot be combined with a bank"
+            in capsys.readouterr().err)
+
+
+def test_seed_flag_applies_with_bank(tmp_path, capsys):
+    scenario = bundled_scenario_path("sec8_switching.json")
+    bank = tmp_path / "bank.json"
+    summary = tmp_path / "summary.json"
+    assert main(["design", scenario, "--out", str(bank)]) == 0
+    assert main(["simulate", scenario, str(bank), "--seed", "5",
+                 "--summary", str(summary)]) == 0
+    capsys.readouterr()
+    assert json.loads(summary.read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol-rank", "-1"), ("--tol-rank", "nan"), ("--tol-eig", "0"),
+])
+def test_tolerance_flags_exit_3(capsys, flag, value):
+    assert main(["check", bundled_scenario_path("fig3.json"), flag, value]) == 3
+    assert (f"input error: {flag} must be a positive number"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scheme", ["c1", "c2"])
+def test_order_flag_must_be_a_permutation(tmp_path, capsys, scheme):
+    bank = tmp_path / "bank.json"
+    rc = main(["design", bundled_scenario_path("fig3.json"), "--order",
+               "1,1,2", "--scheme", scheme, "--out", str(bank)])
+    assert rc == 3
+    assert ("input error: --order must list every node id exactly once"
+            in capsys.readouterr().err)
+    assert not bank.exists()
 
 
 def test_trace_csv_layout(tmp_path, capsys):

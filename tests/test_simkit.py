@@ -384,6 +384,24 @@ def test_scenario_hash_golden():
         "ca95b8dffafc54d27ffbb5b6724219da9ad645222286f4c54019d3348cc2ba86")
 
 
+def test_scenario_hash_ignores_node_id_type():
+    # the same signal with numpy.int64 node ids runs bit-identically and so
+    # must hash the same as with int ids
+    design = _design()
+    x0 = [0.5, -0.5, 1.0]
+    modes = (frozenset(WORKED_GRAPH.edges), frozenset({(1, 2), (2, 1)}))
+    wide = tuple(frozenset((np.int64(a), np.int64(b)) for a, b in m)
+                 for m in modes)
+    traces = [
+        simulate(WORKED_PLANT, design, x0, K=6, signal=SwitchingSignal(
+            modes=m, schedule=(0, 1, 1, 0, 1, 0), window_T=2))
+        for m in (modes, wide)
+    ]
+    assert np.array_equal(traces[0].xhat, traces[1].xhat)
+    assert (traces[0].metadata["scenario_hash"]
+            == traces[1].metadata["scenario_hash"])
+
+
 @lru_cache(maxsize=None)
 def _relay_parent_maps():
     """A 12-node core plus 6 relay nodes, and the routed parent sets of both
