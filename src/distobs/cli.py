@@ -288,6 +288,10 @@ def _parse_options(obj, p, g, where="options"):
             f"{where}.transform_o must be a list of nonnegative ints",
         )
         out["transform_o"] = tuple(obj["transform_o"])
+        _schema(
+            out["transform"] is not None,
+            f"{where}.transform_o requires {where}.transform",
+        )
     if "structure_tol" in obj:
         out["structure_tol"] = _positive(obj["structure_tol"],
                                          f"{where}.structure_tol")

@@ -304,47 +304,80 @@ def _operator(F, H, C, Cs, U, P, static, groups):
     )
 
 
-def _compile_c1(p, design):
+def _compile_c1(p, design, switched):
     """Sub-state-consensus design as a network operator.
 
-    A component member's own block is ``N_mat`` plus its own sub-state and
-    tail slots, its gain ``TH_i``.  On the full graph a neighbor's block is
-    the bank's ``G_il``; under switching, a parent's block for sub-state
-    ``j`` is its weight times ``P_j = T[:, j] A_jj T⁻¹[j, :]``.  Relay nodes
-    copy parents through ``A``.
+    Compiled from the consensus weights and each nonempty sub-state's rows
+    ``R_j`` (``A_jj T⁻¹[j, :]`` in rows ``j``, zero elsewhere), whose
+    projector is ``P_j = T R_j = T[:, j] A_jj T⁻¹[j, :]``; the bank's
+    ``G_il`` are not read.  A component member's own block is ``N_mat +
+    P_pos(i) + P_tail`` (its own sub-state and the unobservable tail), its
+    gain ``TH_i``.  On the full graph the block of the link from ``l`` to
+    ``i`` is ``Σ_j w_ilj P_j`` over the sub-states that link carries.  Both
+    are formed as ``T`` times a sum of rows: the rows of different slots are
+    disjoint, so the sum is exact and each block equals the bank's
+    ``G_il`` bit for bit.  A ``switched`` run gets the switched rows
+    instead of the link blocks: a parent's ``P_j`` for each sub-state,
+    reweighted at every step.  Relay nodes copy parents through ``A``.
     """
     C = _stacked_outputs(p)
-    F = np.zeros((p.n_nodes, p.n, p.n))
-    H = np.zeros((p.n_nodes, p.n, C.shape[1]))
+    n = p.n
+    F = np.zeros((p.n_nodes, n, n))
+    H = np.zeros((p.n_nodes, n, C.shape[1]))
     P, static, groups = [], [], []
     for comp in design.components:
-        d, bank, ids = comp.decomposition, comp.bank, comp.nodes
+        d, bank = comp.decomposition, comp.bank
+        ids = np.array(comp.nodes, dtype=np.intp)
+        T, Tinv = d.T, d.T_inv
+        R = np.zeros((len(d.o), n, n))
+        tail = np.zeros((n, n))
+        tail[d.unobs_slice] = d.A_unobs @ Tinv[d.unobs_slice]
         proj = {}
         for j, oj in enumerate(d.o, 1):
             if oj:
                 sl = d.block_slice(j)
                 proj[j] = len(P)
-                P.append(d.T[:, sl] @ d.A_sub(j) @ d.T_inv[sl, :])
-        for i, gi in enumerate(ids, 1):
-            r = p.C[gi - 1].shape[0]
-            F[gi - 1] = bank.N_mat + bank.G[i - 1][i]
-            H[gi - 1, :, :r] = bank.TH[i - 1]
-            static += [(gi, ids[l - 1], Gil)
-                       for l, Gil in bank.G[i - 1].items()
-                       if l != i and Gil.any()]
-            pos = d.step_of_node[i]
-            groups += [
-                (gi, proj[j], tuple(ids[l - 1] for l in comp.dags[j].parents(i)))
-                for j in proj if j != pos
-            ]
+                P.append(T[:, sl] @ d.A_sub(j) @ Tinv[sl, :])
+                R[j - 1, sl] = d.A_sub(j) @ Tinv[sl, :]
+                src = d.source_node(j)
+                TH = bank.TH[src - 1]
+                H[ids[src - 1] - 1, :, :TH.shape[1]] = TH
+        pos = np.empty(len(ids), dtype=np.intp)
+        pos[np.array(d.order) - 1] = np.arange(len(ids))
+        F[ids - 1] = bank.N_mat + T @ (R[pos] + tail)
+        if switched:
+            for i, gi in enumerate(comp.nodes, 1):
+                groups += [
+                    (gi, proj[j],
+                     tuple(comp.nodes[l - 1] for l in comp.dags[j].parents(i)))
+                    for j in proj if j != d.step_of_node[i]
+                ]
+            continue
+        # one row per (child, parent, sub-state, weight), each child's links
+        # by ascending parent and sub-states ascending within a link
+        t = np.array([(i, l, j - 1, w) for j in proj
+                      for i, row in bank.weights[j].weights.items()
+                      for l, w in row.items() if w],
+                     dtype=float).reshape(-1, 4)
+        t = t[np.lexsort((t[:, 1], t[:, 0]))]
+        child, parent, q = t[:, :3].astype(np.intp).T
+        child, parent, M = _merge_links(child, parent,
+                                        t[:, 3, None, None] * R[q])
+        static.append((ids[child - 1], ids[parent - 1], T @ M))
     relay = design.relay
     if relay is not None:
-        a = len(P)
+        nodes = relay.relay_nodes
+        if switched:
+            groups += [(i, len(P), relay.dag.parents(i)) for i in nodes]
+        else:
+            static.append((
+                np.array(nodes, dtype=np.intp),
+                np.array([relay.static_parent(i) for i in nodes],
+                         dtype=np.intp),
+                np.broadcast_to(relay.A, (len(nodes), n, n)),
+            ))
         P.append(relay.A)
-        for i in relay.relay_nodes:
-            static.append((i, relay.static_parent(i), relay.A))
-            groups.append((i, a, relay.dag.parents(i)))
-    static = tuple(zip(*static)) or ((), (), ())
+    static = tuple(map(np.concatenate, zip(*static))) or ((), (), ())
     return _operator(F, H, C, C, None, P, static, groups)
 
 
@@ -486,7 +519,7 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
         raise ShapeError(f"est0 must hold {N} vectors of {p.n} entries")
     if isinstance(bank, Condition1Design):
         scheme = "c1"
-        op, s0 = _compile_c1(p, bank), np.array(est0)
+        op, s0 = _compile_c1(p, bank, signal is not None), np.array(est0)
     elif isinstance(bank, C2ObserverBank):
         scheme = "c2"
         op, s0 = _compile_c2(p, bank, est0)

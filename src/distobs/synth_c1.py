@@ -14,7 +14,12 @@ The per-node update collapses into a compact rule
     xhat_i[k+1] = N_mat xhat_i[k] + TH_i (y_i[k] - C_i xhat_i[k])
                   + sum over in-neighborhood l of  G_il xhat_l[k]
 
-whose matrices this module assembles.  The error dynamics decouple by
+whose matrices this module assembles.  Design builds ``N_mat``, ``TH_i`` and
+the consensus weights; the dense neighbor matrices ``G_il`` are computed on
+first read of :attr:`CompactObserverBank.G`.  ``G_il`` is ``sum_j w_ilj P_j``
+with ``P_j = T[:, j] A_jj T^{-1}[j, :]`` (plus the own sub-state and tail for
+``l = i``), so the simulator compiles its network step from those projectors
+and the weights and never needs them.  The error dynamics decouple by
 sub-state: the source node's error follows the closed loop
 ``A_jj - L C_jj``, and the followers' copies form a nilpotent block because
 the consensus weights are strictly lower triangular in topological order.
@@ -25,6 +30,7 @@ Each sub-state is therefore certified by the spectral radius of its own
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +47,6 @@ from .netgraph import (
     Digraph,
     _check_relay_weights,
     SpanningStructure,
-    source_components,
     spanning_dag,
     subgraph,
 )
@@ -138,8 +143,10 @@ def consensus_weights_for_substate(g, source, tree):
     """Tree-restricted consensus weights: each node weights its parent with 1.
 
     ``tree`` must be a spanning structure of ``g`` rooted at exactly
-    ``source``.  The source node itself takes no consensus weights for its own
-    sub-state — it estimates that block from its own measurements.
+    ``source``; a multi-parent DAG serves as well, since its first parent per
+    node is the forest parent.  The source node itself takes no consensus
+    weights for its own sub-state — it estimates that block from its own
+    measurements.
     """
     if set(tree.roots) != {source}:
         raise ValueError(
@@ -163,7 +170,8 @@ class CompactObserverBank:
 
     ``N_mat`` propagates the block couplings common to all nodes; ``TH[i-1]``
     injects node i's innovation; ``G[i-1][l]`` multiplies neighbor ``l``'s
-    estimate.
+    estimate, for every ``l`` of node i's closed in-neighborhood in
+    ``graph``.  ``G`` is computed on first read and kept.
     """
 
     decomposition: MultiSensorDecomposition
@@ -171,15 +179,52 @@ class CompactObserverBank:
     weights: dict
     N_mat: np.ndarray
     TH: tuple
-    G: tuple
+    graph: Digraph
+
+    @cached_property
+    def G(self):
+        """``G[i-1][l] = T @ M`` with ``M``'s row block ``j`` equal to
+        ``w_ilj A_jj T^{-1}[j, :]``: weight 1 from the node itself for its
+        own sub-state, plus the unobservable tail's rows for ``l = i``.  A
+        neighbor that parents no sub-state for node ``i`` gets a zero
+        matrix."""
+        d, weights = self.decomposition, self.weights
+        n = d.n
+        T, Tinv = d.T, d.T_inv
+        # those rows depend on the sub-state only, so form them once
+        rows = {
+            j: d.A_sub(j) @ Tinv[d.block_slice(j), :]
+            for j, oj in enumerate(d.o, 1) if oj
+        }
+        slu = d.unobs_slice
+        tail = d.A_unobs @ Tinv[slu, :]
+        G = []
+        for i in self.graph.nodes:
+            pos = d.step_of_node[i]
+            gi = {}
+            for l in self.graph.closed_in_neighborhood(i):
+                M = np.zeros((n, n))
+                for j, Rj in rows.items():
+                    if j == pos:
+                        w = float(l == i)
+                    else:
+                        w = weights[j].weights[i].get(l, 0.0)
+                    if w:
+                        M[d.block_slice(j), :] = w * Rj
+                if l == i and d.u_dim:
+                    M[slu, :] = tail
+                gi[l] = T @ M
+            G.append(gi)
+        return tuple(G)
 
 
 def _blockdiag_part(d):
     """The block-diagonal part of ``Abar`` (sub-state blocks plus the tail)."""
     A2 = np.zeros_like(d.Abar)
-    for j in range(1, len(d.o) + 1):
-        sl = d.block_slice(j)
-        A2[sl, sl] = d.A_sub(j)
+    for j, oj in enumerate(d.o, 1):
+        if oj:
+            sl = d.block_slice(j)
+            A2[sl, sl] = d.A_sub(j)
     slu = d.unobs_slice
     A2[slu, slu] = d.A_unobs
     return A2
@@ -189,11 +234,10 @@ def assemble_compact_bank(d, gains, weights, g):
     """Build the compact per-node update matrices from the design pieces.
 
     ``weights`` maps each nonempty sub-state index to its
-    :class:`ConsensusWeights`.  Every node's neighbor matrices are produced
-    for its whole closed in-neighborhood; a neighbor that parents no sub-state
-    for this node simply gets a zero matrix.
+    :class:`ConsensusWeights`.  ``N_mat`` and every node's ``TH_i`` are
+    formed here; the neighbor matrices ``G_il`` over each node's closed
+    in-neighborhood in ``g`` are left to the first read of the bank's ``G``.
     """
-    n = d.n
     N = len(d.o)
     if len(gains) != N:
         raise ShapeError(f"need {N} gains, got {len(gains)}")
@@ -201,41 +245,17 @@ def assemble_compact_bank(d, gains, weights, g):
     A2 = _blockdiag_part(d)
     A1 = d.Abar - A2
     N_mat = T @ A1 @ Tinv
-    # G_il = T @ M with M's row block j equal to w_ilj * A_jj T^{-1}[j, :];
-    # those rows depend on the sub-state only, so form them once.
-    rows = {
-        j: d.A_sub(j) @ Tinv[d.block_slice(j), :]
-        for j, oj in enumerate(d.o, 1) if oj
-    }
-    slu = d.unobs_slice
-    tail = d.A_unobs @ Tinv[slu, :]
     TH = []
-    G = []
     for i in g.nodes:
         pos = d.step_of_node[i]
-        L = gains[pos - 1]
-        TH.append(T[:, d.block_slice(pos)] @ L)
-        gi = {}
-        for l in g.closed_in_neighborhood(i):
-            M = np.zeros((n, n))
-            for j, Rj in rows.items():
-                if j == pos:
-                    w = float(l == i)
-                else:
-                    w = weights[j].weights[i].get(l, 0.0)
-                if w:
-                    M[d.block_slice(j), :] = w * Rj
-            if l == i and d.u_dim:
-                M[slu, :] = tail
-            gi[l] = T @ M
-        G.append(gi)
+        TH.append(T[:, d.block_slice(pos)] @ gains[pos - 1])
     return CompactObserverBank(
         decomposition=d,
         gains=tuple(gains),
         weights=dict(weights),
         N_mat=N_mat,
         TH=tuple(TH),
-        G=tuple(G),
+        graph=g,
     )
 
 
@@ -403,7 +423,7 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
             f"source component {set(bad.component)} cannot collectively "
             f"detect eigenvalue(s) {eigs}"
         )
-    comps = source_components(g)
+    comps = [c.component for c in verdict.components]
     if transform is not None and len(comps) != 1:
         raise ShapeError(
             "a given transform requires exactly one source component, "
@@ -458,7 +478,6 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
             source = d.source_node(j)
             dag = spanning_dag(h, {source}, max_parents)
             dags[j] = dag
-            tree = dag if max_parents == 1 else spanning_dag(h, {source}, 1)
             src_global = ids[source - 1]
             if src_global in user_weights:
                 rows = {}
@@ -482,11 +501,11 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                         glob2loc[l]: float(w) for l, w in row.items()
                     }
                 sub_weights[j] = ConsensusWeights(
-                    source=source, weights=rows, topo_order=tree.topo_order,
+                    source=source, weights=rows, topo_order=dag.topo_order,
                 )
             else:
                 sub_weights[j] = consensus_weights_for_substate(
-                    h, source, tree,
+                    h, source, dag,
                 )
         bank = assemble_compact_bank(d, gs, sub_weights, h)
         stability = certify_stability(d, gs, sub_weights, tol)

@@ -9,7 +9,8 @@ the oracle for decomposition and synthesis properties.
 import numpy as np
 import pytest
 
-from distobs import Digraph, Plant
+from distobs import Digraph, Plant, cli
+from distobs import numkit as nk
 
 
 def random_orthogonal(rng, n):
@@ -149,6 +150,26 @@ def relay_network(rng, n_core, n_relay, extra):
         for u in rng.choice(np.arange(1, v), 2, replace=False):
             edges.add((int(u), v))
     return Digraph(n_core + n_relay, edges)
+
+
+def relay_instance(seed, n_nodes=120, n_relay=20, extra=25):
+    """``(plant, graph)``: a ``structured_plant`` on the core of a
+    ``relay_network`` of ``n_nodes`` nodes, whose last ``n_relay`` nodes
+    measure nothing."""
+    rng = np.random.default_rng(seed)
+    core, _ = structured_plant(rng, n_nodes=n_nodes - n_relay,
+                               unobs_radius=0.8)
+    g = relay_network(rng, n_nodes - n_relay, n_relay, extra)
+    return Plant(core.A, core.C + (np.zeros((0, core.n)),) * n_relay), g
+
+
+def bundled_c1_design(name):
+    """``(plant, design)``: the Scheme-1 design of a bundled scenario under
+    its own options, as ``distobs design --scheme c1`` makes it."""
+    scn = cli.load_scenario(cli.bundled_scenario_path(name))
+    tol = scn.options["tolerances"] or nk.DEFAULT_TOL
+    return scn.plant, cli._design(scn.plant, scn.graph, scn.options, "c1",
+                                  tol)
 
 
 @pytest.fixture

@@ -98,6 +98,8 @@ def test_switching_scenario_contents():
     (lambda s: s.update(options={"scheme": "c9"}), "scheme"),
     (lambda s: s.update(options={"order": [1, 1]}), "order"),
     (lambda s: s.update(options={"transform": [[1.0]]}), "transform"),
+    (lambda s: s.update(options={"transform_o": [1, 1]}),
+     "options.transform_o requires options.transform"),
     (lambda s: s.update(options={"gains": {"7": [[1.0]]}}), "out of range"),
     (lambda s: s.update(options={"max_parents": 0}), "max_parents"),
     (lambda s: s["simulation"].update(
@@ -335,11 +337,13 @@ def _fig3_c1_bank(tmp_path):
     (lambda b: b.pop("plant"), "missing key"),
     (lambda b: b["gains"].update({"9": [[1.0]]}), "node 9 out of range"),
     (lambda b: b.update(transform_o=[-1]), "bank.transform_o"),
+    (lambda b: b.update(transform_o=[1, 1, 1]),
+     "bank.transform_o requires bank.transform"),
     (lambda b: b.update(tolerances={"rank_tol": float("inf")}),
      "bank.tolerances.rank_tol"),
 ], ids=["max_parents_str", "max_parents_bool", "order_float", "order_bool",
         "structure_tol", "unknown_key", "missing_plant", "gain_node",
-        "transform_o", "rank_tol_inf"])
+        "transform_o", "transform_o_alone", "rank_tol_inf"])
 def test_load_bank_rejects(tmp_path, capsys, mutate, fragment):
     bank = _fig3_c1_bank(tmp_path)
     raw = json.loads(bank.read_text())

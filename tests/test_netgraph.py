@@ -143,3 +143,31 @@ def test_spanning_structures_on_strong_graphs(seed):
             for p in ps:
                 assert (p, v) in g.edges
                 assert order[p] < order[v]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_spanning_dag_first_parents_form_the_forest(seed):
+    # the Scheme-1 design builds its consensus trees from the first parent
+    # of each node in the multi-parent DAG instead of a second search
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    m = int(rng.integers(0, 3 * n + 1))
+    g = Digraph(n, {(int(j), int(i))
+                    for j, i in rng.integers(1, n + 1, size=(m, 2))})
+    n_roots = int(rng.integers(1, min(n, 3) + 1))
+    roots = {int(v) for v in
+             rng.choice(np.arange(1, n + 1), n_roots, replace=False)}
+    k = int(rng.integers(2, 5))
+    try:
+        forest = spanning_dag(g, roots, 1)
+    except NotSpanning as exc:
+        with pytest.raises(NotSpanning) as again:
+            spanning_dag(g, roots, k)
+        assert again.value.unreachable == exc.unreachable
+        return
+    dag = spanning_dag(g, roots, k)
+    assert dag.topo_order == forest.topo_order
+    assert dag.roots == forest.roots
+    assert {v: ps[:1] for v, ps in dag.parent_sets.items()} == \
+        forest.parent_sets

@@ -20,8 +20,10 @@ from distobs import (
 )
 from distobs.errors import InvalidSignal, NumericalError, ShapeError
 from conftest import (
+    bundled_c1_design,
     random_orthogonal,
     random_strong_graph,
+    relay_instance,
     relay_network,
     rotation_block,
     structured_plant,
@@ -497,3 +499,41 @@ def test_shared_links_compile_to_one_block():
         _, xhat = reference_simulate(p, bank, x0, est0=est0, K=40,
                                      signal=signal)
         assert _normalized_dev(tr, xhat) < 1e-9
+
+
+def _unbiased_cases():
+    cases = [bundled_c1_design("sec8.json")]
+    # the third core has 4 nodes and an unobservable tail
+    for seed, n_relay, mp in ((31, 20, 1), (32, 20, 2), (33, 116, 1)):
+        p, g = relay_instance(seed, n_relay=n_relay)
+        cases.append((p, design_condition1(p, g, max_parents=mp)))
+    assert cases[-1][1].components[0].decomposition.u_dim
+    return cases
+
+
+def test_compiled_c1_operator_is_unbiased():
+    # with every estimate equal to the true state, one step reproduces the
+    # plant map: each node's own block plus its link blocks sum to A
+    for p, design in _unbiased_cases():
+        op = simkit._compile_c1(p, design, False)
+        assert op.rows.size == 0
+        src, E, index = op.static
+        dst = index[p.n_nodes * p.n::p.n] // p.n
+        total = op.F.copy()
+        np.add.at(total, dst, E)
+        bound = 1e-12 * np.linalg.norm(p.A)
+        for i in range(p.n_nodes):
+            assert np.abs(total[i] - p.A).max() <= bound, i + 1
+
+
+def test_generated_static_trace_matches_compact_reference():
+    p, g = relay_instance(31)
+    design = design_condition1(p, g)
+    rng = np.random.default_rng(31)
+    x0 = rng.standard_normal(p.n)
+    est0 = rng.standard_normal((p.n_nodes, p.n))
+    tr = simulate(p, design, x0, est0=est0, K=30)
+    x, xhat = reference_simulate(p, design, x0, est0=est0, K=30,
+                                 form="compact")
+    assert np.array_equal(tr.x, x)
+    assert _normalized_dev(tr, xhat) < 1e-9

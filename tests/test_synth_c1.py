@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,17 @@ from distobs import (
     multisensor_decompose,
     simulate,
 )
+from distobs import netgraph
 from distobs import numkit as nk
 from distobs.errors import NotDetectable, NumericalError, ShapeError
 from distobs.synth_c1 import ConsensusWeights, consensus_weights_for_substate
 from distobs.netgraph import spanning_dag
-from conftest import random_strong_graph, structured_plant
+from conftest import (
+    bundled_c1_design,
+    random_strong_graph,
+    relay_instance,
+    structured_plant,
+)
 
 WORKED_PLANT = Plant(
     np.array([[1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [-5.0, 0.0, 2.0]]),
@@ -296,3 +304,86 @@ def test_multiple_source_components():
     assert {tuple(c.nodes) for c in design.components} == {(1, 2), (3,)}
     for comp in design.components:
         assert comp.stability.ok
+
+
+def _eager_G(bank):
+    """Every ``G_il`` assembled up front for each node's closed
+    in-neighborhood, as the bank once stored them: ``T @ M`` with ``M``'s
+    row block ``j`` equal to ``w_ilj A_jj T^{-1}[j, :]``."""
+    d, g = bank.decomposition, bank.graph
+    n, T, Tinv = d.n, d.T, d.T_inv
+    rows = {
+        j: d.A_sub(j) @ Tinv[d.block_slice(j), :]
+        for j, oj in enumerate(d.o, 1) if oj
+    }
+    slu = d.unobs_slice
+    tail = d.A_unobs @ Tinv[slu, :]
+    G = []
+    for i in g.nodes:
+        pos = d.step_of_node[i]
+        gi = {}
+        for l in g.closed_in_neighborhood(i):
+            M = np.zeros((n, n))
+            for j, Rj in rows.items():
+                if j == pos:
+                    w = float(l == i)
+                else:
+                    w = bank.weights[j].weights[i].get(l, 0.0)
+                if w:
+                    M[d.block_slice(j), :] = w * Rj
+            if l == i and d.u_dim:
+                M[slu, :] = tail
+            gi[l] = T @ M
+        G.append(gi)
+    return G
+
+
+def test_lazy_G_matches_eager_assembly():
+    designs = [design_condition1(WORKED_PLANT, WORKED_GRAPH),
+               bundled_c1_design("sec8.json")[1]]
+    designs += [
+        design_condition1(*relay_instance(seed, n_relay=n_relay),
+                          max_parents=mp)
+        for seed, n_relay, mp in ((21, 20, 1), (22, 20, 2), (23, 116, 1))
+    ]
+    for design in designs:
+        for comp in design.components:
+            assert "G" not in vars(comp.bank)
+            ref = _eager_G(comp.bank)
+            assert [list(gi) for gi in comp.bank.G] == [list(gi) for gi in ref]
+            for gi, gr in zip(comp.bank.G, ref):
+                for l in gi:
+                    assert gi[l].shape == gr[l].shape
+                    assert gi[l].tobytes() == gr[l].tobytes()
+            assert comp.bank.G is comp.bank.G
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` made through any ``distobs`` module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "distobs" or name.startswith("distobs."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_parents", [1, 2])
+def test_design_builds_no_dense_neighbor_matrices(monkeypatch, max_parents):
+    p, g = relay_instance(24)
+    comps = _count_calls(monkeypatch, netgraph.source_components)
+    dags = _count_calls(monkeypatch, netgraph.spanning_dag)
+    design = design_condition1(p, g, max_parents=max_parents)
+    assert len(comps) == 1
+    nonempty = sum(oj > 0 for comp in design.components
+                   for oj in comp.decomposition.o)
+    assert len(dags) == nonempty + (design.relay is not None)
+    simulate(p, design, np.ones(p.n), K=5)
+    for comp in design.components:
+        assert "G" not in vars(comp.bank)
