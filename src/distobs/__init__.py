@@ -46,10 +46,8 @@ from .errors import (
 from .netgraph import (
     Digraph,
     SpanningStructure,
-    bfs_tree,
     source_components,
     spanning_dag,
-    spanning_forest,
     strong_components,
     subgraph,
 )
@@ -75,7 +73,6 @@ from .synth_c1 import (
 )
 from .synth_c2 import (
     C2ObserverBank,
-    ClassWeights,
     assemble_c2_bank,
     design_condition2,
     eig_consensus_weights,
@@ -102,8 +99,6 @@ __all__ = [
     "strong_components",
     "source_components",
     "subgraph",
-    "bfs_tree",
-    "spanning_forest",
     "spanning_dag",
     "ConditionVerdict",
     "FeasibilityReport",
@@ -119,7 +114,6 @@ __all__ = [
     "certify_stability",
     "design_condition1",
     "C2ObserverBank",
-    "ClassWeights",
     "local_observer",
     "eig_consensus_weights",
     "assemble_c2_bank",

@@ -781,17 +781,18 @@ def _print_design(design, scheme):
         if design.relay is not None:
             print(
                 f"relay nodes: {list(design.relay.relay_nodes)} "
-                f"(fed from {sorted(design.relay.roots)})"
+                f"(fed from {list(design.relay.roots)})"
             )
     else:
         dims = design.observer_dims()
         print(f"per-node observer dimensions: {list(dims)}")
-        for k, cw in sorted(design.class_weights.items()):
+        for k, route in sorted(design.class_weights.items()):
+            eig = _fmt_eig(design.jsys.classes[k].rep)
             print(
-                f"eigenvalue {_fmt_eig(cw.rep)}: detected by {list(cw.roots)}"
+                f"eigenvalue {eig}: detected by {list(route.roots)}"
                 + (
-                    f", relayed to {sorted(cw.weights)}" if cw.weights else
-                    " (everywhere)"
+                    f", relayed to {sorted(route.weights)}" if route.weights
+                    else " (everywhere)"
                 )
             )
 

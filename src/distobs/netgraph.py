@@ -1,9 +1,10 @@
 """Directed-graph algorithms for sensor networks.
 
-Strongly connected components (iterative Tarjan), source components, and a
-family of layered spanning structures — single-root BFS trees, multi-root
-forests, and redundant multi-parent DAGs — that the observer synthesis uses to
-route estimates from informed nodes to the rest of the network.
+Strongly connected components (iterative Tarjan), source components, and the
+relay route both observer schemes use to carry estimates from informed nodes
+to the rest of the network: a layered spanning DAG rooted at the nodes that
+hold a part of the state, with up to ``max_parents`` parents per node and
+consensus weights that are strictly lower triangular in topological order.
 
 All tie-breaking is deterministic (ascending node id), so repeated runs and
 golden tests see identical structures.  Node ids are 1-based.
@@ -21,8 +22,6 @@ __all__ = [
     "SpanningStructure",
     "strong_components",
     "source_components",
-    "bfs_tree",
-    "spanning_forest",
     "spanning_dag",
     "subgraph",
 ]
@@ -85,23 +84,39 @@ class Digraph:
 
 @dataclass(frozen=True)
 class SpanningStructure:
-    """Layered acyclic routing structure rooted at ``roots``.
+    """Relay route: a layered acyclic structure rooted at ``roots``, with
+    the consensus weights that carry estimates along it.
 
-    ``parent_sets`` maps each non-root node to its ordered parent tuple
-    (singleton for trees); ``topo_order`` lists all covered nodes with every
-    parent strictly before its children, so the parent-relation adjacency is
-    strictly lower triangular after relabeling by this order.
+    ``roots`` lists the nodes that hold the routed part themselves, in
+    ascending order.  ``parent_sets`` maps each other node to its ordered
+    parent tuple (a singleton for ``max_parents=1``), in ``topo_order``;
+    ``topo_order`` lists all covered nodes with every parent strictly before
+    its children.  ``weights[i]`` maps each node that non-root ``i`` listens
+    to onto a nonnegative weight, each row summing to one; roots carry no
+    row.  :func:`spanning_dag` puts weight 1 on each node's first parent,
+    and ``dataclasses.replace(route, weights=...)`` swaps in a caller's own.
+    Construction validates the weights (see :func:`_check_relay_weights`),
+    so the weight block among non-roots is always nilpotent.
     """
 
-    roots: frozenset
+    roots: tuple
     parent_sets: dict
     topo_order: tuple
+    weights: dict
+
+    def __post_init__(self):
+        _check_relay_weights(self.weights, self.roots, self.topo_order)
 
     def parents(self, i):
         return self.parent_sets.get(i, ())
 
+    @property
+    def relay_nodes(self):
+        """The non-root nodes, in topological order."""
+        return tuple(self.parent_sets)
 
-def _check_relay_weights(weights, roots, topo_order, what):
+
+def _check_relay_weights(weights, roots, topo_order):
     """Validate relay weights over a spanning order, raising ``ValueError``.
 
     Every node of ``topo_order`` outside ``roots`` needs a row of finite,
@@ -109,8 +124,9 @@ def _check_relay_weights(weights, roots, topo_order, what):
     nodes of ``topo_order``); roots carry no row.  A nonzero weight on a
     non-root parent must come from before the node in ``topo_order``, so the
     weights among non-roots are strictly lower triangular in that order,
-    hence nilpotent.  ``what`` names the sub-state or class in messages.
+    hence nilpotent.  Messages name the route by its sorted ``roots``.
     """
+    what = f"the route from {sorted(roots)}"
     roots = set(roots)
     rank = {v: k for k, v in enumerate(topo_order)}
     cyclic = False
@@ -220,7 +236,17 @@ def source_components(g):
     return sorted(sources, key=lambda c: c[0])
 
 
-def _layered_structure(g, roots, max_parents):
+def spanning_dag(g, roots, max_parents):
+    """Relay route of ``g`` rooted at ``roots``, with static weights.
+
+    Nodes are layered by their edge distance from the roots and ordered by
+    ``(layer, id)``.  Each non-root node gets up to ``max_parents`` parents
+    among its in-neighbors earlier in that order, previous layer first: the
+    first parent alone gives a BFS forest, and extra parents give a node
+    alternative sources when links fail.  The static weights put 1 on the
+    first parent.  Raises :class:`NotSpanning` (carrying the unreachable
+    set) if the roots do not reach every node.
+    """
     roots = frozenset(int(r) for r in roots)
     for r in roots:
         if not (1 <= r <= g.n_nodes):
@@ -263,35 +289,9 @@ def _layered_structure(g, roots, max_parents):
         cands = [u for u in pred[v] if (layer[u], u) < (layer[v], v)]
         cands.sort(key=lambda u: (layer[u], u))
         parent_sets[v] = tuple(cands[:max_parents])
-    return SpanningStructure(roots, parent_sets, tuple(order))
-
-
-def bfs_tree(g, root):
-    """BFS spanning tree rooted at one node; single parent per non-root.
-
-    ``topo_order`` is the BFS discovery order with ascending-id tie-breaks.
-    Raises :class:`NotSpanning` (carrying the unreachable set) if the root
-    does not reach every node.
-    """
-    return _layered_structure(g, {root}, 1)
-
-
-def spanning_forest(g, roots):
-    """Multi-root BFS forest: every non-root gets exactly one parent.
-
-    Equivalent to :func:`bfs_tree` when ``roots`` is a singleton, and to
-    :func:`spanning_dag` with ``max_parents=1``.
-    """
-    return _layered_structure(g, roots, 1)
-
-
-def spanning_dag(g, roots, max_parents):
-    """Redundant layered DAG: up to ``max_parents`` parents per non-root node.
-
-    Extra parents give a node alternative sources when links fail; with
-    ``max_parents=1`` this is exactly :func:`spanning_forest`.
-    """
-    return _layered_structure(g, roots, max_parents)
+    weights = {v: {ps[0]: 1.0} for v, ps in parent_sets.items()}
+    return SpanningStructure(tuple(sorted(roots)), parent_sets, tuple(order),
+                             weights)
 
 
 def subgraph(g, keep):

@@ -163,30 +163,18 @@ def pbh_rank_ok(A, C, lam, tol=None):
     return matrix_rank(stacked, tol) == n
 
 
-def pbh_detectable(A, C, lam, tol=None):
-    """Detectability of the mode ``lam`` for the pair ``(A, C)``.
-
-    A strictly stable mode (``|lam| < 1``) is detectable by convention; any
-    other mode must pass the full-column-rank test on ``[A - lam*I; C]``.
-    """
-    if abs(complex(lam)) < 1.0:
-        return True
-    return pbh_rank_ok(A, C, lam, tol)
-
-
 @dataclass(frozen=True)
 class EigenClass:
     """One clustered eigenvalue class of a real matrix.
 
     ``rep`` is the cluster representative (imaginary part >= 0); for a fused
     conjugate pair, ``dim`` counts both halves, so ``sum(dim) == n`` over all
-    classes.  ``geometric`` is ``n - rank(A - rep*I)``.
+    classes.
     """
 
     rep: complex
     indices: tuple
     dim: int
-    geometric: int
     complex_pair: bool
 
 
@@ -283,17 +271,13 @@ def eigen_info(A, tol=None):
         fused.append((rep, ci["indices"] + clusters[mate]["indices"], True))
     classes = []
     for rep, indices, is_pair in fused:
-        geo = n - matrix_rank(A - rep * np.eye(n), tol, scale=_spec_scale(A))
-        classes.append(EigenClass(rep, tuple(sorted(indices)), len(indices), geo, is_pair))
+        classes.append(EigenClass(rep, tuple(sorted(indices)), len(indices),
+                                  is_pair))
     classes.sort(key=lambda c: (-abs(c.rep), -c.rep.real, c.rep.imag))
     info = EigenInfo(w, tuple(classes))
     if sum(c.dim for c in classes) != n:
         raise NumericalError("eigenvalue classes do not partition the spectrum")
     return info
-
-
-def _spec_scale(A):
-    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 def spectral_radius(M):

@@ -274,9 +274,9 @@ def _merge_links(src, dst, E):
 def _operator(F, H, C, Cs, U, P, static, groups):
     """Package compiled blocks; ``static`` and ``groups`` use 1-based ids.
 
-    ``static`` is ``(children, parents, blocks)``, one entry per designed
-    edge block of the full graph; ``groups`` lists ``(child, projector,
-    parent tuple)``.
+    ``static`` is ``(children, parents, blocks)``, one block per designed
+    link of the full graph; ``groups`` lists ``(child, projector, parent
+    tuple)``.
     """
     n = C.shape[2]
     P = np.array(P, dtype=float).reshape(len(P), n, n)
@@ -286,11 +286,9 @@ def _operator(F, H, C, Cs, U, P, static, groups):
     pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
     edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
     child, parent, blocks = static
-    src, dst, E = _merge_links(
-        np.array(parent, dtype=np.intp) - 1,
-        np.array(child, dtype=np.intp) - 1,
-        np.asarray(blocks, dtype=float).reshape(-1, n, n),
-    )
+    src = np.array(parent, dtype=np.intp) - 1
+    dst = np.array(child, dtype=np.intp) - 1
+    E = np.asarray(blocks, dtype=float).reshape(-1, n, n)
     row_src = np.concatenate([t[:, 1], gr[:, 0]]) - 1
     return _NetworkOperator(
         F=F, H=H, C=C, Cs=Cs, U=U, P=P,
@@ -307,7 +305,7 @@ def _operator(F, H, C, Cs, U, P, static, groups):
 def _compile_c1(p, design, switched):
     """Sub-state-consensus design as a network operator.
 
-    Compiled from the consensus weights and each nonempty sub-state's rows
+    Compiled from the relay routes and each nonempty sub-state's rows
     ``R_j`` (``A_jj T⁻¹[j, :]`` in rows ``j``, zero elsewhere), whose
     projector is ``P_j = T R_j = T[:, j] A_jj T⁻¹[j, :]``; the bank's
     ``G_il`` are not read.  A component member's own block is ``N_mat +
@@ -318,7 +316,8 @@ def _compile_c1(p, design, switched):
     disjoint, so the sum is exact and each block equals the bank's
     ``G_il`` bit for bit.  A ``switched`` run gets the switched rows
     instead of the link blocks: a parent's ``P_j`` for each sub-state,
-    reweighted at every step.  Relay nodes copy parents through ``A``.
+    reweighted at every step.  Relay nodes copy their parents on the relay
+    route through ``A``.
     """
     C = _stacked_outputs(p)
     n = p.n
@@ -345,18 +344,19 @@ def _compile_c1(p, design, switched):
         pos = np.empty(len(ids), dtype=np.intp)
         pos[np.array(d.order) - 1] = np.arange(len(ids))
         F[ids - 1] = bank.N_mat + T @ (R[pos] + tail)
+        routes = bank.weights
         if switched:
             for i, gi in enumerate(comp.nodes, 1):
                 groups += [
                     (gi, proj[j],
-                     tuple(comp.nodes[l - 1] for l in comp.dags[j].parents(i)))
+                     tuple(comp.nodes[l - 1] for l in routes[j].parents(i)))
                     for j in proj if j != d.step_of_node[i]
                 ]
             continue
         # one row per (child, parent, sub-state, weight), each child's links
         # by ascending parent and sub-states ascending within a link
         t = np.array([(i, l, j - 1, w) for j in proj
-                      for i, row in bank.weights[j].weights.items()
+                      for i, row in routes[j].weights.items()
                       for l, w in row.items() if w],
                      dtype=float).reshape(-1, 4)
         t = t[np.lexsort((t[:, 1], t[:, 0]))]
@@ -364,19 +364,21 @@ def _compile_c1(p, design, switched):
         child, parent, M = _merge_links(child, parent,
                                         t[:, 3, None, None] * R[q])
         static.append((ids[child - 1], ids[parent - 1], T @ M))
-    relay = design.relay
+    relay, A = design.relay, design.plant.A
     if relay is not None:
         nodes = relay.relay_nodes
         if switched:
-            groups += [(i, len(P), relay.dag.parents(i)) for i in nodes]
+            groups += [(i, len(P), relay.parents(i)) for i in nodes]
         else:
-            static.append((
-                np.array(nodes, dtype=np.intp),
-                np.array([relay.static_parent(i) for i in nodes],
-                         dtype=np.intp),
-                np.broadcast_to(relay.A, (len(nodes), n, n)),
-            ))
-        P.append(relay.A)
+            # a relay node is no component member, so each of its links
+            # carries one block
+            t = [(i, l, w) for i in nodes
+                 for l, w in relay.weights[i].items() if w]
+            child, parent, w = zip(*t)
+            static.append((np.array(child, dtype=np.intp),
+                           np.array(parent, dtype=np.intp),
+                           np.array(w)[:, None, None] * A))
+        P.append(A)
     static = tuple(map(np.concatenate, zip(*static))) or ((), (), ())
     return _operator(F, H, C, C, None, P, static, groups)
 
@@ -389,7 +391,9 @@ def _compile_c2(p, bank, est0):
     s_i`` (the detectable columns of ``T · perm``) plus, for each relayed
     class ``c``, its parents' weights times ``P_c = T[:, c] J_c T⁻¹[c, :]``.
     Nodes with identical outputs (``Plant._output_rep``) share one split, so
-    those that also share one gain are filled as one group.
+    those that also share one gain are filled as one group.  A node can relay
+    several classes from one parent, so the blocks of each link are summed
+    into one.
     """
     n = p.n
     jsys = bank.jsys
@@ -426,12 +430,15 @@ def _compile_c2(p, bank, est0):
             if k not in proj:
                 proj[k] = len(P)
                 P.append(T[:, sl] @ jsys.classes[k].block @ Tinv[sl, :])
-            links += [(i, l, proj[k], w)
-                      for l, w in bank.class_weights[k].weights[i].items()]
-            groups.append((i, proj[k], bank.dags[k].parents(i)))
+            route = bank.class_weights[k]
+            links += [(i, l, proj[k], w) for l, w in route.weights[i].items()]
+            groups.append((i, proj[k], route.parents(i)))
     child, parent, cls, w = zip(*links) if links else ((),) * 4
     P = np.array(P, dtype=float).reshape(len(P), n, n)
-    blocks = np.array(w, dtype=float)[:, None, None] * P[list(cls)]
+    child, parent, blocks = _merge_links(
+        np.array(child, dtype=np.intp), np.array(parent, dtype=np.intp),
+        np.array(w, dtype=float)[:, None, None] * P[list(cls)],
+    )
     return _operator(F, H, C, Cs, U, P, (child, parent, blocks), groups), s0
 
 
@@ -569,22 +576,18 @@ def dag_parent_map(design):
     if isinstance(design, Condition1Design):
         for ci, comp in enumerate(design.components):
             ids = comp.nodes
-            for j, dag in comp.dags.items():
+            for j, route in comp.bank.weights.items():
                 out[f"c{ci}/s{j}"] = {
-                    ids[i - 1]: tuple(ids[l - 1] for l in dag.parents(i))
+                    ids[i - 1]: tuple(ids[l - 1] for l in route.parents(i))
                     for i in range(1, len(ids) + 1)
-                    if dag.parents(i)
+                    if route.parents(i)
                 }
         if design.relay is not None:
-            out["relay"] = {
-                i: design.relay.dag.parents(i)
-                for i in design.relay.relay_nodes
-            }
+            out["relay"] = dict(design.relay.parent_sets)
     elif isinstance(design, C2ObserverBank):
-        for k, dag in design.dags.items():
-            out[f"class{k}"] = {
-                i: dag.parents(i) for i in dag.parent_sets
-            }
+        for k, route in design.class_weights.items():
+            if route.parent_sets:
+                out[f"class{k}"] = dict(route.parent_sets)
     else:
         raise ShapeError(
             "design must be a Condition1Design or a C2ObserverBank"

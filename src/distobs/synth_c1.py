@@ -3,11 +3,13 @@
 Within each source component, every node runs a full-order observer whose
 blocks follow the sub-state structure of the multi-sensor decomposition: the
 node corrects its *own* sub-state with a Luenberger gain, copies every
-*foreign* sub-state from its parent in a spanning tree rooted at that
-sub-state's source node, and propagates the collectively unobservable tail
-openly (its dynamics are stable whenever the feasibility condition holds).
-Nodes outside every source component never measure anything useful; they run
-a pure relay, copying a parent's estimate through the plant map.
+*foreign* sub-state from its parent on a relay route
+(:class:`~distobs.netgraph.SpanningStructure`) rooted at that sub-state's
+source node, and propagates the collectively unobservable tail openly (its
+dynamics are stable whenever the feasibility condition holds).  Nodes
+outside every source component never measure anything useful; they run a
+pure relay, copying a parent's estimate through the plant map along one
+more route, rooted at every component member.
 
 The per-node update collapses into a compact rule
 
@@ -15,21 +17,21 @@ The per-node update collapses into a compact rule
                   + sum over in-neighborhood l of  G_il xhat_l[k]
 
 whose matrices this module assembles.  Design builds ``N_mat``, ``TH_i`` and
-the consensus weights; the dense neighbor matrices ``G_il`` are computed on
-first read of :attr:`CompactObserverBank.G`.  ``G_il`` is ``sum_j w_ilj P_j``
-with ``P_j = T[:, j] A_jj T^{-1}[j, :]`` (plus the own sub-state and tail for
-``l = i``), so the simulator compiles its network step from those projectors
-and the weights and never needs them.  The error dynamics decouple by
-sub-state: the source node's error follows the closed loop
-``A_jj - L C_jj``, and the followers' copies form a nilpotent block because
-the consensus weights are strictly lower triangular in topological order.
-Each sub-state is therefore certified by the spectral radius of its own
-``o_j x o_j`` closed loop.
+the routes with their weights; the dense neighbor matrices ``G_il`` are
+computed on first read of :attr:`CompactObserverBank.G`.  ``G_il`` is
+``sum_j w_ilj P_j`` with ``P_j = T[:, j] A_jj T^{-1}[j, :]`` (plus the own
+sub-state and tail for ``l = i``), so the simulator compiles its network
+step from those projectors and the weights and never needs them.  The error
+dynamics decouple by sub-state: the source node's error follows the closed
+loop ``A_jj - L C_jj``, and the followers' copies form a nilpotent block
+because the consensus weights are strictly lower triangular in topological
+order.  Each sub-state is therefore certified by the spectral radius of its
+own ``o_j x o_j`` closed loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,56 +45,19 @@ from .decomp import (
     multisensor_decompose,
 )
 from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
-from .netgraph import (
-    Digraph,
-    _check_relay_weights,
-    SpanningStructure,
-    spanning_dag,
-    subgraph,
-)
+from .netgraph import Digraph, SpanningStructure, spanning_dag, subgraph
 
 __all__ = [
-    "ConsensusWeights",
     "CompactObserverBank",
     "StabilityReport",
     "SubstateCertificate",
-    "RelayPlan",
     "ComponentDesign",
     "Condition1Design",
     "design_gains",
-    "consensus_weights_for_substate",
     "assemble_compact_bank",
-    "nonsource_consensus",
     "certify_stability",
     "design_condition1",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ConsensusWeights:
-    """Per-sub-state consensus weights over a component's nodes.
-
-    ``weights[i]`` maps each node ``l`` that node ``i`` listens to for this
-    sub-state to a nonnegative weight; rows sum to one for every non-source
-    node, and the source carries none.  Every nonzero weight on a non-source
-    parent comes from before the node in ``topo_order``, so the weights among
-    non-source nodes are strictly lower triangular, hence nilpotent — the
-    property the stability certificates lean on.
-    """
-
-    source: int
-    weights: dict
-    topo_order: tuple
-
-    def __post_init__(self):
-        _check_relay_weights(self.weights, (self.source,), self.topo_order,
-                             f"source {self.source}'s sub-state")
-
-    def parent_of(self, i):
-        """The unique maximal-weight provider for node ``i`` (tree weights:
-        the single parent)."""
-        row = self.weights[i]
-        return max(row, key=row.get)
 
 
 def design_gains(d, poles_policy="deadbeat", given=None, tol=None):
@@ -139,31 +104,6 @@ def design_gains(d, poles_policy="deadbeat", given=None, tol=None):
     return tuple(gains)
 
 
-def consensus_weights_for_substate(g, source, tree):
-    """Tree-restricted consensus weights: each node weights its parent with 1.
-
-    ``tree`` must be a spanning structure of ``g`` rooted at exactly
-    ``source``; a multi-parent DAG serves as well, since its first parent per
-    node is the forest parent.  The source node itself takes no consensus
-    weights for its own sub-state — it estimates that block from its own
-    measurements.
-    """
-    if set(tree.roots) != {source}:
-        raise ValueError(
-            f"tree is rooted at {sorted(tree.roots)}, expected {{{source}}}"
-        )
-    weights = {}
-    for i in g.nodes:
-        if i == source:
-            continue
-        parents = tree.parents(i)
-        if not parents:
-            raise ValueError(f"tree assigns no parent to node {i}")
-        weights[i] = {parents[0]: 1.0}
-    return ConsensusWeights(source=source, weights=weights,
-                            topo_order=tree.topo_order)
-
-
 @dataclass(frozen=True, eq=False)
 class CompactObserverBank:
     """Assembled per-node observer matrices for one component.
@@ -171,7 +111,9 @@ class CompactObserverBank:
     ``N_mat`` propagates the block couplings common to all nodes; ``TH[i-1]``
     injects node i's innovation; ``G[i-1][l]`` multiplies neighbor ``l``'s
     estimate, for every ``l`` of node i's closed in-neighborhood in
-    ``graph``.  ``G`` is computed on first read and kept.
+    ``graph``.  ``weights[j]`` is the relay route of nonempty sub-state
+    ``j``, rooted at its source node.  ``G`` is computed on first read and
+    kept.
     """
 
     decomposition: MultiSensorDecomposition
@@ -233,10 +175,10 @@ def _blockdiag_part(d):
 def assemble_compact_bank(d, gains, weights, g):
     """Build the compact per-node update matrices from the design pieces.
 
-    ``weights`` maps each nonempty sub-state index to its
-    :class:`ConsensusWeights`.  ``N_mat`` and every node's ``TH_i`` are
-    formed here; the neighbor matrices ``G_il`` over each node's closed
-    in-neighborhood in ``g`` are left to the first read of the bank's ``G``.
+    ``weights`` maps each nonempty sub-state index to its relay route.
+    ``N_mat`` and every node's ``TH_i`` are formed here; the neighbor
+    matrices ``G_il`` over each node's closed in-neighborhood in ``g`` are
+    left to the first read of the bank's ``G``.
     """
     N = len(d.o)
     if len(gains) != N:
@@ -291,11 +233,11 @@ def certify_stability(d, gains, weights, tol=None):
 
     The verdict is true iff every sub-state's ``rho(A_jj - L C_jj)`` and the
     unobservable tail's spectral radius sit inside the unit circle with
-    margin.  ``weights`` holds each nonempty sub-state's
-    :class:`ConsensusWeights`; their construction rejects any follower block
-    ``W22`` that is not strictly lower triangular, which is what makes the
-    followers' part of the composite error nilpotent and lets the
-    ``o_j x o_j`` closed loop stand for the whole sub-state.
+    margin.  ``weights`` holds each nonempty sub-state's relay route, whose
+    construction rejects any follower block ``W22`` that is not strictly
+    lower triangular, which is what makes the followers' part of the
+    composite error nilpotent and lets the ``o_j x o_j`` closed loop stand
+    for the whole sub-state.
     """
     tol = tol or nk.DEFAULT_TOL
     certs = []
@@ -317,54 +259,17 @@ def certify_stability(d, gains, weights, tol=None):
 
 
 @dataclass(frozen=True, eq=False)
-class RelayPlan:
-    """Pure-consensus plan for nodes outside every source component.
-
-    Each such node copies one parent's estimate through the plant map:
-    ``xhat_i[k+1] = A xhat_parent[k]``.  ``dag`` holds up to ``max_parents``
-    parent candidates per node for redundancy under link failures; the static
-    parent is the first candidate.
-    """
-
-    A: np.ndarray
-    roots: frozenset
-    dag: SpanningStructure
-
-    def static_parent(self, i):
-        return self.dag.parents(i)[0]
-
-    @property
-    def relay_nodes(self):
-        return tuple(v for v in self.dag.topo_order if v not in self.roots)
-
-
-def nonsource_consensus(g, S, A, max_parents=1):
-    """Relay plan for the nodes outside the informed set ``S``.
-
-    Builds a layered spanning structure of ``g`` rooted at ``S`` (a forest
-    for ``max_parents=1``); raises :class:`~distobs.errors.NotSpanning` if
-    some node cannot be reached from ``S``.  Returns ``None``-equivalent
-    empty plan when ``S`` covers the whole graph.
-    """
-    A = nk.as_square(A, "A")
-    dag = spanning_dag(g, S, max_parents)
-    return RelayPlan(A=A, roots=frozenset(int(v) for v in S), dag=dag)
-
-
-@dataclass(frozen=True, eq=False)
 class ComponentDesign:
     """Everything one source component needs at run time.
 
     ``nodes[k-1]`` is the global id of component-local node ``k``; the bank,
-    stability report, and per-sub-state parent structures are all in local
-    ids.
+    its per-sub-state routes and the stability report are all in local ids.
     """
 
     nodes: tuple
     graph: Digraph
     bank: CompactObserverBank
     stability: StabilityReport
-    dags: dict
 
     @property
     def decomposition(self):
@@ -373,13 +278,17 @@ class ComponentDesign:
 
 @dataclass(frozen=True, eq=False)
 class Condition1Design:
-    """Complete sub-state-consensus observer design for a network."""
+    """Complete sub-state-consensus observer design for a network.
+
+    ``relay`` is the route rooted at every component member that feeds the
+    remaining nodes (``None`` when there are none); each relay node copies
+    its parents' estimates through ``plant.A``.
+    """
 
     plant: Plant
     graph: Digraph
     components: tuple
-    relay: RelayPlan
-    max_parents: int
+    relay: SpanningStructure
 
     def component_of(self, i):
         for comp in self.components:
@@ -397,10 +306,10 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     :class:`~distobs.errors.NotDetectable` with diagnostics otherwise), then
     designs per component: the sequential decomposition over the component's
     own sensors, per-sub-state gains (``gains`` maps global node ids to
-    user-supplied matrices; missing ones are synthesized deadbeat), spanning
-    structures with up to ``max_parents`` parent candidates per node, tree
-    consensus weights, the compact bank, and the stability certificates.
-    Nodes outside all source components get a relay plan.
+    user-supplied matrices; missing ones are synthesized deadbeat), one
+    relay route per sub-state with up to ``max_parents`` parent candidates
+    per node and weight 1 on the first, the compact bank, and the stability
+    certificates.  Nodes outside all source components get a relay route.
 
     ``transform`` (with per-node block dimensions ``transform_o``) replaces
     the synthesized decomposition — this requires the graph to have exactly
@@ -409,10 +318,10 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
 
     ``order`` fixes the sensor processing priority by global node id; each
     component processes its members in that relative order.  ``weights``
-    overrides the tree consensus weights sub-state by sub-state: it maps a
+    overrides a route's static weights sub-state by sub-state: it maps a
     sub-state's source node (global id) to ``{node: {parent: weight}}``, and
-    the rows are validated against the same stochasticity and acyclicity
-    requirements the synthesized weights satisfy.
+    the route's construction validates the rows against the same
+    stochasticity and acyclicity requirements the static weights satisfy.
     """
     tol = tol or nk.DEFAULT_TOL
     verdict = check_condition1(p, g, tol)
@@ -469,15 +378,13 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
             gs = design_gains(d, given=given_local, tol=tol)
         except DistobsError as exc:
             raise NumericalError(f"component {set(comp)}: {exc}") from None
-        dags = {}
-        sub_weights = {}
+        routes = {}
         glob2loc = {gid: l for l, gid in enumerate(ids, 1)}
         for j, oj in enumerate(d.o, 1):
             if oj == 0:
                 continue
             source = d.source_node(j)
-            dag = spanning_dag(h, {source}, max_parents)
-            dags[j] = dag
+            route = spanning_dag(h, {source}, max_parents)
             src_global = ids[source - 1]
             if src_global in user_weights:
                 rows = {}
@@ -500,26 +407,20 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                     rows[i] = {
                         glob2loc[l]: float(w) for l, w in row.items()
                     }
-                sub_weights[j] = ConsensusWeights(
-                    source=source, weights=rows, topo_order=dag.topo_order,
-                )
-            else:
-                sub_weights[j] = consensus_weights_for_substate(
-                    h, source, dag,
-                )
-        bank = assemble_compact_bank(d, gs, sub_weights, h)
-        stability = certify_stability(d, gs, sub_weights, tol)
+                route = replace(route, weights=rows)
+            routes[j] = route
+        bank = assemble_compact_bank(d, gs, routes, h)
+        stability = certify_stability(d, gs, routes, tol)
         designs.append(ComponentDesign(
-            nodes=ids, graph=h, bank=bank, stability=stability, dags=dags,
+            nodes=ids, graph=h, bank=bank, stability=stability,
         ))
-    informed = sorted({v for comp in comps for v in comp})
+    informed = {v for comp in comps for v in comp}
     relay = None
     if len(informed) < g.n_nodes:
-        relay = nonsource_consensus(g, informed, p.A, max_parents)
+        relay = spanning_dag(g, informed, max_parents)
     return Condition1Design(
         plant=p,
         graph=g,
         components=tuple(designs),
         relay=relay,
-        max_parents=max_parents,
     )

@@ -1,8 +1,9 @@
 """Per-eigenvalue observer synthesis over the sensor network.
 
 Each node runs a reduced local observer on the eigenvalue classes its own
-outputs can pin down and fills in every remaining class by relaying, along a
-per-class spanning forest, the estimates of nodes that do detect that class.
+outputs can pin down and fills in every remaining class from the nodes that
+do detect it, relaying their estimates along the class's relay route (a
+:class:`~distobs.netgraph.SpanningStructure` rooted at those nodes).
 Estimates are exchanged in plant coordinates only; the eigenstructure stays
 internal to each node.
 """
@@ -20,10 +21,9 @@ from .errors import (
     NotDetectable,
     NotSpanning,
 )
-from .netgraph import _check_relay_weights, spanning_dag
+from .netgraph import spanning_dag
 
 __all__ = [
-    "ClassWeights",
     "C2NodeObserver",
     "C2ObserverBank",
     "local_observer",
@@ -95,41 +95,13 @@ def local_observer(split, poles_policy="deadbeat", given=None, tol=None):
     return L
 
 
-@dataclass(frozen=True, eq=False)
-class ClassWeights:
-    """Consensus weights for one unstable eigenvalue class.
+def eig_consensus_weights(g, roots, rep, max_parents=1):
+    """Relay route for one unstable eigenvalue class.
 
-    ``weights[i]`` maps each node ``l`` that node ``i`` listens to for this
-    class to a nonnegative weight; rows sum to one for every node outside
-    ``roots`` (nodes in ``roots`` estimate the class from their own outputs
-    and listen to nobody).  Because parents come from a spanning forest,
-    relabeling the non-root nodes by ``topo_order`` makes the non-root
-    weight block strictly lower triangular, hence nilpotent: relay errors
-    flush out of the network instead of circulating.
-    """
-
-    class_index: int
-    rep: complex
-    roots: tuple
-    weights: dict
-    topo_order: tuple
-
-    def __post_init__(self):
-        _check_relay_weights(self.weights, self.roots, self.topo_order,
-                             f"eigenvalue class {self.class_index}")
-
-    def parents(self, i):
-        """Nodes that ``i`` listens to for this class (empty for roots)."""
-        return tuple(sorted(self.weights.get(i, {})))
-
-
-def eig_consensus_weights(g, roots, rep, class_index=0):
-    """Static relay weights for one unstable eigenvalue class.
-
-    Builds a spanning forest of ``g`` rooted at the nodes that detect the
-    class and puts weight one on each non-root node's forest parent.  When
-    every node is a root there is nothing to relay and the weight map is
-    empty.
+    A spanning DAG of ``g`` rooted at the nodes that detect the class, with
+    up to ``max_parents`` parents per node for the switching fallback and
+    static weight one on each non-root node's first parent.  When every
+    node is a root there is nothing to relay and the weight map is empty.
 
     Parameters
     ----------
@@ -138,29 +110,17 @@ def eig_consensus_weights(g, roots, rep, class_index=0):
         Nodes whose own outputs pin the class down.
     rep : complex
         Representative eigenvalue, used for diagnostics only.
-    class_index : int
-        Position of the class in the grouped ordering.
+    max_parents : int
 
     Returns
     -------
-    ClassWeights
+    SpanningStructure
 
     Raises
     ------
     Condition2Infeasible
-        If the roots do not reach every node, naming the offending
-        eigenvalue.
-    """
-    return _relay_structure(g, roots, rep, class_index, 1)[0]
-
-
-def _relay_structure(g, roots, rep, class_index, max_parents):
-    """One class's static weights and routing DAG, from one layering.
-
-    The DAG lists each node's parent candidates by ``(layer, id)``, so its
-    first parent is the single forest parent the static weights use.
-    Returns ``(ClassWeights, SpanningStructure)``; raises like
-    :func:`eig_consensus_weights`.
+        If no node detects the class or the roots do not reach every node,
+        naming the offending eigenvalue.
     """
     root_set = frozenset(roots)
     if not root_set:
@@ -169,7 +129,7 @@ def _relay_structure(g, roots, rep, class_index, max_parents):
             eigenvalue=rep,
         )
     try:
-        dag = spanning_dag(g, root_set, max_parents)
+        return spanning_dag(g, root_set, max_parents)
     except NotSpanning as exc:
         missing = ", ".join(str(v) for v in sorted(exc.unreachable))
         raise Condition2Infeasible(
@@ -177,13 +137,6 @@ def _relay_structure(g, roots, rep, class_index, max_parents):
             f"node(s) {missing}",
             eigenvalue=rep,
         ) from exc
-    weights = {
-        i: {dag.parents(i)[0]: 1.0}
-        for i in g.nodes if i not in root_set
-    }
-    cw = ClassWeights(class_index, rep, tuple(sorted(root_set)), weights,
-                      dag.topo_order)
-    return cw, dag
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +163,14 @@ class C2ObserverBank:
     """Executable per-eigenvalue observer bank for the whole network.
 
     ``class_weights`` maps each eigenvalue-class index that some node must
-    relay to its static weights; ``dags`` holds the (possibly multi-parent)
-    routing structures the switching fallback redistributes over.
+    relay to its relay route: the static weights, and the (possibly
+    multi-parent) parent sets the switching fallback redistributes over.
     """
 
     jsys: object
     graph: object
     nodes: tuple
     class_weights: dict
-    dags: dict
-    max_parents: int
     report: object = None
 
     @property
@@ -231,8 +182,7 @@ class C2ObserverBank:
         return tuple(rec.state_dim for rec in self.nodes)
 
 
-def assemble_c2_bank(jsys, gains, class_weights, g, dags=None,
-                     max_parents=1, report=None):
+def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     """Assemble the executable per-eigenvalue bank from its parts.
 
     Parameters
@@ -241,13 +191,10 @@ def assemble_c2_bank(jsys, gains, class_weights, g, dags=None,
     gains : sequence of ndarray
         Entry ``i - 1`` is node ``i``'s local gain.
     class_weights : dict
-        Maps eigenvalue-class index to :class:`ClassWeights`; must cover
-        every class that is undetectable at some node.
+        Maps eigenvalue-class index to its relay route (see
+        :func:`eig_consensus_weights`); must cover every class that is
+        undetectable at some node.
     g : Digraph
-    dags : dict, optional
-        Per-class routing structures for switching operation; defaults to
-        the forests implied by the static weights.
-    max_parents : int
     report : FeasibilityReport, optional
 
     Returns
@@ -286,15 +233,9 @@ def assemble_c2_bank(jsys, gains, class_weights, g, dags=None,
             node=i, split=split, gain=L, relayed=tuple(relayed),
             state_dim=state_dim,
         ))
-    if dags is None:
-        dags = {
-            k: spanning_dag(g, set(cw.roots), max_parents)
-            for k, cw in class_weights.items() if cw.weights
-        }
     return C2ObserverBank(
         jsys=jsys, graph=g, nodes=tuple(records),
-        class_weights=dict(class_weights), dags=dict(dags),
-        max_parents=max_parents, report=report,
+        class_weights=dict(class_weights), report=report,
     )
 
 
@@ -312,8 +253,8 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     g : Digraph
     tol : ToleranceConfig, optional
     max_parents : int
-        Parent budget of the switching routing structures (static weights
-        always use the single forest parent).
+        Parent budget of each class's relay route (static weights always
+        use the first parent).
     gains : dict, optional
         Maps node id to a user-supplied local gain, overriding synthesis
         for that node.
@@ -364,14 +305,9 @@ def _design_condition2(p, g, tol, max_parents, gains, report):
     if gains:
         raise ValueError(f"gains given for unknown nodes {sorted(gains)}")
     needed = sorted({k for s in jsys.per_node for k in s.undetectable})
-    class_weights = {}
-    dags = {}
-    for k in needed:
-        class_weights[k], dags[k] = _relay_structure(
-            g, report.root_sets.get(k, ()), jsys.classes[k].rep, k,
-            max_parents,
-        )
-    return assemble_c2_bank(
-        jsys, gain_list, class_weights, g, dags=dags,
-        max_parents=max_parents, report=report,
-    )
+    class_weights = {
+        k: eig_consensus_weights(g, report.root_sets.get(k, ()),
+                                 jsys.classes[k].rep, max_parents)
+        for k in needed
+    }
+    return assemble_c2_bank(jsys, gain_list, class_weights, g, report=report)

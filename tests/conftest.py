@@ -49,11 +49,13 @@ def structured_plant(rng, max_nodes=5, max_state=8, block_radius=1.1,
     if sum(dims) == 0:
         dims[int(rng.integers(0, N))] = int(rng.integers(1, 3))
     u_dim = int(rng.integers(0, 3))
+    # trim node blocks first, so large networks keep their unobservable
+    # tail; the tail shrinks only once at most one nonzero block is left
     while sum(dims) + u_dim > max_state:
         j = int(rng.integers(0, N))
         if dims[j] > 0:
             dims[j] -= 1
-        elif u_dim > 0:
+        elif u_dim > 0 and sum(d > 0 for d in dims) <= 1:
             u_dim -= 1
     if sum(dims) == 0:
         dims[int(rng.integers(0, N))] = 1

@@ -57,7 +57,7 @@ def _c1_step_weights(comp, ids, mode_edges):
         for j in range(1, N_c + 1):
             if j == pos or d.o[j - 1] == 0:
                 continue
-            parents = comp.dags[j].parents(i_loc)
+            parents = comp.bank.weights[j].parents(i_loc)
             live = [
                 l for l in parents
                 if (ids[l - 1], ids[i_loc - 1]) in mode_edges
@@ -138,16 +138,15 @@ def _c1_step_component(comp, ids, xh, y, weight_vectors, C):
     return out
 
 
-def _relay_step(relay, xh, mode_edges):
+def _relay_step(relay, A, xh, mode_edges):
     """Advance the pure-relay nodes: copy a parent estimate through the
     plant map, averaging over surviving parents, or propagate the node's own
     previous estimate when every parent link is down."""
     out = {}
     if relay is None:
         return out
-    A = relay.A
     for i in relay.relay_nodes:
-        parents = relay.dag.parents(i)
+        parents = relay.parents(i)
         if mode_edges is None:
             src = xh[parents[0] - 1]
         else:
@@ -187,7 +186,7 @@ def _simulate_c1(p, design, x0, est0, K, signal, form):
                 else:
                     wv = _c1_step_weights(comp, ids, mode_edges)
                 new.update(_c1_step_component(comp, ids, xh, y, wv, p.C))
-        new.update(_relay_step(design.relay, xh, mode_edges))
+        new.update(_relay_step(design.relay, p.A, xh, mode_edges))
         xh = [new[i] for i in range(1, N + 1)]
         x = p.A @ x
         xs.append(x.copy())
@@ -231,7 +230,7 @@ def _simulate_c2(p, bank, x0, est0, K, signal):
                 if mode_edges is None:
                     row = bank.class_weights[cls_idx].weights[i]
                 else:
-                    parents = bank.dags[cls_idx].parents(i)
+                    parents = bank.class_weights[cls_idx].parents(i)
                     live = [l for l in parents if (l, i) in mode_edges]
                     row = _uniform(live) if live else {i: 1.0}
                 acc = np.zeros(sl.stop - sl.start)

@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from distobs import (
     Digraph,
-    bfs_tree,
     source_components,
     spanning_dag,
-    spanning_forest,
     strong_components,
     subgraph,
 )
@@ -54,8 +52,8 @@ def test_source_components_literal():
 
 def test_bfs_tree_and_forest():
     g = Digraph(4, {(1, 2), (2, 3), (1, 3), (3, 4)})
-    tree = bfs_tree(g, 1)
-    assert tree.roots == frozenset({1})
+    tree = spanning_dag(g, {1}, 1)
+    assert tree.roots == (1,)
     assert tree.parents(2) == (1,)
     assert tree.parents(3) in ((1,), (2,))
     assert tree.parents(4) == (3,)
@@ -63,16 +61,22 @@ def test_bfs_tree_and_forest():
     order = {v: k for k, v in enumerate(tree.topo_order)}
     for v in (2, 3, 4):
         assert order[tree.parents(v)[0]] < order[v]
+    # the static weights put 1 on each non-root's parent
+    assert tree.weights == {v: {tree.parents(v)[0]: 1.0} for v in (2, 3, 4)}
+    assert tree.relay_nodes == (2, 3, 4)
 
 
 def test_spanning_forest_unreachable():
     g = Digraph(3, {(1, 2)})
     with pytest.raises(NotSpanning):
-        spanning_forest(g, {1})
-    forest = spanning_forest(g, {1, 3})
+        spanning_dag(g, {1}, 1)
+    forest = spanning_dag(g, {3, 1}, 1)
+    assert forest.roots == (1, 3)
     assert forest.parents(2) == (1,)
     assert forest.parents(1) == ()
     assert forest.parents(3) == ()
+    assert forest.weights == {2: {1: 1.0}}
+    assert forest.relay_nodes == (2,)
 
 
 def test_spanning_dag_multi_parent():
@@ -80,6 +84,8 @@ def test_spanning_dag_multi_parent():
     dag = spanning_dag(g, {1}, 2)
     assert dag.parents(4) == (2, 3)
     assert len(dag.parents(3)) <= 2
+    # extra parents are fallbacks; the static weights use the first
+    assert dag.weights[4] == {2: 1.0}
     order = {v: k for k, v in enumerate(dag.topo_order)}
     for v in (2, 3, 4):
         for p in dag.parents(v):
@@ -168,6 +174,7 @@ def test_spanning_dag_first_parents_form_the_forest(seed):
         return
     dag = spanning_dag(g, roots, k)
     assert dag.topo_order == forest.topo_order
-    assert dag.roots == forest.roots
+    assert dag.roots == forest.roots == tuple(sorted(roots))
     assert {v: ps[:1] for v, ps in dag.parent_sets.items()} == \
         forest.parent_sets
+    assert dag.weights == forest.weights

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from distobs import (
 from distobs import netgraph
 from distobs import numkit as nk
 from distobs.errors import NotDetectable, NumericalError, ShapeError
-from distobs.synth_c1 import ConsensusWeights, consensus_weights_for_substate
 from distobs.netgraph import spanning_dag
 from conftest import (
     bundled_c1_design,
@@ -65,11 +65,25 @@ def test_design_gains_given_must_stabilize():
     assert "spectral radius" in str(exc.value)
 
 
+def _substate_routes(d, g):
+    """Each nonempty sub-state's relay route with its static weights."""
+    return {
+        j: spanning_dag(g, {d.source_node(j)}, 1)
+        for j in range(1, len(d.o) + 1) if d.o[j - 1]
+    }
+
+
+def _line_route(weights):
+    """The route of the line 1 -> 2 -> 3 rooted at node 1, given
+    ``weights`` in place of its static ones."""
+    return replace(spanning_dag(Digraph(3, {(1, 2), (2, 3)}), {1}, 1),
+                   weights=weights)
+
+
 def test_consensus_weights_structure():
     g = Digraph(3, {(1, 2), (2, 3), (1, 3)})
-    tree = spanning_dag(g, {1}, 1)
-    w = consensus_weights_for_substate(g, 1, tree)
-    assert w.source == 1
+    w = spanning_dag(g, {1}, 1)
+    assert w.roots == (1,)
     for i, row in w.weights.items():
         assert i != 1
         total = sum(row.values())
@@ -86,10 +100,10 @@ def test_consensus_weights_structure():
 
 def test_consensus_weights_validation():
     with pytest.raises(Exception):
-        ConsensusWeights(source=1, weights={2: {1: 0.5}}, topo_order=(1, 2))
+        _line_route({2: {1: 0.5}, 3: {2: 1.0}})
     with pytest.raises(Exception):
-        ConsensusWeights(source=1, weights={1: {2: 1.0}}, topo_order=(1, 2))
-    ok = ConsensusWeights(source=1, weights={2: {1: 1.0}}, topo_order=(1, 2))
+        _line_route({1: {2: 1.0}, 2: {1: 1.0}, 3: {2: 1.0}})
+    ok = _line_route({2: {1: 1.0}, 3: {2: 1.0}})
     assert ok.weights[2][1] == 1.0
 
 
@@ -99,11 +113,7 @@ def test_compact_bank_consistency_identity():
     p, g = _two_node_design()
     d = multisensor_decompose(p)
     gains = design_gains(d)
-    weights = {
-        j: consensus_weights_for_substate(g, d.source_node(j),
-                                          spanning_dag(g, {d.source_node(j)}, 1))
-        for j in range(1, len(d.o) + 1) if d.o[j - 1]
-    }
+    weights = _substate_routes(d, g)
     bank = assemble_compact_bank(d, gains, weights, g)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(p.n)
@@ -118,11 +128,7 @@ def test_certify_stability_worked_example():
     p, g = _two_node_design()
     d = multisensor_decompose(p)
     gains = design_gains(d)
-    weights = {
-        j: consensus_weights_for_substate(g, d.source_node(j),
-                                          spanning_dag(g, {d.source_node(j)}, 1))
-        for j in range(1, len(d.o) + 1) if d.o[j - 1]
-    }
+    weights = _substate_routes(d, g)
     rep = certify_stability(d, gains, weights)
     assert rep.ok
     for cert in rep.certificates:
@@ -139,14 +145,15 @@ def _composite_rho(d, gains, cw, j):
     oj = d.o[j - 1]
     Ajj = d.A_sub(j)
     Acl = Ajj - gains[j - 1] @ d.C_block(d.source_node(j), j)
-    followers = [v for v in cw.topo_order if v != cw.source]
+    (source,) = cw.roots
+    followers = [v for v in cw.topo_order if v != source]
     col = {v: k for k, v in enumerate(followers)}
     m = len(followers)
     W21 = np.zeros((m, 1))
     W22 = np.zeros((m, m))
     for r, i in enumerate(followers):
         for l, w in cw.weights[i].items():
-            if l == cw.source:
+            if l == source:
                 W21[r, 0] += w
             else:
                 W22[r, col[l]] += w
@@ -202,11 +209,7 @@ def test_certify_stability_rejects_destabilizing_gain():
     gains = list(design_gains(d))
     assert gains[0].shape == (2, 1)
     gains[0] = np.array([[50.0], [50.0]])
-    weights = {
-        j: consensus_weights_for_substate(g, d.source_node(j),
-                                          spanning_dag(g, {d.source_node(j)}, 1))
-        for j in range(1, len(d.o) + 1) if d.o[j - 1]
-    }
+    weights = _substate_routes(d, g)
     rep = _assert_certificate_matches_reference(d, gains, weights)
     assert not rep.ok
     assert rep.certificates[0].substate == 1
@@ -215,8 +218,7 @@ def test_certify_stability_rejects_destabilizing_gain():
 
 def test_consensus_weights_reject_follower_cycle():
     with pytest.raises(ValueError, match="strictly lower triangular"):
-        ConsensusWeights(source=1, weights={2: {3: 1.0}, 3: {2: 1.0}},
-                         topo_order=(1, 2, 3))
+        _line_route({2: {3: 1.0}, 3: {2: 1.0}})
 
 
 def test_design_condition1_rejects_weight_on_non_edge():
@@ -242,7 +244,9 @@ def test_design_condition1_full_network():
     assert comp.stability.ok
     assert design.relay is not None
     assert design.relay.relay_nodes == (3,)
-    assert design.relay.dag.parents(3) == (2,)
+    assert design.relay.roots == (1, 2)
+    assert design.relay.parents(3) == (2,)
+    assert design.relay.weights == {3: {2: 1.0}}
     assert design.component_of(1) == design.component_of(2)
     assert design.component_of(3) is None
 

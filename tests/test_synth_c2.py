@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +18,13 @@ from distobs import (
     local_observer,
     node_local_split,
     source_components,
+    spanning_dag,
 )
 from distobs import decomp, synth_c2
 from distobs import numkit as nk
 from distobs.conditions import ComponentCheck, ConditionVerdict, FeasibilityReport
 from distobs.errors import Condition2Infeasible, NotDetectable, ShapeError
-from distobs.synth_c1 import ConsensusWeights
-from distobs.synth_c2 import ClassWeights
+from distobs.netgraph import SpanningStructure
 from conftest import random_strong_graph, structured_plant
 
 SCALAR_PLANT = Plant(
@@ -59,6 +61,7 @@ def test_local_observer_rejects_bad_given():
 
 def test_eig_consensus_weights_relay_tree():
     cw = eig_consensus_weights(SCALAR_GRAPH, (1,), 1.5)
+    assert isinstance(cw, SpanningStructure)
     assert cw.roots == (1,)
     assert cw.weights[2] == {1: 1.0}
     assert cw.weights[3] == {1: 1.0}
@@ -147,23 +150,28 @@ def test_design_condition2_mixed_stable_classes():
             pass  # gain validated Schur-stable during synthesis
 
 
-def _consensus_weights(weights, roots, topo_order):
-    (source,) = roots
-    return ConsensusWeights(source=source, weights=weights,
-                            topo_order=topo_order)
+LINE_GRAPH = Digraph(3, {(1, 2), (2, 3)})
 
 
-def _class_weights(weights, roots, topo_order):
-    return ClassWeights(0, 2.0, roots, weights, topo_order)
+def _constructed(weights, roots, topo_order):
+    parent_sets = {v: (v - 1,) for v in topo_order if v not in roots}
+    return SpanningStructure(roots, parent_sets, topo_order, weights)
 
 
-BOTH_WEIGHT_KINDS = pytest.mark.parametrize(
-    "make", [_consensus_weights, _class_weights],
-    ids=["ConsensusWeights", "ClassWeights"],
+def _replaced(weights, roots, topo_order):
+    # the path a caller's own weights take
+    route = spanning_dag(LINE_GRAPH, roots, 1)
+    assert route.topo_order == topo_order
+    return replace(route, weights=weights)
+
+
+# the one route type validates its weights however it is built
+ROUTE_BUILDS = pytest.mark.parametrize(
+    "make", [_constructed, _replaced], ids=["constructed", "replaced"],
 )
 
 
-@BOTH_WEIGHT_KINDS
+@ROUTE_BUILDS
 @pytest.mark.parametrize("weights", [
     {2: {1: 1.0}, 3: {2: 1.0}},
     {2: {1: 1.0}, 3: {1: 0.25, 2: 0.75}},
@@ -175,7 +183,7 @@ def test_relay_weights_accept_valid_rows(make, weights):
     assert cw.weights == weights
 
 
-@BOTH_WEIGHT_KINDS
+@ROUTE_BUILDS
 @pytest.mark.parametrize("weights, match", [
     ({2: {1: 1.0}, 3: {1: 1.5, 2: -0.5}}, "negative weight -0.5 on edge 2->3"),
     ({2: {1: 1.0}, 3: {1: 0.5, 2: 0.25}}, "weights of node 3 sum to 0.75"),
@@ -277,8 +285,9 @@ def test_shared_outputs_match_per_node_reference(seed):
         _assert_same_split(rec.split, sp)
         assert _same_bits(rec.gain, L)
     # static weights take the first parent of the multi-parent DAG
-    for k, cw in design_condition2(p, g, max_parents=2).class_weights.items():
-        ref_cw = eig_consensus_weights(g, cw.roots, cw.rep, k)
+    bank = design_condition2(p, g, max_parents=2)
+    for k, cw in bank.class_weights.items():
+        ref_cw = eig_consensus_weights(g, cw.roots, bank.jsys.classes[k].rep)
         assert (cw.weights, cw.topo_order) == (ref_cw.weights,
                                                ref_cw.topo_order)
 
@@ -327,15 +336,13 @@ def test_node_local_work_is_done_once_per_distinct_output(monkeypatch):
     count(synth_c2, "spanning_dag")
     bank = design_condition2(p, g, max_parents=2)
     assert calls["local_observer"] == D
-    # one layering per relayed class serves both its weights and its DAG:
-    # the static weights take each node's first DAG parent
+    # one layering per relayed class: its route keeps every DAG parent for
+    # the switching fallback, and the static weights take the first
     assert calls["spanning_dag"] == len(bank.class_weights) == 2
-    for k, cw in bank.class_weights.items():
-        dag = bank.dags[k]
-        assert cw.topo_order == dag.topo_order
-        assert cw.weights == {i: {ps[0]: 1.0}
-                              for i, ps in dag.parent_sets.items()}
-        assert max(len(ps) for ps in dag.parent_sets.values()) == 2
+    for route in bank.class_weights.values():
+        assert route.weights == {i: {ps[0]: 1.0}
+                                 for i, ps in route.parent_sets.items()}
+        assert max(len(ps) for ps in route.parent_sets.values()) == 2
 
 
 SHARED_PLANT = Plant(
