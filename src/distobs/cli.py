@@ -3,8 +3,12 @@
 Scenarios and serialized observer banks are JSON (nested row-major arrays,
 exact float round-trip via shortest-repr encoding); traces are CSV.  Every
 file carries a ``format_version`` field.  Exit codes: 0 success, 2 the
-requested design is infeasible on this network, 3 schema or input error,
-4 numerical failure.
+requested design is infeasible on this network (``NotDetectable``,
+``Condition2Infeasible``, ``NotSpanning``), 3 schema or input error
+(``ScenarioError``, ``ShapeError``, ``InvalidMatrix``, ``InvalidSignal``, a
+missing file, ``ValueError``), 4 numerical failure (``NumericalError``,
+``IllConditionedJordan``, ``NotObservable``, ``InvalidTransform``) and any
+other ``DistobsError``.
 """
 
 import argparse
@@ -22,12 +26,9 @@ from .decomp import Plant
 from .errors import (
     Condition2Infeasible,
     DistobsError,
-    IllConditionedJordan,
     InvalidMatrix,
     InvalidSignal,
-    InvalidTransform,
     NotDetectable,
-    NotObservable,
     NotSpanning,
     NumericalError,
     ScenarioError,
@@ -42,7 +43,7 @@ from .simkit import (
     simulate,
     validate_assumption2,
 )
-from .synth_c1 import Condition1Design, design_condition1
+from .synth_c1 import design_condition1
 from .synth_c2 import _design_condition2
 
 __all__ = [
@@ -979,8 +980,9 @@ def main(argv=None):
             FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, IllConditionedJordan, NotObservable,
-            InvalidTransform) as exc:
+    except DistobsError as exc:
+        # NumericalError, IllConditionedJordan, NotObservable,
+        # InvalidTransform, and any error class without a code of its own
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

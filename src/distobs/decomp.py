@@ -11,7 +11,9 @@ observer can use:
 * :func:`jordan_grouped` + :func:`node_local_split` — a real Jordan basis
   grouped by distinct eigenvalues, then a per-node reordering into the classes
   that node can estimate from its own outputs versus the classes it must
-  receive from the network.
+  receive from the network.  Which classes a node detects is the feasibility
+  table's decision (:func:`~distobs.conditions.detectable_set`); the split
+  does not test it again.
 
 :func:`apply_given_transformation` applies an externally supplied basis change
 verbatim, and :func:`decomposition_from_transform` additionally validates and
@@ -27,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numkit as nk
+from .conditions import detectable_set
 from .errors import (
     IllConditionedJordan,
     InvalidTransform,
@@ -512,13 +515,18 @@ def jordan_grouped(A, tol=None):
     """
     tol = tol or nk.DEFAULT_TOL
     A = nk.as_square(A, "A")
+    return _jordan_basis(A, nk.eigen_info(A, tol).classes, tol)
+
+
+def _jordan_basis(A, eig_classes, tol):
+    """:func:`jordan_grouped` on the :func:`numkit.eigen_info` classes
+    ``eig_classes`` of ``A``, in their order."""
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0)), ()
-    info = nk.eigen_info(A, tol)
     cols = []
     classes = []
-    for cls in info.classes:
+    for cls in eig_classes:
         V, block = _real_class_basis(A, cls, tol)
         cols.append(V)
         classes.append(JordanClass(cls.rep, cls.dim, block, cls.complex_pair))
@@ -573,16 +581,18 @@ class NodeSplit:
         return twin
 
 
-def node_local_split(T, classes, node, C_i, tol=None):
+def node_local_split(T, classes, node, C_i, detectable, tol=None):
     """Split the grouped Jordan coordinates by node ``node``'s own visibility.
 
-    For each eigenvalue class, the node either passes the rank test at that
-    eigenvalue (or the class is stable) — making the class locally detectable
-    — or it must rely on the network for it.  The undetectable classes are
-    further split orthogonally into their locally observable residual (which
-    augments the node's observer so its output model is unbiased) and the
-    remainder.  Returns the :class:`NodeSplit` consumed by the root-coverage
-    observer synthesis.
+    ``detectable`` indexes the eigenvalue classes the node estimates from
+    its own outputs, its :func:`~distobs.conditions.detectable_set` (as the
+    feasibility report's ``per_node_detectable`` holds it); it relies on the
+    network for the others.  Those are further split orthogonally into their
+    locally observable residual (which augments the node's observer so its
+    output model is unbiased) and the remainder.  Returns the
+    :class:`NodeSplit` consumed by the root-coverage observer synthesis; a
+    local pair that cannot detect a detectable unstable class raises
+    :class:`NumericalError`.
     """
     tol = tol or nk.DEFAULT_TOL
     n = T.shape[0]
@@ -590,15 +600,8 @@ def node_local_split(T, classes, node, C_i, tol=None):
     Cz = C_i @ T
     J = _block_diag(*(c.block for c in classes)) if classes else np.zeros((0, 0))
     sl = _slices([c.dim for c in classes])
-    detectable = []
-    undetectable = []
-    for k, cls in enumerate(classes):
-        if cls.magnitude < 1.0 - tol.eig_cluster_tol:
-            detectable.append(k)
-        elif nk.pbh_rank_ok(J, Cz, cls.rep, tol):
-            detectable.append(k)
-        else:
-            undetectable.append(k)
+    detectable = sorted(detectable)
+    undetectable = [k for k in range(len(classes)) if k not in detectable]
     ordered = detectable + undetectable
     P = np.zeros((n, n))
     at = 0
@@ -680,18 +683,23 @@ class JordanSystem:
         return self.slots[k]
 
 
-def jordan_system(p, tol=None):
+def jordan_system(p, tol=None, report=None):
     """Compute grouped Jordan coordinates of ``p`` and split them per node.
 
-    :func:`node_local_split` runs once per distinct output matrix, for the
-    lowest node id that has it; nodes with identical outputs receive a copy
-    of that split renumbered to their own id (:meth:`NodeSplit.renumbered`),
-    sharing its arrays.
+    ``report``, a ``feasibility_report(p, g, tol)``, supplies the eigenvalue
+    classes and each node's detectable set, so no rank decision is made
+    twice; without it, one eigen-pass and one
+    :func:`~distobs.conditions.detectable_set` per distinct output matrix
+    do.  :func:`node_local_split` runs once per distinct output matrix, for
+    the lowest node id that has it; nodes with identical outputs receive a
+    copy of that split renumbered to their own id
+    (:meth:`NodeSplit.renumbered`), sharing its arrays.
 
     Parameters
     ----------
     p : Plant
     tol : ToleranceConfig, optional
+    report : FeasibilityReport, optional
 
     Returns
     -------
@@ -703,14 +711,17 @@ def jordan_system(p, tol=None):
         If the eigenbasis cannot be trusted (see ``jordan_grouped``).
     """
     tol = tol or nk.DEFAULT_TOL
-    T, classes = jordan_grouped(p.A, tol)
+    info = nk.eigen_info(p.A, tol) if report is None else None
+    T, classes = _jordan_basis(p.A, (report or info).classes, tol)
     T_inv = np.linalg.solve(T, np.eye(p.n))
     per_node = []
     for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
-        per_node.append(
-            node_local_split(T, classes, i, C_i, tol) if r == i
-            else per_node[r - 1].renumbered(i)
-        )
+        if r != i:
+            per_node.append(per_node[r - 1].renumbered(i))
+            continue
+        detectable = (detectable_set(p.A, C_i, tol, info) if report is None
+                      else report.per_node_detectable[i - 1])
+        per_node.append(node_local_split(T, classes, i, C_i, detectable, tol))
     cond_T = float(np.linalg.cond(T)) if p.n else 1.0
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, classes=classes,

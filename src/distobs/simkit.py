@@ -7,6 +7,11 @@ Traces carry absolute and normalized error histories; the normalized metric
 ``error / (1 + ‖x‖)`` is the one convergence is judged on, because with an
 unstable plant the state outgrows any absolute-error resolution within a few
 dozen steps.
+
+A design is compiled in two parts.  The scheme gives each node's local
+observer; every link comes from the design's relay routes, each carrying
+one part of the state through its projector (:func:`_routes`), so both
+schemes share the link, switched-row and parent-map code.
 """
 
 import hashlib
@@ -271,24 +276,75 @@ def _merge_links(src, dst, E):
     return src[lead], dst[lead], out
 
 
-def _operator(F, H, C, Cs, U, P, static, groups):
-    """Package compiled blocks; ``static`` and ``groups`` use 1-based ids.
+def _scheme(design):
+    """``"c1"`` for a sub-state-consensus design, ``"c2"`` for a
+    per-eigenvalue bank; anything else raises :class:`ShapeError`."""
+    if isinstance(design, (Condition1Design, C2ObserverBank)):
+        return "c1" if isinstance(design, Condition1Design) else "c2"
+    raise ShapeError("design must be a Condition1Design or a C2ObserverBank, "
+                     f"got {type(design).__name__}")
 
-    ``static`` is ``(children, parents, blocks)``, one block per designed
-    link of the full graph; ``groups`` lists ``(child, projector, parent
-    tuple)``.
+
+def _routes(design):
+    """Every relay route of a design as ``(label, ids, route, projector)``.
+
+    ``ids[v - 1]`` is the global id of the route's node ``v``, and a parent
+    ``l`` of node ``i`` on the route passes ``projector @ x̂_l`` to ``i``:
+    the dynamics of the part of the state the route carries, mapped back to
+    plant coordinates.  For the sub-state-consensus design these are each
+    component's sub-state routes (labels ``"c<component>/s<sub-state>"``,
+    in component-local ids) with ``P_j = T[:, j] A_jj T⁻¹[j, :]``, then the
+    relay route (``"relay"``) with ``A``; for the per-eigenvalue bank, each
+    relayed class's route (``"class<index>"``) with ``P_c = T[:, c] J_c
+    T⁻¹[c, :]``.
+    """
+    if _scheme(design) == "c2":
+        jsys, ids = design.jsys, design.graph.nodes
+        for k, route in design.class_weights.items():
+            sl = jsys.class_slice(k)
+            yield (f"class{k}", ids, route,
+                   jsys.T[:, sl] @ jsys.classes[k].block @ jsys.T_inv[sl, :])
+        return
+    for c, comp in enumerate(design.components):
+        d = comp.decomposition
+        for j, route in comp.bank.weights.items():
+            sl = d.block_slice(j)
+            yield (f"c{c}/s{j}", comp.nodes, route,
+                   d.T[:, sl] @ (d.A_sub(j) @ d.T_inv[sl, :]))
+    if design.relay is not None:
+        yield "relay", design.graph.nodes, design.relay, design.plant.A
+
+
+def _operator(design, F, H, C, Cs, U, switched):
+    """Package a design's local-observer blocks with its routed links.
+
+    A static run gets one block ``Σ w·P_q`` per link, summed over the
+    routes that link carries; a ``switched`` run gets one row per routed
+    ``(child, parent, projector)`` triple and one fallback row per
+    ``(child, projector)`` group instead.
     """
     n = C.shape[2]
+    P, links, groups = [], [], []
+    for _, ids, route, proj in _routes(design):
+        q = len(P)
+        P.append(proj)
+        if switched:
+            groups += [(ids[i - 1], q, tuple([ids[l - 1] for l in ps]))
+                       for i, ps in route.parent_sets.items()]
+        else:
+            links += [(ids[i - 1], ids[l - 1], q, w)
+                      for i, row in route.weights.items()
+                      for l, w in row.items() if w]
     P = np.array(P, dtype=float).reshape(len(P), n, n)
+    lw = np.array(links, dtype=float).reshape(-1, 4)
+    child, parent, q = lw[:, :3].astype(np.intp).T
+    src, dst, E = _merge_links(parent - 1, child - 1,
+                               lw[:, 3, None, None] * P[q])
     t = np.array([(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
                   for l in parents], dtype=np.intp).reshape(-1, 4)
     gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
     pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
     edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
-    child, parent, blocks = static
-    src = np.array(parent, dtype=np.intp) - 1
-    dst = np.array(child, dtype=np.intp) - 1
-    E = np.asarray(blocks, dtype=float).reshape(-1, n, n)
     row_src = np.concatenate([t[:, 1], gr[:, 0]]) - 1
     return _NetworkOperator(
         F=F, H=H, C=C, Cs=Cs, U=U, P=P,
@@ -302,98 +358,42 @@ def _operator(F, H, C, Cs, U, P, static, groups):
     )
 
 
-def _compile_c1(p, design, switched):
-    """Sub-state-consensus design as a network operator.
+def _compile_c1(p, design, est0):
+    """Local-observer blocks of the sub-state-consensus design.
 
-    Compiled from the relay routes and each nonempty sub-state's rows
-    ``R_j`` (``A_jj T⁻¹[j, :]`` in rows ``j``, zero elsewhere), whose
-    projector is ``P_j = T R_j = T[:, j] A_jj T⁻¹[j, :]``; the bank's
-    ``G_il`` are not read.  A component member's own block is ``N_mat +
-    P_pos(i) + P_tail`` (its own sub-state and the unobservable tail), its
-    gain ``TH_i``.  On the full graph the block of the link from ``l`` to
-    ``i`` is ``Σ_j w_ilj P_j`` over the sub-states that link carries.  Both
-    are formed as ``T`` times a sum of rows: the rows of different slots are
-    disjoint, so the sum is exact and each block equals the bank's
-    ``G_il`` bit for bit.  A ``switched`` run gets the switched rows
-    instead of the link blocks: a parent's ``P_j`` for each sub-state,
-    reweighted at every step.  Relay nodes copy their parents on the relay
-    route through ``A``.
+    A node's state is its estimate.  A component member's own block is
+    ``N_mat`` plus ``T`` times the rows ``A_jj T⁻¹[j, :]`` of its own
+    sub-state ``j`` and the rows ``A_uu T⁻¹[u, :]`` of the unobservable
+    tail, and its gain is ``TH_i`` (zero unless ``i`` sources a nonempty
+    sub-state); a relay node's blocks are zero.  The bank's ``G_il`` are
+    not read.
     """
     C = _stacked_outputs(p)
     n = p.n
     F = np.zeros((p.n_nodes, n, n))
     H = np.zeros((p.n_nodes, n, C.shape[1]))
-    P, static, groups = [], [], []
     for comp in design.components:
         d, bank = comp.decomposition, comp.bank
         ids = np.array(comp.nodes, dtype=np.intp)
-        T, Tinv = d.T, d.T_inv
-        R = np.zeros((len(d.o), n, n))
-        tail = np.zeros((n, n))
-        tail[d.unobs_slice] = d.A_unobs @ Tinv[d.unobs_slice]
-        proj = {}
-        for j, oj in enumerate(d.o, 1):
-            if oj:
-                sl = d.block_slice(j)
-                proj[j] = len(P)
-                P.append(T[:, sl] @ d.A_sub(j) @ Tinv[sl, :])
-                R[j - 1, sl] = d.A_sub(j) @ Tinv[sl, :]
-                src = d.source_node(j)
-                TH = bank.TH[src - 1]
-                H[ids[src - 1] - 1, :, :TH.shape[1]] = TH
-        pos = np.empty(len(ids), dtype=np.intp)
-        pos[np.array(d.order) - 1] = np.arange(len(ids))
-        F[ids - 1] = bank.N_mat + T @ (R[pos] + tail)
-        routes = bank.weights
-        if switched:
-            for i, gi in enumerate(comp.nodes, 1):
-                groups += [
-                    (gi, proj[j],
-                     tuple(comp.nodes[l - 1] for l in routes[j].parents(i)))
-                    for j in proj if j != d.step_of_node[i]
-                ]
-            continue
-        # one row per (child, parent, sub-state, weight), each child's links
-        # by ascending parent and sub-states ascending within a link
-        t = np.array([(i, l, j - 1, w) for j in proj
-                      for i, row in routes[j].weights.items()
-                      for l, w in row.items() if w],
-                     dtype=float).reshape(-1, 4)
-        t = t[np.lexsort((t[:, 1], t[:, 0]))]
-        child, parent, q = t[:, :3].astype(np.intp).T
-        child, parent, M = _merge_links(child, parent,
-                                        t[:, 3, None, None] * R[q])
-        static.append((ids[child - 1], ids[parent - 1], T @ M))
-    relay, A = design.relay, design.plant.A
-    if relay is not None:
-        nodes = relay.relay_nodes
-        if switched:
-            groups += [(i, len(P), relay.parents(i)) for i in nodes]
-        else:
-            # a relay node is no component member, so each of its links
-            # carries one block
-            t = [(i, l, w) for i in nodes
-                 for l, w in relay.weights[i].items() if w]
-            child, parent, w = zip(*t)
-            static.append((np.array(child, dtype=np.intp),
-                           np.array(parent, dtype=np.intp),
-                           np.array(w)[:, None, None] * A))
-        P.append(A)
-    static = tuple(map(np.concatenate, zip(*static))) or ((), (), ())
-    return _operator(F, H, C, C, None, P, static, groups)
+        own = np.zeros((len(d.o), n, n))
+        own[:, d.unobs_slice] = d.A_unobs @ d.T_inv[d.unobs_slice, :]
+        for j in bank.weights:  # the nonempty sub-states
+            sl, i = d.block_slice(j), d.source_node(j)
+            own[j - 1, sl] = d.A_sub(j) @ d.T_inv[sl, :]
+            H[ids[i - 1] - 1, :, :bank.TH[i - 1].shape[1]] = bank.TH[i - 1]
+        F[ids - 1] = bank.N_mat + d.T @ own[np.argsort(d.order)]
+    return F, H, C, C, None, np.array(est0)
 
 
 def _compile_c2(p, bank, est0):
-    """Per-eigenvalue bank as a network operator plus its initial state.
+    """Local-observer blocks of the per-eigenvalue bank.
 
     Node ``i``'s state is its local observer's ``s_i`` with dynamics
-    ``J_i``, gain ``L_i`` and output model ``F_i``; its estimate is ``U_i
-    s_i`` (the detectable columns of ``T · perm``) plus, for each relayed
-    class ``c``, its parents' weights times ``P_c = T[:, c] J_c T⁻¹[c, :]``.
-    Nodes with identical outputs (``Plant._output_rep``) share one split, so
-    those that also share one gain are filled as one group.  A node can relay
-    several classes from one parent, so the blocks of each link are summed
-    into one.
+    ``J_i``, gain ``L_i`` and output model ``F_i``; its local estimate is
+    ``U_i s_i`` (the detectable columns of ``T · perm``), and the classes it
+    relays come from its parents on their routes.  Nodes with identical
+    outputs (``Plant._output_rep``) share one split, so those that also
+    share one gain are filled as one group.
     """
     n = p.n
     jsys = bank.jsys
@@ -423,23 +423,16 @@ def _compile_c2(p, bank, est0):
         zbar = Z[idx] @ sp.perm
         s0[idx, :det] = zbar[:, :det]
         s0[idx, det:ds] = (zbar[:, det:] @ sp.inner_split)[:, :sp.aug_dim]
-    P, proj, links, groups = [], {}, [], []
-    for rec in bank.nodes:
-        i = rec.node
-        for k, sl in rec.relayed:
-            if k not in proj:
-                proj[k] = len(P)
-                P.append(T[:, sl] @ jsys.classes[k].block @ Tinv[sl, :])
-            route = bank.class_weights[k]
-            links += [(i, l, proj[k], w) for l, w in route.weights[i].items()]
-            groups.append((i, proj[k], route.parents(i)))
-    child, parent, cls, w = zip(*links) if links else ((),) * 4
-    P = np.array(P, dtype=float).reshape(len(P), n, n)
-    child, parent, blocks = _merge_links(
-        np.array(child, dtype=np.intp), np.array(parent, dtype=np.intp),
-        np.array(w, dtype=float)[:, None, None] * P[list(cls)],
-    )
-    return _operator(F, H, C, Cs, U, P, (child, parent, blocks), groups), s0
+    return F, H, C, Cs, U, s0
+
+
+def _compile(p, design, est0, switched):
+    """``(operator, s0)``: a design compiled into one network step and the
+    initial observer states; the local blocks come from the scheme's
+    ``_compile_*``, the links from :func:`_routes`."""
+    compile_local = _compile_c1 if _scheme(design) == "c1" else _compile_c2
+    *local, s0 = compile_local(p, design, est0)
+    return _operator(design, *local, switched), s0
 
 
 def _run(op, A, x0, s0, xh0, K, signal):
@@ -506,7 +499,7 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
         integer or is out of range, or mode edges outside the baseline
         graph.
     ShapeError
-        On inconsistent dimensions.
+        On inconsistent dimensions or a bank of neither scheme.
     NumericalError
         When the state, an estimate or an error norm stops being finite;
         the message names the first such step.
@@ -524,17 +517,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     est0 = [np.asarray(e, dtype=float).reshape(-1) for e in est0]
     if len(est0) != N or any(e.shape != (p.n,) for e in est0):
         raise ShapeError(f"est0 must hold {N} vectors of {p.n} entries")
-    if isinstance(bank, Condition1Design):
-        scheme = "c1"
-        op, s0 = _compile_c1(p, bank, signal is not None), np.array(est0)
-    elif isinstance(bank, C2ObserverBank):
-        scheme = "c2"
-        op, s0 = _compile_c2(p, bank, est0)
-    else:
-        raise ShapeError(
-            "bank must be a Condition1Design or a C2ObserverBank, got "
-            f"{type(bank).__name__}"
-        )
+    scheme = _scheme(bank)
+    op, s0 = _compile(p, bank, est0, signal is not None)
     _check_signal(signal, bank.graph, K)
     with np.errstate(over="ignore", invalid="ignore"):
         x_arr, xh_arr = _run(op, p.A, x0, s0, np.array(est0), K, signal)
@@ -568,31 +552,16 @@ def dag_parent_map(design):
 
     For the sub-state-consensus design the labels are
     ``"c<component>/s<sub-state>"`` plus ``"relay"``; for the per-eigenvalue
-    bank they are ``"class<index>"``.  Node ids are global.  This is the
+    bank they are ``"class<index>"`` (see :func:`_routes`).  Node ids are
+    global, and a route with no parent sets is left out.  This is the
     ``{parent sets}`` input of the link-failure signal generator and
     validator.
     """
-    out = {}
-    if isinstance(design, Condition1Design):
-        for ci, comp in enumerate(design.components):
-            ids = comp.nodes
-            for j, route in comp.bank.weights.items():
-                out[f"c{ci}/s{j}"] = {
-                    ids[i - 1]: tuple(ids[l - 1] for l in route.parents(i))
-                    for i in range(1, len(ids) + 1)
-                    if route.parents(i)
-                }
-        if design.relay is not None:
-            out["relay"] = dict(design.relay.parent_sets)
-    elif isinstance(design, C2ObserverBank):
-        for k, route in design.class_weights.items():
-            if route.parent_sets:
-                out[f"class{k}"] = dict(route.parent_sets)
-    else:
-        raise ShapeError(
-            "design must be a Condition1Design or a C2ObserverBank"
-        )
-    return out
+    return {
+        label: {ids[i - 1]: tuple([ids[l - 1] for l in ps])
+                for i, ps in route.parent_sets.items()}
+        for label, ids, route, _ in _routes(design) if route.parent_sets
+    }
 
 
 class _ParentSets:

@@ -20,8 +20,10 @@ whose matrices this module assembles.  Design builds ``N_mat``, ``TH_i`` and
 the routes with their weights; the dense neighbor matrices ``G_il`` are
 computed on first read of :attr:`CompactObserverBank.G`.  ``G_il`` is
 ``sum_j w_ilj P_j`` with ``P_j = T[:, j] A_jj T^{-1}[j, :]`` (plus the own
-sub-state and tail for ``l = i``), so the simulator compiles its network
-step from those projectors and the weights and never needs them.  The error
+sub-state and tail for ``l = i``).  The simulator never needs them: it
+compiles each link's block as the same weighted sum of projectors, read
+from the sub-state routes as for every other relay route, and each node's
+own block from ``N_mat``, its own sub-state and the tail.  The error
 dynamics decouple by sub-state: the source node's error follows the closed
 loop ``A_jj - L C_jj``, and the followers' copies form a nilpotent block
 because the consensus weights are strictly lower triangular in topological
@@ -45,7 +47,13 @@ from .decomp import (
     multisensor_decompose,
 )
 from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
-from .netgraph import Digraph, SpanningStructure, spanning_dag, subgraph
+from .netgraph import (
+    Digraph,
+    SpanningStructure,
+    _check_relay_weights,
+    spanning_dag,
+    subgraph,
+)
 
 __all__ = [
     "CompactObserverBank",
@@ -387,27 +395,29 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
             route = spanning_dag(h, {source}, max_parents)
             src_global = ids[source - 1]
             if src_global in user_weights:
-                rows = {}
-                for node_g, row in user_weights[src_global].items():
-                    if node_g not in glob2loc or any(
-                        l not in glob2loc for l in row
-                    ):
+                rows = {v: {l: float(w) for l, w in row.items()}
+                        for v, row in user_weights[src_global].items()}
+                for v, row in rows.items():
+                    if v not in glob2loc:
                         raise ValueError(
                             f"weights for sub-state of node {src_global} "
-                            "reference nodes outside its component"
+                            f"reference node {v}, outside its component"
                         )
-                    i = glob2loc[node_g]
+                    # a source component has no in-edge from outside it
                     for l in row:
-                        if glob2loc[l] not in h.in_neighbors(i):
+                        if (l, v) not in g.edges:
                             raise ValueError(
                                 f"weights for sub-state of node {src_global}: "
-                                f"node {node_g} weights {l}, which is not an "
+                                f"node {v} weights {l}, which is not an "
                                 "in-neighbor of it in its component"
                             )
-                    rows[i] = {
-                        glob2loc[l]: float(w) for l, w in row.items()
-                    }
-                route = replace(route, weights=rows)
+                # checked in global ids, so a rejection names the given nodes
+                _check_relay_weights(rows, (src_global,),
+                                     [ids[v - 1] for v in route.topo_order])
+                route = replace(route, weights={
+                    glob2loc[v]: {glob2loc[l]: w for l, w in row.items()}
+                    for v, row in rows.items()
+                })
             routes[j] = route
         bank = assemble_compact_bank(d, gs, routes, h)
         stability = certify_stability(d, gs, routes, tol)

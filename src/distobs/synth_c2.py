@@ -17,7 +17,6 @@ from .conditions import feasibility_report
 from .decomp import jordan_system
 from .errors import (
     Condition2Infeasible,
-    DistobsError,
     NotDetectable,
     NotSpanning,
 )
@@ -192,8 +191,9 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
         Entry ``i - 1`` is node ``i``'s local gain.
     class_weights : dict
         Maps eigenvalue-class index to its relay route (see
-        :func:`eig_consensus_weights`); must cover every class that is
-        undetectable at some node.
+        :func:`eig_consensus_weights`).  The non-roots of a class's route
+        must be exactly the nodes that cannot detect it, else
+        ``ValueError``.
     g : Digraph
     report : FeasibilityReport, optional
 
@@ -202,6 +202,7 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     C2ObserverBank
     """
     p = jsys.plant
+    routes = sorted(class_weights.items())
     records = []
     for i in range(1, p.n_nodes + 1):
         split = jsys.per_node[i - 1]
@@ -209,22 +210,17 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
             gains[i - 1], f"gain of node {i}",
             rows=split.det_dim + split.aug_dim, cols=p.C[i - 1].shape[0],
         )
-        relayed = []
-        relayed_dim = 0
-        for k in split.undetectable:
-            cw = class_weights.get(k)
-            if cw is None:
-                raise DistobsError(
-                    f"node {i} cannot detect eigenvalue class {k} and no "
-                    "consensus weights were supplied for it"
-                )
-            if i not in cw.weights:
-                raise DistobsError(
-                    f"node {i} has no relay parent for eigenvalue class {k}"
-                )
-            relayed.append((k, jsys.class_slice(k)))
-            relayed_dim += jsys.classes[k].dim
-        state_dim = split.det_dim + split.aug_dim + relayed_dim
+        carried = [k for k, route in routes if i in route.weights]
+        if carried != list(split.undetectable):
+            raise ValueError(
+                f"node {i} cannot detect eigenvalue classes "
+                f"{list(split.undetectable)} but its relay routes carry "
+                f"{carried}: a class's route must have exactly the nodes "
+                "that cannot detect it as non-roots"
+            )
+        relayed = [(k, jsys.class_slice(k)) for k in carried]
+        state_dim = split.det_dim + split.aug_dim + sum(
+            [sl.stop - sl.start for _, sl in relayed])
         # Detectable and relayed classes partition the spectrum, so the
         # internal dimension always equals n plus the locally observable
         # residual the node keeps of classes it cannot fully detect.
@@ -243,7 +239,8 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     """Design the complete per-eigenvalue observer bank for a network.
 
     Checks per-eigenvalue coverage, computes the grouped eigenstructure and
-    every node's split, synthesizes deadbeat local gains, and routes each
+    every node's split on the feasibility report's eigenvalue classes and
+    per-node decisions, synthesizes deadbeat local gains, and routes each
     unstable class from the nodes that detect it to everyone else.  Nodes
     with identical output matrices share one split and one synthesized gain.
 
@@ -289,7 +286,7 @@ def _design_condition2(p, g, tol, max_parents, gains, report):
             f"component {{{members}}}",
             eigenvalue=rep,
         )
-    jsys = jordan_system(p, tol)
+    jsys = jordan_system(p, tol, report)
     gains = dict(gains or {})
     gain_list = []
     made = {}

@@ -18,7 +18,7 @@ from distobs import (
     make_assumption2_signal,
     simulate,
 )
-from distobs import numkit as nk
+from distobs import errors, numkit as nk
 from distobs.cli import (
     bundled_scenario_path,
     load_bank,
@@ -539,9 +539,9 @@ def test_design_auto_computes_feasibility_once(monkeypatch, capsys):
     monkeypatch.setattr(nk, "eigen_info", counted)
     assert main(["design", bundled_scenario_path("illustrative.json")]) == 0
     capsys.readouterr()
-    # one feasibility report picks the scheme and feeds the Scheme-2 design;
-    # the Jordan basis takes the other eigen-pass
-    assert len(calls) == 2
+    # one feasibility report picks the scheme and feeds the Scheme-2 design,
+    # whose Jordan basis is built on the report's eigenvalue classes
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scheme", ["c2", "auto"])
@@ -620,3 +620,64 @@ def test_log_env_variable_in_process(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DISTOBS_LOG")
     assert main(argv) == 0
     assert "report written to" not in capsys.readouterr().err
+
+
+# every error class of the toolkit maps to a documented exit code
+EXIT_CODES = {
+    "DistobsError": 4,
+    "InvalidMatrix": 3,
+    "ShapeError": 3,
+    "NotObservable": 4,
+    "NotDetectable": 2,
+    "NumericalError": 4,
+    "NotSpanning": 2,
+    "InvalidTransform": 4,
+    "IllConditionedJordan": 4,
+    "Condition2Infeasible": 2,
+    "InvalidSignal": 3,
+    "ScenarioError": 3,
+}
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.DistobsError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_has_an_exit_code(monkeypatch, capsys, cls):
+    def fail(path):
+        raise cls("planted failure")
+    monkeypatch.setattr(distobs.cli, "load_scenario", fail)
+    assert main(["check", "scenario.json"]) == EXIT_CODES[cls.__name__]
+    assert "planted failure" in capsys.readouterr().err
+
+
+# near the rank cutoff: node 1 detects the double eigenvalue 1.5 in plant
+# coordinates (smallest singular value 1.6e-9 of the largest) but not in
+# Jordan coordinates (5.1e-10); node 2 measures nothing
+CUTOFF_A = [
+    [1.5752447068572741, -0.09363612589792163, -0.07086389133109279],
+    [0.10775167183888107, 0.7195526099258054, -0.49903236026487185],
+    [0.5223673724789416, -0.8172507335872994, 0.9052026832169203],
+]
+CUTOFF_C1 = [[-0.3131047579224265, 0.7833137833087228, 0.5370148298184269]]
+
+
+def test_scheme2_design_keeps_the_checked_roots(tmp_path, capsys):
+    path = _write(tmp_path, "cutoff.json", {
+        "format_version": 1,
+        "plant": {"A": CUTOFF_A, "C": [CUTOFF_C1, []]},
+        "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
+    })
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "per-eigenvalue coverage: PASS" in out
+    assert "roots: 1.5 <- [1]" in out
+    # the design splits node 1 on the same decision, so node 1 estimates the
+    # class itself; its local pair then fails the post-split check, a
+    # numerical failure instead of an uncaught error
+    assert main(["design", path, "--scheme", "c2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: node 1: local pair lost "
+                          "detectability of eigenvalue 1.5")

@@ -6,6 +6,7 @@ from distobs import (
     Plant,
     apply_given_transformation,
     decomposition_from_transform,
+    detectable_set,
     jordan_grouped,
     jordan_system,
     multisensor_decompose,
@@ -15,6 +16,7 @@ from distobs import numkit as nk
 from distobs.errors import (
     IllConditionedJordan,
     InvalidTransform,
+    NumericalError,
     ShapeError,
 )
 from conftest import structured_plant
@@ -206,14 +208,21 @@ def test_node_local_split_two_sensor_plant():
     A = np.diag([2.0, 2.0])
     T, classes = jordan_grouped(A)
     # node seeing only the first coordinate cannot detect the double mode
-    sp = node_local_split(T, classes, 1, np.array([[1.0, 0.0]]))
+    C1 = np.array([[1.0, 0.0]])
+    assert detectable_set(A, C1) == ()
+    sp = node_local_split(T, classes, 1, C1, ())
     assert sp.undetectable == (0,)
     assert sp.det_dim == 0
     # a node with full measurements detects it
-    sp3 = node_local_split(T, classes, 3, np.eye(2))
+    assert detectable_set(A, np.eye(2)) == (0,)
+    sp3 = node_local_split(T, classes, 3, np.eye(2), (0,))
     assert sp3.detectable == (0,)
     assert sp3.det_dim == 2
     assert sp3.aug_dim == 0
+    # the split takes the caller's decision; a local pair that cannot carry
+    # it fails the post-split check
+    with pytest.raises(NumericalError, match="node 1: local pair lost"):
+        node_local_split(T, classes, 1, C1, (0,))
 
 
 def test_jordan_system_assembles_per_node():

@@ -484,7 +484,8 @@ def test_shared_links_compile_to_one_block():
         for i, row in cw.weights.items() for l in row
     )
     assert max(classes_per_link.values()) >= 2
-    src, _, index = simkit._compile_c2(p, bank, [np.zeros(p.n)] * 5)[0].static
+    src, _, index = simkit._compile(p, bank, [np.zeros(p.n)] * 5,
+                                    False)[0].static
     dst = index[p.n_nodes * p.n::p.n] // p.n
     links = list(zip((src + 1).tolist(), (dst + 1).tolist()))
     assert len(set(links)) == len(links)
@@ -515,7 +516,8 @@ def test_compiled_c1_operator_is_unbiased():
     # with every estimate equal to the true state, one step reproduces the
     # plant map: each node's own block plus its link blocks sum to A
     for p, design in _unbiased_cases():
-        op = simkit._compile_c1(p, design, False)
+        op = simkit._compile(p, design, [np.zeros(p.n)] * p.n_nodes,
+                             False)[0]
         assert op.rows.size == 0
         src, E, index = op.static
         dst = index[p.n_nodes * p.n::p.n] // p.n

@@ -283,6 +283,24 @@ def test_design_condition1_weights_override():
         design_condition1(WORKED_PLANT, WORKED_GRAPH, weights=outside)
 
 
+# nodes 2 and 3 form the only source component (local ids 1 and 2) and
+# each sources one sub-state; node 1 relays
+GLOBAL_ID_PLANT = Plant(np.diag([2.0, 3.0]), (
+    np.zeros((0, 2)), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])))
+GLOBAL_ID_GRAPH = Digraph(3, {(2, 3), (3, 2), (2, 1)})
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({2: {3: {2: 0.5}}}, "weights of node 3 sum to 0.5, not 1"),
+    ({2: {}}, "node 3 has no consensus weights for the route from [2]"),
+    ({3: {2: {3: 0.5}}}, "weights of node 2 sum to 0.5, not 1"),
+])
+def test_design_condition1_weight_errors_name_global_ids(weights, message):
+    with pytest.raises(ValueError) as exc:
+        design_condition1(GLOBAL_ID_PLANT, GLOBAL_ID_GRAPH, weights=weights)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("w", [float("nan"), float("inf")])
 def test_design_condition1_rejects_non_finite_weight(w):
     with pytest.raises(ValueError, match="non-finite weight"):
