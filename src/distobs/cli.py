@@ -804,6 +804,10 @@ def _certified(design, scheme):
     return True
 
 
+_UNCERTIFIED = ("design assembled but the stability certificate failed; "
+                "see the component report above")
+
+
 def cmd_design(args):
     scn = load_scenario(args.scenario)
     tol = _tol_for(scn, args)
@@ -811,10 +815,7 @@ def cmd_design(args):
     print(f"scheme: {scheme}")
     _print_design(design, scheme)
     if not _certified(design, scheme):
-        raise NumericalError(
-            "design assembled but the stability certificate failed; "
-            "see the component report above"
-        )
+        raise NumericalError(_UNCERTIFIED)
     if args.out:
         save_bank(args.out, design, scheme, tol, options, options["order"])
         print(f"bank written to {args.out}")
@@ -862,6 +863,9 @@ def cmd_simulate(args):
         )
     else:
         design, scheme, _ = _design_for(scn, args, _tol_for(scn, args))
+    if not _certified(design, scheme):
+        _print_design(design, scheme)
+        raise NumericalError(_UNCERTIFIED)
     sim = scn.simulation
     K = sim["K"]
     signal = _signal_for(scn, design, args, K)

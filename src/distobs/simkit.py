@@ -8,10 +8,12 @@ Traces carry absolute and normalized error histories; the normalized metric
 unstable plant the state outgrows any absolute-error resolution within a few
 dozen steps.
 
-A design is compiled in two parts.  The scheme gives each node's local
-observer; every link comes from the design's relay routes, each carrying
-one part of the state through its projector (:func:`_routes`), so both
-schemes share the link, switched-row and parent-map code.
+A design is compiled in two parts.  The scheme gives the local observers,
+whose innovations are formed only at the nodes with a gain; every link
+comes from the design's relay routes, each carrying one part of the state
+through its projector (:func:`_routes`), so both schemes share the link,
+switched-row and parent-map code.  A Scheme-1 node's own block is a link
+from itself.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import numpy as np
 
 from .decomp import Plant
 from .errors import InvalidSignal, NumericalError, ShapeError
+from .netgraph import SpanningStructure
 from .synth_c1 import Condition1Design
 from .synth_c2 import C2ObserverBank
 
@@ -55,8 +58,8 @@ class SwitchingSignal:
 
     @cached_property
     def _edge_table(self):
-        """``(edges, live)``: every edge of some mode in sorted order, and
-        the ``(mode, edge)`` flags of which mode holds which edge."""
+        """``(edges, live)``: every edge of some mode, sorted, and which
+        mode holds which edge; a generated signal comes with its own."""
         edges = sorted(set().union(*self.modes))
         col = {e: c for c, e in enumerate(edges)}
         sizes = [len(mode) for mode in self.modes]
@@ -171,44 +174,46 @@ def _check_signal(signal, g, K):
 class _NetworkOperator:
     """A design compiled into one block-sparse affine network step.
 
-    Node ``i`` runs a local observer on a state row ``s_i`` (zero-padded to
-    a common width) and publishes an estimate ``x̂_i``.  One step is
+    Node ``i`` may run a local observer on a state row ``s_i`` (zero-padded
+    to a common width) and publishes an estimate ``x̂_i``.  One step is
 
-        ν_i      = C_i x[k] − Cs_i s_i[k]          (innovation, padded rows)
-        s_i[k+1] = F_i s_i[k] + H_i ν_i
+        ν_g      = C_g x[k] − Cs_g s_g[k]          (gain nodes g only)
+        s_i[k+1] = F_i s_i[k] + H_i ν_i            (H_i = 0 elsewhere)
         x̂_i[k+1] = U_i s_i[k+1] + Σ_{e: dst_e = i} E_e x̂_{src_e}[k]
 
-    ``U`` is ``None`` when the observer state is the estimate itself
-    (Scheme 1); then ``s[k+1]`` is the new estimate, consensus included.
-    The innovation is formed before the gain multiplies it: folding the
-    gain into ``F`` and ``C`` cancels large terms and loses digits on
-    high-gain designs.
+    ``H``, ``C`` and ``Cs`` hold only the rows of the ``gain`` nodes, those
+    with a nonzero gain; every other node does pure consensus.  ``F`` and
+    ``U`` are ``None`` when the observer state is the estimate itself
+    (Scheme 1): then a node's own block is a link from itself, and the gain
+    nodes add ``H_g ν_g``.  The innovation is formed before the gain
+    multiplies it: folding the gain into ``F`` and ``C`` cancels large terms
+    and loses digits on high-gain designs.
 
-    The sum over edges is one ``np.bincount`` over the local part followed
-    by the edge terms, where an ``index`` (see :func:`_scatter_index`) holds
-    the flat ``(node, coordinate)`` target of each entry.  Entries are added
-    in array order, so each estimate takes its local part first, then its
-    edges in compiled order.  ``static`` is the triple ``(src, E, index)``
-    of the designed edges, one block per ``(src, dst)`` link.
+    The sum over links is one ``np.bincount`` over the local part followed
+    by the link terms; an ``index`` holds the flat ``(node, coordinate)``
+    target of each entry, so each estimate takes its local part first, then
+    its links in compiled order.  ``static`` is the triple ``(src, E,
+    index)`` of the designed links, one block per ``(src, dst)`` link.
 
     A switching signal instead drives a fixed list of rows, each one
     projector ``P[q]`` applied to one node's estimate: every routed
     ``(child, parent, projector)`` triple — the dynamics of one sub-state or
     eigenvalue class mapped back to plant coordinates, or the plant map
     itself for a relay node — then every ``(child, projector)`` group's
-    fallback to the child's own estimate.  ``rows`` holds each row's flat
-    ``node * len(P) + q`` position in the step's products ``P[q] x̂_node``
-    and ``row_index`` its scatter targets.  ``edges`` lists the distinct
-    routed links, ``triple_edge`` and ``group`` give each triple's link and
-    group, and :meth:`weights` turns a signal into one weight row per mode.
-    Node indices are 0-based, the links of ``edges`` 1-based ``(parent,
-    child)`` pairs.
+    fallback to the child's own estimate; a self link is a group without
+    parents.  ``rows`` holds each row's flat ``node * len(P) + q`` position
+    in the step's products ``P[q] x̂_node`` and ``row_index`` its scatter
+    targets.  ``edges`` lists the distinct routed links, ``triple_edge`` and
+    ``group`` give each triple's link and group, and :meth:`weights` turns a
+    signal into one weight row per mode.  Node indices are 0-based, the
+    links of ``edges`` 1-based ``(parent, child)`` pairs.
     """
 
-    F: np.ndarray
+    gain: np.ndarray
     H: np.ndarray
     C: np.ndarray
     Cs: np.ndarray
+    F: object
     U: object
     P: np.ndarray
     static: tuple
@@ -222,8 +227,9 @@ class _NetworkOperator:
         """``(W, step)``: the row weights ``W[step[k]]`` of step ``k``.
 
         A group splits its weight uniformly over the parents whose link is
-        alive; a group with none gives weight 1 to its fallback row.  ``W``
-        holds one row per mode that the first ``K`` steps use.
+        alive; a group with none, a self link always, gives weight 1 to its
+        fallback row.  ``W`` holds one row per mode that the first ``K``
+        steps use.
         """
         used, step = np.unique(np.asarray(signal.schedule[:K], dtype=np.intp),
                                return_inverse=True)
@@ -238,41 +244,18 @@ class _NetworkOperator:
         return W, step.reshape(-1)
 
 
-def _stacked_outputs(p):
-    """Every node's ``C_i`` stacked, zero-padded to the largest row count."""
-    r = max(Ci.shape[0] for Ci in p.C)
-    C = np.zeros((p.n_nodes, r, p.n))
-    for i, Ci in enumerate(p.C):
-        C[i, :Ci.shape[0]] = Ci
-    return C
-
-
-def _scatter_index(dst, N, n):
-    """Bincount targets of one step: each of the ``N × n`` estimate entries
-    once for the local part, then the rows of each edge's destination."""
-    return np.concatenate([
-        np.arange(N * n), (dst[:, None] * n + np.arange(n)).ravel(),
-    ])
-
-
 def _merge_links(src, dst, E):
     """One block per ``(src, dst)`` link: blocks sharing a link are summed
     in order of appearance, and links keep the order they first appear in.
     A link with one block keeps it unchanged."""
-    first = {}
-    slot = np.array(
-        [first.setdefault(e, len(first))
-         for e in zip(src.tolist(), dst.tolist())],
-        dtype=np.intp,
-    )
-    _, lead = np.unique(slot, return_index=True)
+    _, lead, slot = np.unique(src * (dst.max(initial=0) + 1) + dst,
+                              return_index=True, return_inverse=True)
+    order = np.argsort(lead)
+    lead, rank = lead[order], np.argsort(order)
     out = E[lead]
-    rest = np.delete(np.arange(slot.size), lead)
-    while rest.size:
-        # the earliest remaining block of each link, one per link per pass
-        _, nxt = np.unique(slot[rest], return_index=True)
-        out[slot[rest[nxt]]] += E[rest[nxt]]
-        rest = np.delete(rest, nxt)
+    rest = np.delete(np.arange(src.size), lead)
+    # np.add.at adds in array order, so each link sums its blocks in order
+    np.add.at(out, rank[slot.reshape(-1)[rest]], E[rest])
     return src[lead], dst[lead], out
 
 
@@ -286,55 +269,76 @@ def _scheme(design):
 
 
 def _routes(design):
-    """Every relay route of a design as ``(label, ids, route, projector)``.
+    """Every relay route of a design as ``(label, ids, route, projector,
+    own)``.
 
-    ``ids[v - 1]`` is the global id of the route's node ``v``, and a parent
-    ``l`` of node ``i`` on the route passes ``projector @ x̂_l`` to ``i``:
-    the dynamics of the part of the state the route carries, mapped back to
-    plant coordinates.  For the sub-state-consensus design these are each
-    component's sub-state routes (labels ``"c<component>/s<sub-state>"``,
-    in component-local ids) with ``P_j = T[:, j] A_jj T⁻¹[j, :]``, then the
-    relay route (``"relay"``) with ``A``; for the per-eigenvalue bank, each
-    relayed class's route (``"class<index>"``) with ``P_c = T[:, c] J_c
-    T⁻¹[c, :]``.
+    ``ids[v - 1]`` is the global id of the route's node ``v``; a parent
+    ``l`` of node ``i`` passes ``projector @ x̂_l`` to ``i``, the dynamics of
+    the routed part of the state in plant coordinates, and each root of
+    ``own`` feeds it to itself the same way.  The sub-state-consensus
+    design gives, per component and in component-local ids, the couplings
+    and the tail that every member propagates itself (``"c<component>"``, a
+    route of roots only, ``N_mat + T[:, u] A_uu T⁻¹[u, :]``) and each
+    sub-state's route from its source (``"c<component>/s<sub-state>"``,
+    ``P_j = T[:, j] A_jj T⁻¹[j, :]``), then the relay route (``"relay"``,
+    ``A``).  The per-eigenvalue bank gives each relayed class's route
+    (``"class<index>"``, ``P_c = T[:, c] J_c T⁻¹[c, :]``); a detecting node
+    takes its own part from its local observer.
     """
     if _scheme(design) == "c2":
         jsys, ids = design.jsys, design.graph.nodes
         for k, route in design.class_weights.items():
             sl = jsys.class_slice(k)
-            yield (f"class{k}", ids, route,
-                   jsys.T[:, sl] @ jsys.classes[k].block @ jsys.T_inv[sl, :])
+            yield (f"class{k}", ids, route, jsys.T[:, sl]
+                   @ jsys.classes[k].block @ jsys.T_inv[sl, :], ())
         return
     for c, comp in enumerate(design.components):
-        d = comp.decomposition
+        d, u = comp.decomposition, comp.decomposition.unobs_slice
+        local = tuple(range(1, len(comp.nodes) + 1))
+        yield (f"c{c}", comp.nodes, SpanningStructure(local, {}, local, {}),
+               comp.bank.N_mat + d.T[:, u] @ (d.A_unobs @ d.T_inv[u, :]),
+               local)
         for j, route in comp.bank.weights.items():
             sl = d.block_slice(j)
             yield (f"c{c}/s{j}", comp.nodes, route,
-                   d.T[:, sl] @ (d.A_sub(j) @ d.T_inv[sl, :]))
+                   d.T[:, sl] @ (d.A_sub(j) @ d.T_inv[sl, :]), route.roots)
     if design.relay is not None:
-        yield "relay", design.graph.nodes, design.relay, design.plant.A
+        yield "relay", design.graph.nodes, design.relay, design.plant.A, ()
 
 
-def _operator(design, F, H, C, Cs, U, switched):
+def _operator(p, design, F, H, Cs, U, switched):
     """Package a design's local-observer blocks with its routed links.
 
-    A static run gets one block ``Σ w·P_q`` per link, summed over the
+    Only the nodes with a nonzero gain keep their rows of ``H`` and ``Cs``
+    (``None`` when the observer state is the estimate).  A static run gets
+    one block ``Σ w·P_q`` per link, own blocks included, summed over the
     routes that link carries; a ``switched`` run gets one row per routed
-    ``(child, parent, projector)`` triple and one fallback row per
-    ``(child, projector)`` group instead.
+    ``(child, parent, projector)`` triple and one fallback row per ``(child,
+    projector)`` group instead, an own block being a group without parents.
     """
-    n = C.shape[2]
+    n = p.n
+    gain = np.flatnonzero(H.any(axis=(1, 2)))
+    C = np.zeros((gain.size, H.shape[2], n))
+    for k, i in enumerate(gain.tolist()):
+        C[k, :p.C[i].shape[0]] = p.C[i]
+    local = gain if U is None else np.arange(p.n_nodes)
+
+    def targets(*nodes):  # bincount targets: each node's entries in turn
+        return (np.concatenate(nodes)[:, None] * n + np.arange(n)).ravel()
+
     P, links, groups = [], [], []
-    for _, ids, route, proj in _routes(design):
+    for _, ids, route, proj, own in _routes(design):
         q = len(P)
         P.append(proj)
         if switched:
             groups += [(ids[i - 1], q, tuple([ids[l - 1] for l in ps]))
                        for i, ps in route.parent_sets.items()]
+            groups += [(ids[i - 1], q, ()) for i in own]
         else:
             links += [(ids[i - 1], ids[l - 1], q, w)
                       for i, row in route.weights.items()
                       for l, w in row.items() if w]
+            links += [(ids[i - 1], ids[i - 1], q, 1.0) for i in own]
     P = np.array(P, dtype=float).reshape(len(P), n, n)
     lw = np.array(links, dtype=float).reshape(-1, 4)
     child, parent, q = lw[:, :3].astype(np.intp).T
@@ -347,11 +351,10 @@ def _operator(design, F, H, C, Cs, U, switched):
     edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
     row_src = np.concatenate([t[:, 1], gr[:, 0]]) - 1
     return _NetworkOperator(
-        F=F, H=H, C=C, Cs=Cs, U=U, P=P,
-        static=(src, E, _scatter_index(dst, C.shape[0], n)),
+        gain=gain, H=H[gain], C=C, Cs=C if Cs is None else Cs[gain], F=F,
+        U=U, P=P, static=(src, E, targets(local, dst)),
         rows=row_src * len(P) + np.concatenate([t[:, 2], gr[:, 1]]),
-        row_index=_scatter_index(np.concatenate([t[:, 0], gr[:, 0]]) - 1,
-                                 C.shape[0], n),
+        row_index=targets(local, t[:, 0] - 1, gr[:, 0] - 1),
         edges=list(edge_pos),
         triple_edge=np.array([edge_pos[e] for e in pairs], dtype=np.intp),
         group=t[:, 3],
@@ -359,30 +362,18 @@ def _operator(design, F, H, C, Cs, U, switched):
 
 
 def _compile_c1(p, design, est0):
-    """Local-observer blocks of the sub-state-consensus design.
-
-    A node's state is its estimate.  A component member's own block is
-    ``N_mat`` plus ``T`` times the rows ``A_jj T⁻¹[j, :]`` of its own
-    sub-state ``j`` and the rows ``A_uu T⁻¹[u, :]`` of the unobservable
-    tail, and its gain is ``TH_i`` (zero unless ``i`` sources a nonempty
-    sub-state); a relay node's blocks are zero.  The bank's ``G_il`` are
-    not read.
-    """
-    C = _stacked_outputs(p)
-    n = p.n
-    F = np.zeros((p.n_nodes, n, n))
-    H = np.zeros((p.n_nodes, n, C.shape[1]))
+    """Local-observer gains of the sub-state-consensus design: ``TH_i``,
+    zero unless ``i`` sources a nonempty sub-state.  A node's state is its
+    estimate, and its own block a self link (see :func:`_routes`); the
+    bank's ``G_il`` are not read."""
+    H = np.zeros((p.n_nodes, p.n, max(Ci.shape[0] for Ci in p.C)))
     for comp in design.components:
         d, bank = comp.decomposition, comp.bank
-        ids = np.array(comp.nodes, dtype=np.intp)
-        own = np.zeros((len(d.o), n, n))
-        own[:, d.unobs_slice] = d.A_unobs @ d.T_inv[d.unobs_slice, :]
         for j in bank.weights:  # the nonempty sub-states
-            sl, i = d.block_slice(j), d.source_node(j)
-            own[j - 1, sl] = d.A_sub(j) @ d.T_inv[sl, :]
-            H[ids[i - 1] - 1, :, :bank.TH[i - 1].shape[1]] = bank.TH[i - 1]
-        F[ids - 1] = bank.N_mat + d.T @ own[np.argsort(d.order)]
-    return F, H, C, C, None, np.array(est0)
+            i = d.source_node(j)
+            H[comp.nodes[i - 1] - 1, :, :bank.TH[i - 1].shape[1]] = \
+                bank.TH[i - 1]
+    return None, H, None, None, np.array(est0)
 
 
 def _compile_c2(p, bank, est0):
@@ -395,15 +386,13 @@ def _compile_c2(p, bank, est0):
     outputs (``Plant._output_rep``) share one split, so those that also
     share one gain are filled as one group.
     """
-    n = p.n
-    jsys = bank.jsys
+    N, n, jsys = p.n_nodes, p.n, bank.jsys
     T, Tinv = jsys.T, jsys.T_inv
-    N = p.n_nodes
     width = max(r.split.det_dim + r.split.aug_dim for r in bank.nodes)
-    C = _stacked_outputs(p)
+    r_max = max(Ci.shape[0] for Ci in p.C)
     F = np.zeros((N, width, width))
-    H = np.zeros((N, width, C.shape[1]))
-    Cs = np.zeros((N, C.shape[1], width))
+    H = np.zeros((N, width, r_max))
+    Cs = np.zeros((N, r_max, width))
     U = np.zeros((N, n, width))
     s0 = np.zeros((N, width))
     Z = np.asarray(est0) @ Tinv.T
@@ -423,7 +412,7 @@ def _compile_c2(p, bank, est0):
         zbar = Z[idx] @ sp.perm
         s0[idx, :det] = zbar[:, :det]
         s0[idx, det:ds] = (zbar[:, det:] @ sp.inner_split)[:, :sp.aug_dim]
-    return F, H, C, Cs, U, s0
+    return F, H, Cs, U, s0
 
 
 def _compile(p, design, est0, switched):
@@ -432,15 +421,18 @@ def _compile(p, design, est0, switched):
     ``_compile_*``, the links from :func:`_routes`."""
     compile_local = _compile_c1 if _scheme(design) == "c1" else _compile_c2
     *local, s0 = compile_local(p, design, est0)
-    return _operator(design, *local, switched), s0
+    return _operator(p, design, *local, switched), s0
 
 
 def _run(op, A, x0, s0, xh0, K, signal):
     """Step the plant and every node ``K`` times; ``(x, xhat)`` records."""
-    n = x0.shape[0]
+    N, n = xh0.shape
     x = np.empty((K + 1, n))
-    xhat = np.empty((xh0.shape[0], K + 1, n))
     x[0] = x0
+    for k in range(K):  # the plant does not depend on the estimates
+        x[k + 1] = A @ x[k]
+    y = (x[:K] @ op.C.reshape(-1, n).T).reshape(K, *op.C.shape[:2])
+    xhat = np.empty((N, K + 1, n))
     xhat[:, 0] = xh0
     s, xh = s0, xh0
     if signal is None:
@@ -451,20 +443,21 @@ def _run(op, A, x0, s0, xh0, K, signal):
         P_all = op.P.transpose(2, 0, 1).reshape(n, -1)
         index = op.row_index
     for k in range(K):
-        innov = op.C @ x[k] - np.einsum("nri,ni->nr", op.Cs, s)
-        s = (np.einsum("nij,nj->ni", op.F, s)
-             + np.einsum("nir,nr->ni", op.H, innov))
-        local = s if op.U is None else np.einsum("nij,nj->ni", op.U, s)
+        innov = y[k] - np.einsum("gri,gi->gr", op.Cs, s.take(op.gain, axis=0))
+        local = np.einsum("gir,gr->gi", op.H, innov)
+        if op.U is not None:
+            s = np.einsum("nij,nj->ni", op.F, s)
+            s[op.gain] += local
+            local = np.einsum("nij,nj->ni", op.U, s)
         if signal is None:
-            net = np.einsum("eij,ej->ei", E, xh[src])
+            net = np.einsum("eij,ej->ei", E, xh.take(src, axis=0))
         else:
-            net = (xh @ P_all).reshape(-1, n)[op.rows] * W[step[k], :, None]
-        xh = np.bincount(index, weights=np.concatenate([
-            local.ravel(), net.ravel(),
-        ])).reshape(xh.shape)
+            net = ((xh @ P_all).reshape(-1, n).take(op.rows, axis=0)
+                   * W[step[k], :, None])
+        xh = np.bincount(index, np.concatenate([local.ravel(), net.ravel()]),
+                         N * n).reshape(N, n)
         if op.U is None:
             s = xh
-        x[k + 1] = A @ x[k]
         xhat[:, k + 1] = xh
     return x, xhat
 
@@ -522,7 +515,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     _check_signal(signal, bank.graph, K)
     with np.errstate(over="ignore", invalid="ignore"):
         x_arr, xh_arr = _run(op, p.A, x0, s0, np.array(est0), K, signal)
-        err = np.linalg.norm(xh_arr - x_arr[None, :, :], axis=2)
+        diff = xh_arr - x_arr
+        err = np.sqrt(np.einsum("nki,nki->nk", diff, diff))
         x_norm = np.linalg.norm(x_arr, axis=1)
     # a finite error norm at every node implies a finite state and estimates
     finite = np.isfinite(err).all(axis=0) & np.isfinite(x_norm)
@@ -560,7 +554,7 @@ def dag_parent_map(design):
     return {
         label: {ids[i - 1]: tuple([ids[l - 1] for l in ps])
                 for i, ps in route.parent_sets.items()}
-        for label, ids, route, _ in _routes(design) if route.parent_sets
+        for label, ids, route, *_ in _routes(design) if route.parent_sets
     }
 
 
@@ -648,14 +642,19 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     rows, first, inverse = np.unique(live, axis=0, return_index=True,
                                      return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    rank = np.argsort(order)
     cols = list(sets.col)
-    return SwitchingSignal(
+    sig = SwitchingSignal(
         modes=tuple(frozenset(compress(cols, rows[u].tolist())) for u in order),
         schedule=tuple(rank[inverse.reshape(-1)].tolist()),
         window_T=T, seed=seed,
     )
+    # its edge table: these rows on the edges some mode holds, sorted
+    held = sorted(np.flatnonzero(rows.any(0)).tolist(), key=cols.__getitem__)
+    table = rows[order][:, held]
+    table.flags.writeable = False
+    vars(sig)["_edge_table"] = [cols[c] for c in held], table
+    return sig
 
 
 @dataclass(frozen=True)

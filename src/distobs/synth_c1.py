@@ -23,7 +23,8 @@ computed on first read of :attr:`CompactObserverBank.G`.  ``G_il`` is
 sub-state and tail for ``l = i``).  The simulator never needs them: it
 compiles each link's block as the same weighted sum of projectors, read
 from the sub-state routes as for every other relay route, and each node's
-own block from ``N_mat``, its own sub-state and the tail.  The error
+own block as a link from itself: ``N_mat`` and the tail at every member,
+plus its own sub-state's projector at a source.  The error
 dynamics decouple by sub-state: the source node's error follows the closed
 loop ``A_jj - L C_jj``, and the followers' copies form a nilpotent block
 because the consensus weights are strictly lower triangular in topological
@@ -198,7 +199,10 @@ def assemble_compact_bank(d, gains, weights, g):
     TH = []
     for i in g.nodes:
         pos = d.step_of_node[i]
-        TH.append(T[:, d.block_slice(pos)] @ gains[pos - 1])
+        L = gains[pos - 1]
+        # a node whose sub-state is empty injects nothing
+        TH.append(T[:, d.block_slice(pos)] @ L if d.o[pos - 1]
+                  else np.zeros((d.n, L.shape[1])))
     return CompactObserverBank(
         decomposition=d,
         gains=tuple(gains),

@@ -681,3 +681,24 @@ def test_scheme2_design_keeps_the_checked_roots(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: node 1: local pair lost "
                           "detectability of eigenvalue 1.5")
+
+
+def test_simulate_refuses_what_design_refuses(tmp_path, capsys):
+    # the Scheme-1 design of the cutoff plant fails its certificate, so
+    # simulate stops where design does instead of running it
+    path = _write(tmp_path, "cutoff.json", {
+        "format_version": 1,
+        "plant": {"A": CUTOFF_A, "C": [CUTOFF_C1, []]},
+        "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
+        "simulation": {"x0": [1.0, -1.0, 0.5], "K": 40},
+    })
+    assert main(["design", path, "--scheme", "c1"]) == 4
+    design = capsys.readouterr()
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", path, "--scheme", "c1", "--out", str(out)]) == 4
+    simulated = capsys.readouterr()
+    assert simulated.err == design.err
+    assert simulated.err.startswith("numerical failure: design assembled but "
+                                    "the stability certificate failed")
+    assert "unobservable-part radius 1.5" in simulated.out
+    assert not out.exists()

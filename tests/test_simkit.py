@@ -434,6 +434,25 @@ def test_signal_matches_loop_reference(seed, T, K, drop, scheme, window):
                     == reference_validate_assumption2(s, pm, w))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
+       K=st.integers(0, 40), drop=st.floats(0.0, 0.95),
+       scheme=st.sampled_from([0, 1]))
+def test_generated_edge_table_equals_the_rebuilt_one(seed, T, K, drop,
+                                                     scheme):
+    # a generated signal carries the (mode, edge) table of the rows it drew;
+    # it must be the table a reader rebuilds from the modes
+    g, maps = _relay_parent_maps()
+    sig = make_assumption2_signal(maps[scheme], g, T, K, drop, seed)
+    assert "_edge_table" in vars(sig)
+    edges, live = sig._edge_table
+    ref_edges, ref_live = SwitchingSignal(sig.modes, sig.schedule,
+                                          sig.window_T)._edge_table
+    assert edges == ref_edges
+    assert live.dtype == ref_live.dtype and np.array_equal(live, ref_live)
+    assert not live.flags.writeable
+
+
 def test_signal_repair_serves_later_parent_sets():
     # every draw drops both links.  Pair "a" restores (1, 3) at the last
     # step of each window, which keeps pair "b" alive too, so (2, 3) is
@@ -476,6 +495,12 @@ def _two_class_relay_plant():
     return Plant(Q @ Abar @ Q.T, C), g
 
 
+def _link_targets(src, index, n):
+    """0-based destination of each static link block: the link entries
+    close the scatter index, ``n`` per block."""
+    return index[index.size - src.size * n::n] // n
+
+
 def test_shared_links_compile_to_one_block():
     p, g = _two_class_relay_plant()
     bank = design_condition2(p, g, max_parents=2)
@@ -486,7 +511,7 @@ def test_shared_links_compile_to_one_block():
     assert max(classes_per_link.values()) >= 2
     src, _, index = simkit._compile(p, bank, [np.zeros(p.n)] * 5,
                                     False)[0].static
-    dst = index[p.n_nodes * p.n::p.n] // p.n
+    dst = _link_targets(src, index, p.n)
     links = list(zip((src + 1).tolist(), (dst + 1).tolist()))
     assert len(set(links)) == len(links)
     assert set(links) == set(classes_per_link)
@@ -502,8 +527,40 @@ def test_shared_links_compile_to_one_block():
         assert _normalized_dev(tr, xhat) < 1e-9
 
 
+def _disjoint_components():
+    """Four disjoint copies of a 5-node core, so four source components,
+    plus two relay nodes fed from different copies.  Copy ``c`` shifts the
+    core's sensors by ``c`` nodes, so each decomposes differently."""
+    rng = np.random.default_rng(13)
+    core, _ = structured_plant(rng, n_nodes=5, unobs_radius=0.8)
+    g = random_strong_graph(rng, 5)
+    edges = {(j + 5 * c, i + 5 * c) for c in range(4) for j, i in g.edges}
+    edges |= {(1, 21), (7, 21), (13, 22), (21, 22), (19, 22)}
+    C = tuple(core.C[(k + c) % 5] for c in range(4) for k in range(5))
+    return Plant(core.A, C + (np.zeros((0, core.n)),) * 2), Digraph(22, edges)
+
+
+def test_disjoint_components_match_reference():
+    p, g = _disjoint_components()
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal(p.n)
+    est0 = rng.standard_normal((p.n_nodes, p.n))
+    design = design_condition1(p, g, max_parents=2)
+    assert len(design.components) == 4 and design.relay is not None
+    sig = make_assumption2_signal(dag_parent_map(design), g, 4, 40, 0.5, 9)
+    for signal in (None, sig):
+        tr = simulate(p, design, x0, est0=est0, K=40, signal=signal)
+        for form in ("compact", "blocks") if signal is None else ("blocks",):
+            x, xhat = reference_simulate(p, design, x0, est0=est0, K=40,
+                                         signal=signal, form=form)
+            assert np.array_equal(tr.x, x)
+            assert _normalized_dev(tr, xhat) < 1e-9
+
+
 def _unbiased_cases():
     cases = [bundled_c1_design("sec8.json")]
+    p, g = _disjoint_components()
+    cases.append((p, design_condition1(p, g, max_parents=2)))
     # the third core has 4 nodes and an unobservable tail
     for seed, n_relay, mp in ((31, 20, 1), (32, 20, 2), (33, 116, 1)):
         p, g = relay_instance(seed, n_relay=n_relay)
@@ -514,14 +571,19 @@ def _unbiased_cases():
 
 def test_compiled_c1_operator_is_unbiased():
     # with every estimate equal to the true state, one step reproduces the
-    # plant map: each node's own block plus its link blocks sum to A
+    # plant map: the blocks into each node, its self link included, sum to A
     for p, design in _unbiased_cases():
         op = simkit._compile(p, design, [np.zeros(p.n)] * p.n_nodes,
                              False)[0]
         assert op.rows.size == 0
+        assert op.F is None and op.U is None
         src, E, index = op.static
-        dst = index[p.n_nodes * p.n::p.n] // p.n
-        total = op.F.copy()
+        dst = _link_targets(src, index, p.n)
+        links = list(zip(src.tolist(), dst.tolist()))
+        assert len(set(links)) == len(links)
+        members = {v - 1 for comp in design.components for v in comp.nodes}
+        assert members == {i for i, l in links if i == l}
+        total = np.zeros((p.n_nodes, p.n, p.n))
         np.add.at(total, dst, E)
         bound = 1e-12 * np.linalg.norm(p.A)
         for i in range(p.n_nodes):

@@ -409,3 +409,19 @@ def test_design_builds_no_dense_neighbor_matrices(monkeypatch, max_parents):
     simulate(p, design, np.ones(p.n), K=5)
     for comp in design.components:
         assert "G" not in vars(comp.bank)
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_compact_gains_equal_the_full_product(seed):
+    # a 360-node core plus 40 relays, as the benchmark's networks: nearly
+    # every core node has an empty sub-state, whose zero TH_i is no longer
+    # formed as a product; every TH_i keeps the bytes of T[:, pos] @ L
+    p, g = relay_instance(seed, n_nodes=400, n_relay=40)
+    (comp,) = design_condition1(p, g).components
+    d, bank = comp.decomposition, comp.bank
+    assert sum(oj == 0 for oj in d.o) >= len(d.o) - 8
+    for i in comp.graph.nodes:
+        pos = d.step_of_node[i]
+        ref = d.T[:, d.block_slice(pos)] @ bank.gains[pos - 1]
+        assert bank.TH[i - 1].shape == ref.shape
+        assert bank.TH[i - 1].tobytes() == ref.tobytes()
