@@ -44,7 +44,7 @@ from .simkit import (
     validate_assumption2,
 )
 from .synth_c1 import design_condition1
-from .synth_c2 import _design_condition2
+from .synth_c2 import design_condition2
 
 __all__ = [
     "Scenario",
@@ -257,7 +257,7 @@ def _parse_options(obj, p, g, where="options"):
     """Normalized design options; ``where`` names the object in messages."""
     _check_keys(obj, where, allowed=_OPTION_KEYS)
     out = {
-        "order": None, "poles_policy": "deadbeat", "tolerances": None,
+        "order": None, "tolerances": None,
         "transform": None, "transform_o": None, "structure_tol": 1e-6,
         "gains": {}, "weights": {}, "scheme": "auto", "max_parents": 1,
     }
@@ -473,7 +473,7 @@ def _design(p, g, options, scheme, tol, report=None):
             structure_tol=options["structure_tol"], order=options["order"],
             weights=options["weights"] or None,
         )
-    return _design_condition2(p, g, tol, options["max_parents"], gains, report)
+    return design_condition2(p, g, tol, options["max_parents"], gains, report)
 
 
 def _used_gains(design, scheme):

@@ -247,7 +247,7 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
         node = order[j - 1]
         Ajj = Abar[sl[j - 1], sl[j - 1]]
         Cjj = Cbar[node - 1][:, sl[j - 1]]
-        if nk.matrix_rank(nk.observability_matrix(Ajj, Cjj), tol) != oj:
+        if not nk.is_observable(Ajj, Cjj, tol):
             raise exc(
                 f"sub-state {j} (node {node}) is not observable from its "
                 "source node's outputs under the given block sizes"
@@ -282,8 +282,8 @@ def multisensor_decompose(p, order=None, tol=None):
     :class:`MultiSensorDecomposition`.  A sensor whose outputs add no new
     observable directions contributes an empty (0-dimensional) sub-state.
 
-    The rank decision of each step is anchored to the magnitude of the full
-    observability stack of that sensor, so residual blocks made of pure
+    The rank decision of each step is anchored to ``max(||A||_2, ||C_i||_2)``
+    of the whole plant and that sensor, so residual blocks made of pure
     round-off dust are classified as unobservable rather than ranked on their
     own noise.
     """
@@ -291,6 +291,7 @@ def multisensor_decompose(p, order=None, tol=None):
     n = p.n
     order = _check_order(order if order is not None else range(1, p.n_nodes + 1),
                          p.n_nodes)
+    norm_A = float(np.linalg.norm(p.A, 2))
     T_acc = np.eye(n)
     o = []
     m = n  # dimension of the still-undecomposed residual
@@ -300,12 +301,10 @@ def multisensor_decompose(p, order=None, tol=None):
             o.append(0)
             continue
         try:
-            A_acc = T_acc.T @ p.A @ T_acc
-            C_t = Ci @ T_acc
-            scale = float(np.linalg.norm(nk.observability_matrix(A_acc, C_t), 2))
-            A_res = A_acc[n - m:, n - m:]
-            C_res = C_t[:, n - m:]
-            Tb, k = nk.obs_canon_decomp(A_res, C_res, tol, scale=scale)
+            T_res = T_acc[:, n - m:]
+            scale = max(norm_A, float(np.linalg.norm(Ci, 2)))
+            Tb, k = nk.obs_canon_decomp(T_res.T @ p.A @ T_res, Ci @ T_res,
+                                        tol, scale=scale)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"decomposition step {step} (node {node}) failed: {exc}"
@@ -614,8 +613,7 @@ def node_local_split(T, classes, node, C_i, detectable, tol=None):
     det_dim = sum(classes[k].dim for k in detectable)
     J_und = Jr[det_dim:, det_dim:]
     C_und = Cr[:, det_dim:]
-    obs_stack = nk.observability_matrix(J, Cz)
-    scale = float(np.linalg.norm(obs_stack, 2)) if obs_stack.size else 0.0
+    scale = max(float(np.linalg.norm(J, 2)), float(np.linalg.norm(Cz, 2)))
     Tbar, aug_dim = nk.obs_canon_decomp(J_und, C_und, tol, scale=scale)
     J_aug = (Tbar.T @ J_und @ Tbar)[:aug_dim, :aug_dim]
     H_aug = (C_und @ Tbar)[:, :aug_dim]

@@ -1,10 +1,11 @@
 """Tolerance-aware numerical primitives shared by every other module.
 
 Everything here is deliberately small: SVD-based rank decisions, the
-observability split behind all canonical decompositions, eigenvalue clustering
-with conjugate fusion, and observer-gain assignment by rank-one deflation on
-the dual pair.  All tolerances flow through :class:`ToleranceConfig` so a
-single knob set governs rank, clustering, and stability-margin decisions.
+observability split behind all canonical decompositions (an orthogonal
+staircase), eigenvalue clustering with conjugate fusion, and deadbeat
+observer gains by rank-one deflation on the dual pair.  All tolerances flow
+through :class:`ToleranceConfig` so a single knob set governs rank,
+clustering, and stability-margin decisions.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def as_square(M, name="matrix"):
     return A
 
 
-def matrix_rank(M, tol=None, scale=None):
+def matrix_rank(M, tol=None):
     """Numerical rank via SVD with a relative cutoff.
 
     Parameters
@@ -87,11 +88,6 @@ def matrix_rank(M, tol=None, scale=None):
         Matrix to rank (real or complex).
     tol : ToleranceConfig, optional
         Source of the relative cutoff ``rank_tol``.
-    scale : float, optional
-        External magnitude the cutoff should also respect.  A matrix whose
-        entries are entirely round-off dust relative to its parent computation
-        would otherwise rank by its own (meaningless) largest singular value;
-        passing the parent's norm makes such blocks rank 0.
     """
     tol = tol or DEFAULT_TOL
     M = np.asarray(M)
@@ -100,27 +96,14 @@ def matrix_rank(M, tol=None, scale=None):
     if 0 in M.shape:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    cutoff = tol.rank_tol * max(float(s[0]), float(scale or 0.0))
-    return int(np.count_nonzero(s > cutoff))
-
-
-def observability_matrix(A, C):
-    """Stack ``[C; CA; ...; C A^(n-1)]``; shape ``(n*r, n)``."""
-    A = as_square(A, "A")
-    n = A.shape[0]
-    C = as_matrix(C, "C", cols=n)
-    if C.shape[0] == 0:
-        return np.zeros((0, n))
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    return int(np.count_nonzero(s > tol.rank_tol * float(s[0])))
 
 
 def is_observable(A, C, tol=None):
-    """True iff the observability matrix of ``(A, C)`` has full column rank."""
+    """True iff the observability split of ``(A, C)`` leaves no unobservable
+    part (see :func:`obs_canon_decomp`)."""
     A = as_square(A, "A")
-    return matrix_rank(observability_matrix(A, C), tol) == A.shape[0]
+    return obs_canon_decomp(A, C, tol)[1] == A.shape[0]
 
 
 def obs_canon_decomp(A, C, tol=None, scale=None):
@@ -132,10 +115,18 @@ def obs_canon_decomp(A, C, tol=None, scale=None):
         T.T @ A @ T = [[A_o, 0 ],      C @ T = [C_o, 0]
                        [ * , A_u]]
 
-    ``(A_o, C_o)`` is observable; the trailing columns of ``T`` span the
-    unobservable subspace (the kernel of the observability matrix), which is
-    invariant under ``A`` — that invariance is what zeroes the upper-right
-    block.  ``scale`` feeds the rank cutoff, see :func:`matrix_rank`.
+    ``(A_o, C_o)`` is observable.  The leading columns of ``T`` are an
+    orthogonal staircase (Paige, IEEE TAC 1981): a block Arnoldi on
+    ``(A.T, C.T)`` that starts from ``C.T``, multiplies each new block by
+    ``A.T``, orthogonalizes it twice against the basis so far and keeps the
+    directions whose singular values exceed
+    ``rank_tol * max(||A||_2, ||C||_2, scale)``.  Their span is the smallest
+    ``A.T``-invariant subspace holding the rows of ``C`` — invariance is what
+    zeroes the upper-right block.  The trailing columns complete the basis
+    and span the unobservable subspace.  Unlike a rank decision on
+    ``[C; CA; ...; C A^(n-1)]``, whose rows grow like ``||A||^(n-1)``, every
+    block is ranked on the scale of ``A`` and ``C``.  ``scale`` lets a caller
+    splitting a block of a larger pair anchor the cutoff to that pair.
     """
     A = as_square(A, "A")
     n = A.shape[0]
@@ -144,14 +135,26 @@ def obs_canon_decomp(A, C, tol=None, scale=None):
         return np.zeros((0, 0)), 0
     if C.shape[0] == 0:
         return np.eye(n), 0
-    O = observability_matrix(A, C)
-    _, s, Vt = np.linalg.svd(O)
     tol = tol or DEFAULT_TOL
-    cutoff = tol.rank_tol * max(float(s[0]) if s.size else 0.0, float(scale or 0.0))
-    n_obs = int(np.count_nonzero(s > cutoff))
-    # Rows of Vt: first n_obs span the row space of O (observable directions),
-    # the rest span its kernel.  Columns of T inherit that ordering.
-    return Vt.T.copy(), n_obs
+    norms = [np.linalg.svd(M, compute_uv=False)[0] for M in (A, C)]
+    cutoff = tol.rank_tol * max(*norms, float(scale or 0.0))
+    T = np.empty((n, n))
+    k = 0  # T[:, :k] holds the observable directions found so far
+    W = C.T
+    while k < n:
+        for _ in range(2):
+            W = W - T[:, :k] @ (T[:, :k].T @ W)
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        # never more directions than are left, whatever rank_tol is
+        new = min(int(np.count_nonzero(s > cutoff)), n - k)
+        if not new:
+            break
+        T[:, k:k + new] = U[:, :new]
+        W = A.T @ U[:, :new]
+        k += new
+    if k < n:
+        T[:, k:] = np.linalg.qr(T[:, :k], mode="complete")[0][:, k:]
+    return T, k
 
 
 def pbh_rank_ok(A, C, lam, tol=None):
@@ -293,101 +296,64 @@ def _null_direction(M, x_dim, tol):
 
     Returns ``(x, w)`` splitting the chosen null vector at ``x_dim``.  Raises
     ``NotObservable`` when every null vector has a (numerically) zero leading
-    block — that is exactly the uncontrollability certificate for the pole
-    being placed.
+    block — that is exactly the uncontrollability certificate for the zero
+    pole being placed.
     """
-    rows, cols = M.shape
     _, s, Vt = np.linalg.svd(M)
     cutoff = tol.rank_tol * (float(s[0]) if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
-    Z = Vt[rank:].conj().T  # columns span the null space
+    Z = Vt[rank:].T  # columns span the null space
     if Z.shape[1] == 0:
-        raise NotObservable("pair has no placement freedom at this pole")
+        raise NotObservable("pair has no placement freedom at the origin")
     Zx = Z[:x_dim, :]
     U2, s2, Vt2 = np.linalg.svd(Zx)
     if s2.size == 0 or s2[0] <= max(tol.rank_tol, 1e3 * _EPS):
         raise NotObservable(
-            "mode cannot be moved by output injection (pair not observable "
-            "at a requested pole)"
+            "mode cannot be moved by output injection (pair not observable)"
         )
-    z = Z @ Vt2.conj().T[:, 0]
+    z = Z @ Vt2.T[:, 0]
     return z[:x_dim], z[x_dim:]
 
 
-def _basis_with_leading(Xcols):
-    """Orthonormal basis whose first ``k`` columns span ``Xcols``."""
-    m, k = Xcols.shape
-    Q, _ = np.linalg.qr(np.hstack([Xcols, np.eye(m)]))
-    return Q[:, :m]
+def _deadbeat_feedback(A, B, tol):
+    """Gain K with ``A - B K`` nilpotent, by rank-one deflation.
 
-
-def _assign_state_feedback(A, B, poles, tol):
-    """Gain K with ``eig(A - B K) = poles`` by rank-one (pair: rank-two) deflation.
-
-    One pole (or conjugate pair) at a time: find a null direction of
-    ``[A - p I | B]`` giving a closed-loop eigenvector, apply the rank-one
-    gain that pins it, rotate that direction out with an orthogonal basis, and
-    recurse on the deflated system.  Works for repeated poles and multi-input
-    ``B``, which is what the deadbeat default needs.
+    One zero pole at a time: a null direction of ``[A | B]`` gives a
+    closed-loop eigenvector ``x`` at 0, the rank-one gain ``-w x^T / x^T x``
+    pins it, an orthogonal basis rotates ``x`` out, and the deflated system
+    is placed the same way.  Works for any number of inputs ``B``.
     """
     m = A.shape[0]
     r = B.shape[1]
     if m == 0:
         return np.zeros((r, 0))
-    p = poles[0]
-    if abs(p.imag) == 0.0:
-        x, w = _null_direction(np.hstack([A - p.real * np.eye(m), B]), m, tol)
-        x, w = x.real, w.real
-        K1 = -np.outer(w, x) / float(x @ x)
-        X = (x / np.linalg.norm(x)).reshape(m, 1)
-        rest = poles[1:]
-        ndef = 1
-    else:
-        x, w = _null_direction(np.hstack([A - p * np.eye(m), B.astype(complex)]), m, tol)
-        Xri = np.column_stack([x.real, x.imag])
-        Wri = np.column_stack([w.real, w.imag])
-        if np.linalg.matrix_rank(Xri) < 2:
-            raise NumericalError(
-                f"could not separate the conjugate pair near {p:.6g} into a "
-                "two-dimensional real invariant direction"
-            )
-        K1 = -Wri @ np.linalg.pinv(Xri)
-        X, _ = np.linalg.qr(Xri)
-        rest = list(poles[1:])
-        for i, q in enumerate(rest):
-            if abs(q - p.conjugate()) <= 1e-12:
-                rest.pop(i)
-                break
-        else:
-            raise ShapeError("complex poles must come in conjugate pairs")
-        ndef = 2
-    Q = _basis_with_leading(X)
+    x, w = _null_direction(np.hstack([A, B]), m, tol)
+    K1 = -np.outer(w, x) / float(x @ x)
+    X = (x / np.linalg.norm(x)).reshape(m, 1)
+    Q = np.linalg.qr(np.hstack([X, np.eye(m)]))[0][:, :m]  # Q[:, 0] spans x
     Acl = Q.T @ (A - B @ K1) @ Q
     Bq = Q.T @ B
-    K2 = _assign_state_feedback(Acl[ndef:, ndef:], Bq[ndef:, :], rest, tol)
-    return K1 + np.hstack([np.zeros((r, ndef)), K2]) @ Q.T
+    K2 = _deadbeat_feedback(Acl[1:, 1:], Bq[1:, :], tol)
+    return K1 + np.hstack([np.zeros((r, 1)), K2]) @ Q.T
 
 
-def place_observer_gain(A, C, poles, tol=None):
-    """Output-injection gain L with ``eig(A - L C)`` at the requested poles.
+def place_observer_gain(A, C, tol=None):
+    """Deadbeat output-injection gain: ``A - L C`` nilpotent.
 
-    Assignment runs on the dual pair ``(A.T, C.T)`` by deflation (see
-    :func:`_assign_state_feedback`), so repeated poles — the all-zero deadbeat
-    default used throughout the gain synthesis — are supported for any number
-    of outputs.  The achieved closed-loop spectrum is verified against the
-    request; the per-pole tolerance honors what a backward-stable eigensolver
-    can resolve for a pole of multiplicity ``m`` (eigenvalues of a perturbed
-    defective matrix scatter like ``eps**(1/m)``):
-    ``max(schur_margin, (1e4 * eps * max(1, ||A - L C||_2)) ** (1/m))``.
+    The gain is placed on the dual pair ``(A.T, C.T)`` by rank-one deflation
+    (see :func:`_deadbeat_feedback`), for any number of outputs, and drives
+    the observer error to zero in at most ``n`` steps.  The achieved
+    spectrum is verified: rounding scatters the eigenvalues of an ``n``-fold
+    zero like ``eps**(1/n)``, so every eigenvalue of ``A - L C`` must lie
+    within ``max(schur_margin, (1e4 * eps * max(1, ||A - L C||_2)) ** (1/n))``
+    of the origin.
 
     Raises
     ------
     NotObservable
-        When some requested pole cannot be moved (pair not observable there).
+        When some mode cannot be moved (pair not observable).
     NumericalError
         When the achieved spectrum fails the verification.
-    ShapeError
-        When the pole list has the wrong length or unpaired complex entries.
     """
     tol = tol or DEFAULT_TOL
     A = as_square(A, "A")
@@ -395,38 +361,21 @@ def place_observer_gain(A, C, poles, tol=None):
     C = as_matrix(C, "C", cols=n)
     if C.shape[0] == 0:
         raise NotObservable("cannot place observer poles with no outputs")
-    poles = [complex(p) for p in np.atleast_1d(np.asarray(poles, dtype=complex))]
-    if len(poles) != n:
-        raise ShapeError(f"need {n} poles, got {len(poles)}")
-    bag = list(poles)
-    for p in poles:
-        if abs(p.imag) > 0:
-            if not any(abs(q - p.conjugate()) <= 1e-12 for q in bag):
-                raise ShapeError("complex poles must come in conjugate pairs")
-    K = _assign_state_feedback(A.T.copy(), C.T.copy(), poles, tol)
-    L = K.T
-    _verify_assignment(A - L @ C, poles, tol)
+    L = _deadbeat_feedback(A.T.copy(), C.T.copy(), tol).T
+    _verify_assignment(A - L @ C, tol)
     return L
 
 
-def _verify_assignment(Acl, poles, tol):
-    achieved = list(np.linalg.eigvals(Acl))
+def _verify_assignment(Acl, tol):
+    n = Acl.shape[0]
+    if n == 0:
+        return
     scale = max(1.0, float(np.linalg.norm(Acl, 2)))
-    mult = {}
-    for p in poles:
-        key = min(mult, key=lambda q: abs(q - p)) if mult else None
-        if key is not None and abs(key - p) <= 1e-12:
-            mult[key] += 1
-        else:
-            mult[p] = 1
-    for p, m in mult.items():
-        tol_p = max(tol.schur_margin, (1e4 * _EPS * scale) ** (1.0 / m)) if m > 1 \
-            else max(tol.schur_margin, 1e4 * _EPS * scale)
-        for _ in range(m):
-            j = int(np.argmin([abs(a - p) for a in achieved]))
-            if abs(achieved[j] - p) > tol_p:
-                raise NumericalError(
-                    f"pole assignment failed: requested {p:.6g}, nearest "
-                    f"achieved {achieved[j]:.6g} (tolerance {tol_p:.2e})"
-                )
-            achieved.pop(j)
+    bound = max(tol.schur_margin, (1e4 * _EPS * scale) ** (1.0 / n))
+    achieved = np.linalg.eigvals(Acl)
+    worst = int(np.argmax(np.abs(achieved)))
+    if abs(achieved[worst]) > bound:
+        raise NumericalError(
+            f"pole assignment failed: requested 0, achieved "
+            f"{achieved[worst]:.6g} (tolerance {bound:.2e})"
+        )

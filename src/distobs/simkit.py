@@ -127,8 +127,8 @@ def _scenario_hash(p, x0, est0, K, signal, scheme):
         h.update(np.asarray(Ci, dtype=float).tobytes())
         h.update(str(Ci.shape).encode())
     h.update(np.asarray(x0, dtype=float).tobytes())
-    for e in est0:
-        h.update(np.asarray(e, dtype=float).tobytes())
+    # one update with the stacked estimates: the same bytes as one per node
+    h.update(np.asarray(est0, dtype=float).tobytes())
     h.update(str(K).encode())
     h.update(scheme.encode())
     if signal is not None:

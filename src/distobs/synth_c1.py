@@ -69,21 +69,19 @@ __all__ = [
 ]
 
 
-def design_gains(d, poles_policy="deadbeat", given=None, tol=None):
+def design_gains(d, given=None, tol=None):
     """Per-sub-state Luenberger gains for a decomposition.
 
     Synthesizes a gain for every nonempty sub-state against its source node's
     output block, or verifies user-supplied ones.  ``given`` maps 1-based
     sub-state indices to gain matrices; those are accepted when the closed
-    loop is Schur with margin.  The only built-in policy is ``"deadbeat"``
-    (all closed-loop eigenvalues at zero), which drives each sub-state's own
-    error to zero in finitely many steps.
+    loop is Schur with margin.  Synthesized gains are deadbeat (all
+    closed-loop eigenvalues at zero), which drives each sub-state's own error
+    to zero in finitely many steps.
 
     Returns one gain per sub-state (a ``(0, r)`` array for empty sub-states).
     """
     tol = tol or nk.DEFAULT_TOL
-    if poles_policy != "deadbeat":
-        raise ValueError(f"unknown poles policy {poles_policy!r}")
     given = given or {}
     gains = []
     for j, oj in enumerate(d.o, 1):
@@ -105,7 +103,7 @@ def design_gains(d, poles_policy="deadbeat", given=None, tol=None):
             gains.append(L)
             continue
         try:
-            gains.append(nk.place_observer_gain(Ajj, Cjj, np.zeros(oj), tol))
+            gains.append(nk.place_observer_gain(Ajj, Cjj, tol))
         except NumericalError as exc:
             raise NumericalError(
                 f"gain synthesis for sub-state {j} failed: {exc}"

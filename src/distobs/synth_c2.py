@@ -32,21 +32,19 @@ __all__ = [
 ]
 
 
-def local_observer(split, poles_policy="deadbeat", given=None, tol=None):
+def local_observer(split, given=None, tol=None):
     """Output-injection gain for one node's reduced local observer.
 
     The node's pair couples its detectable eigenvalue classes with the
     locally observable residual of the others; only the observable part of
-    that pair is placed (deadbeat by default), and the stable directions the
-    node cannot see from its own outputs get zero gain rows.
+    that pair gets a deadbeat gain, and the stable directions the node
+    cannot see from its own outputs get zero gain rows.
 
     Parameters
     ----------
     split : NodeSplit
         The node's split; the observer runs on
         ``(split.local_dynamics, split.local_output)``.
-    poles_policy : str
-        ``"deadbeat"`` places every observable pole at the origin.
     given : (n_s, r) ndarray, optional
         User-supplied gain; it is validated against the pair instead of
         synthesizing one.
@@ -74,15 +72,13 @@ def local_observer(split, poles_policy="deadbeat", given=None, tol=None):
     elif n_s == 0:
         L = np.zeros((0, r))
     else:
-        if poles_policy != "deadbeat":
-            raise ValueError(f"unknown poles policy {poles_policy!r}")
         T_loc, k = nk.obs_canon_decomp(J, F, tol)
         if k == 0:
             L = np.zeros((n_s, r))
         else:
             A_o = (T_loc.T @ J @ T_loc)[:k, :k]
             C_o = (F @ T_loc)[:, :k]
-            L_o = nk.place_observer_gain(A_o, C_o, np.zeros(k), tol)
+            L_o = nk.place_observer_gain(A_o, C_o, tol)
             L = T_loc[:, :k] @ L_o
     rho = nk.spectral_radius(J - L @ F) if n_s else 0.0
     if rho >= 1.0:
@@ -235,7 +231,7 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     )
 
 
-def design_condition2(p, g, tol=None, max_parents=1, gains=None):
+def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
     """Design the complete per-eigenvalue observer bank for a network.
 
     Checks per-eigenvalue coverage, computes the grouped eigenstructure and
@@ -255,6 +251,9 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     gains : dict, optional
         Maps node id to a user-supplied local gain, overriding synthesis
         for that node.
+    report : FeasibilityReport, optional
+        ``feasibility_report(p, g, tol)`` when the caller already holds it;
+        ``None`` computes it.
 
     Returns
     -------
@@ -268,12 +267,6 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None):
     IllConditionedJordan
         If the eigenbasis cannot be certified.
     """
-    return _design_condition2(p, g, tol, max_parents, gains, None)
-
-
-def _design_condition2(p, g, tol, max_parents, gains, report):
-    """:func:`design_condition2`, reusing ``report`` when the caller already
-    holds ``feasibility_report(p, g, tol)`` (``None`` computes it)."""
     tol = tol or nk.DEFAULT_TOL
     if report is None:
         report = feasibility_report(p, g, tol)

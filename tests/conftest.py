@@ -127,6 +127,22 @@ def structured_plant(rng, max_nodes=5, max_state=8, block_radius=1.1,
     return Plant(A, C), oracle
 
 
+def observability_matrix(A, C):
+    """The Krylov stack ``[C; CA; ...; C A^(n-1)]``, shape ``(n*r, n)``."""
+    blocks = [np.asarray(C, dtype=float)]
+    for _ in range(len(A) - 1):
+        blocks.append(blocks[-1] @ A)
+    return np.vstack(blocks)
+
+
+def krylov_observable(A, C):
+    """Reference observability test: full column rank of the Krylov stack.
+
+    Independent of the staircase split in ``numkit``; its rows grow like
+    ``||A||^(n-1)``, so it is trusted only at small n (up to 8 here)."""
+    return nk.matrix_rank(observability_matrix(A, C)) == len(A)
+
+
 def random_strong_graph(rng, n_nodes, extra=2):
     """Strongly connected digraph: a directed cycle through a random node
     permutation plus ``extra`` random chords."""

@@ -12,14 +12,13 @@ from distobs import (
     multisensor_decompose,
     node_local_split,
 )
-from distobs import numkit as nk
 from distobs.errors import (
     IllConditionedJordan,
     InvalidTransform,
     NumericalError,
     ShapeError,
 )
-from conftest import structured_plant
+from conftest import krylov_observable, structured_plant
 
 STAIR_A = np.array([
     [1.0, 2.0, -2.0, -15.0],
@@ -56,7 +55,7 @@ def test_multisensor_decompose_staircase():
         assert sl.stop - sl.start == 1
         # each sub-state pair is observable from its source node's output
         src = d.source_node(j)
-        assert nk.is_observable(d.A_sub(j), d.C_block(src, j))
+        assert krylov_observable(d.A_sub(j), d.C_block(src, j))
     # later blocks are invisible to earlier sensors
     for i in range(1, 4):
         pos = d.step_of_node[i]
@@ -64,6 +63,19 @@ def test_multisensor_decompose_staircase():
             np.testing.assert_allclose(d.C_block(i, j), 0.0, atol=1e-9)
         np.testing.assert_allclose(
             d.Cbar[i - 1][:, d.unobs_slice], 0.0, atol=1e-9)
+
+
+def test_single_sensor_observes_whole_state_at_n16():
+    # node 1 of the cycle 1 -> 2 -> 3 -> 1 senses one random row of a random
+    # 16-state plant; nodes 2 and 3 sense nothing.  The pair is observable,
+    # so node 1's sub-state is the whole state and the structural gate passes.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((16, 16))
+        blind = np.zeros((0, 16))
+        p = Plant(A, (rng.standard_normal((1, 16)), blind, blind))
+        d = multisensor_decompose(p)
+        assert d.o == (16, 0, 0) and d.u_dim == 0
 
 
 def test_multisensor_order_invariance_of_totals():

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from distobs import numkit as nk
-from distobs.errors import InvalidMatrix, NotObservable, ShapeError
+from distobs.errors import (
+    InvalidMatrix,
+    NotObservable,
+    NumericalError,
+    ShapeError,
+)
+from conftest import krylov_observable, observability_matrix, random_orthogonal
 
 
 def test_tolerance_defaults():
@@ -29,17 +35,14 @@ def test_matrix_rank_literal():
     assert nk.matrix_rank(M) == 1
     assert nk.matrix_rank(np.eye(3)) == 3
     assert nk.matrix_rank(np.zeros((2, 2))) == 0
-    # a tiny matrix is full rank on its own scale but rank zero against a
-    # large reference scale
-    tiny = 1e-12 * np.eye(2)
-    assert nk.matrix_rank(tiny) == 2
-    assert nk.matrix_rank(tiny, scale=1.0) == 0
+    # the cutoff is relative: a tiny matrix is full rank on its own scale
+    assert nk.matrix_rank(1e-12 * np.eye(2)) == 2
 
 
 def test_observability_matrix_literal():
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     C = np.array([[1.0, 0.0]])
-    O = nk.observability_matrix(A, C)
+    O = observability_matrix(A, C)
     assert O.shape == (2, 2)
     np.testing.assert_allclose(O, [[1.0, 0.0], [1.0, 1.0]])
     assert nk.is_observable(A, C)
@@ -57,7 +60,7 @@ def test_obs_canon_decomp_structure():
     Cb = C @ T
     np.testing.assert_allclose(Ab[:k, k:], 0.0, atol=1e-9)
     np.testing.assert_allclose(Cb[:, k:], 0.0, atol=1e-9)
-    assert nk.is_observable(Ab[:k, :k], Cb[:, :k])
+    assert krylov_observable(Ab[:k, :k], Cb[:, :k])
     # unobservable block carries the unseen eigenvalue
     np.testing.assert_allclose(np.linalg.eigvals(Ab[k:, k:]), [0.5])
 
@@ -68,6 +71,51 @@ def test_obs_canon_decomp_edge_cases():
     T, k = nk.obs_canon_decomp(np.eye(2), np.zeros((0, 2)))
     assert k == 0
     np.testing.assert_allclose(T, np.eye(2))
+
+
+def _pbh_observable(A, C):
+    """Reference: ``[A - lam I; C]`` keeps full column rank at every
+    eigenvalue of ``A``, relative to ``max(||A||_2, ||C||_2)``."""
+    n = len(A)
+    scale = max(np.linalg.norm(A, 2), np.linalg.norm(C, 2))
+    return all(
+        np.linalg.svd(np.vstack([A - lam * np.eye(n), C]),
+                      compute_uv=False)[-1] > 1e-9 * scale
+        for lam in np.linalg.eigvals(A)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+@example(seed=3559)
+def test_obs_canon_decomp_planted_block_large_n(seed):
+    # a k-dimensional observable block planted under a random orthogonal
+    # basis at n = 8..16, where the Krylov stack's rows span 1e10 and more
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 17))
+    k = int(rng.integers(1, n + 1))
+    r = int(rng.integers(1, 3))
+    Abar = rng.standard_normal((n, n))
+    Abar[:k, k:] = 0.0
+    Cbar = np.zeros((r, n))
+    Cbar[:, :k] = rng.standard_normal((r, k))
+    Q = random_orthogonal(rng, n)
+    A, C = Q @ Abar @ Q.T, Cbar @ Q.T
+    T, n_obs = nk.obs_canon_decomp(A, C)
+    assert n_obs == k
+    np.testing.assert_allclose(T.T @ T, np.eye(n), atol=1e-12)
+    # each staircase step carries the rounding of the steps before it, more
+    # so when the planted block is weakly observable: over 20,000 draws the
+    # upper block had median 4e-16, 99.9th percentile 1.5e-12 and maximum
+    # 9.4e-12 of ||A||_2 (seed 3559), while the Krylov split misses by 1e-9
+    # and more.  The bound is about 10x the largest observed.
+    upper = np.abs((T.T @ A @ T)[:k, k:]).max(initial=0.0)
+    assert upper <= 1e-10 * np.linalg.norm(A, 2)
+    tail = np.abs((C @ T)[:, k:]).max(initial=0.0)
+    assert tail <= 1e-12 * np.linalg.norm(C, 2)
+    # a random pair of the same size, against the PBH reference
+    A, C = rng.standard_normal((n, n)), rng.standard_normal((r, n))
+    assert (nk.obs_canon_decomp(A, C)[1] == n) == _pbh_observable(A, C)
 
 
 def test_pbh_literals():
@@ -112,7 +160,7 @@ def test_spectral_radius():
 def test_place_observer_gain_deadbeat():
     A = np.array([[1.0, 1.0], [0.0, 2.0]])
     C = np.array([[1.0, 0.0]])
-    L = nk.place_observer_gain(A, C, [0.0, 0.0])
+    L = nk.place_observer_gain(A, C)
     assert L.shape == (2, 1)
     assert nk.spectral_radius(A - L @ C) < 1e-7
 
@@ -121,7 +169,18 @@ def test_place_observer_gain_rejects_unobservable():
     A = np.diag([2.0, 3.0])
     C = np.array([[1.0, 0.0]])
     with pytest.raises(NotObservable):
-        nk.place_observer_gain(A, C, [0.0, 0.0])
+        nk.place_observer_gain(A, C)
+
+
+def test_place_observer_gain_refuses_a_gain_off_the_origin(monkeypatch):
+    A = np.array([[1.0, 1.0], [0.0, 2.0]])
+    C = np.array([[1.0, 0.0]])
+    # this gain puts both eigenvalues of A - L C at 0.1 instead of 0
+    L = np.array([[2.8], [3.61]])
+    np.testing.assert_allclose(np.linalg.eigvals(A - L @ C), 0.1, atol=1e-6)
+    monkeypatch.setattr(nk, "_deadbeat_feedback", lambda A, B, tol: L.T)
+    with pytest.raises(NumericalError, match="pole assignment failed"):
+        nk.place_observer_gain(A, C)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,7 +193,7 @@ def test_obs_canon_decomp_properties(seed):
     C = rng.standard_normal((r, n))
     T, k = nk.obs_canon_decomp(A, C)
     np.testing.assert_allclose(T @ T.T, np.eye(n), atol=1e-10)
-    assert k == nk.matrix_rank(nk.observability_matrix(A, C)) if r else k == 0
+    assert k == nk.matrix_rank(observability_matrix(A, C)) if r else k == 0
     Ab = T.T @ A @ T
     Cb = C @ T
     scale = max(np.abs(A).max(), 1.0)
@@ -154,7 +213,7 @@ def test_deadbeat_placement_random_observable(seed):
     C = rng.standard_normal((1, n))
     if not nk.is_observable(A, C):
         return
-    L = nk.place_observer_gain(A, C, [0.0] * n)
+    L = nk.place_observer_gain(A, C)
     M = A - L @ C
     # rounding alone moves the eigenvalues of a nilpotent n x n matrix by up
     # to about (eps * ||M||)**(1/n), so a fixed bound cannot hold: seed 257

@@ -397,7 +397,7 @@ def test_shared_output_failure_names_lowest_node(monkeypatch):
     # a placement that leaves the unstable mode in place fails the group's
     # first synthesized gain, which is node 2's
     monkeypatch.setattr(nk, "place_observer_gain",
-                        lambda A, C, poles, tol=None: np.zeros(C.T.shape))
+                        lambda A, C, tol=None: np.zeros(C.T.shape))
     with pytest.raises(NotDetectable, match="^node 2: local error"):
         design_condition2(SHARED_PLANT, SHARED_GRAPH)
     # a given gain is validated on its own node only
