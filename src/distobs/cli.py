@@ -317,6 +317,10 @@ def _parse_options(obj, p, g, where="options"):
             }
             for src, per in _int_keyed(obj["weights"], at).items()
         }
+        for src, per in out["weights"].items():
+            for node in (src, *per, *(l for row in per.values() for l in row)):
+                _schema(1 <= node <= g.n_nodes,
+                        f"{at}: node {node} out of range")
     if "scheme" in obj:
         _schema(
             obj["scheme"] in _SCHEMES,

@@ -8,12 +8,15 @@ observer can use:
   previous steps.  Produces an orthogonal change of basis under which the
   dynamics are block lower triangular with one "sub-state" block per sensor
   (possibly empty) plus a collectively unobservable tail block.
-* :func:`jordan_grouped` + :func:`node_local_split` — a real Jordan basis
-  grouped by distinct eigenvalues, then a per-node reordering into the classes
-  that node can estimate from its own outputs versus the classes it must
-  receive from the network.  Which classes a node detects is the feasibility
-  table's decision (:func:`~distobs.conditions.detectable_set`); the split
-  does not test it again.
+* :func:`jordan_grouped` + :func:`node_local_split` — one orthonormal real
+  basis per distinct eigenvalue class, so the dynamics are block diagonal by
+  class, then a per-node reordering into the classes that node can estimate
+  from its own outputs versus the classes it must receive from the network.
+  Nothing inside a class needs canonical (Jordan chain) structure.  Which
+  classes a node detects is the feasibility table's decision
+  (:func:`~distobs.conditions.detectable_set`); the split does not test it
+  again, and one observability split of the node's local pair both checks
+  that the pair can carry it and fixes where the local gain goes.
 
 :func:`apply_given_transformation` applies an externally supplied basis change
 verbatim, and :func:`decomposition_from_transform` additionally validates and
@@ -195,7 +198,7 @@ class MultiSensorDecomposition:
         return self.Cbar[i - 1][:, self.block_slice(j)]
 
 
-def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
+def _zero_structural(p, T, o, u_dim, order, structure_tol, exc):
     """Transform, verify the block-triangular pattern, and zero the dust.
 
     The strictly-upper blocks of ``Abar`` and each node's output blocks beyond
@@ -211,7 +214,6 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
     Abar = Tinv @ p.A @ T
     Cbar = [Ci @ T for Ci in p.C]
     dims = (*o, u_dim)
-    sl = _slices(dims)
     # sid[r] is the 0-based slot of coordinate r: N sub-states, then the tail.
     sid = np.repeat(np.arange(len(dims)), dims)
     upper = sid[:, None] < sid[None, :]
@@ -240,18 +242,6 @@ def _zero_structural(p, T, o, u_dim, order, tol, structure_tol, exc):
                 f"{sid[c] + 1}, beyond its own step {pos[i]}"
             )
         Cb[:, beyond] = 0.0
-    # Each nonempty diagonal block must be observable from its source node.
-    for j, oj in enumerate(o, 1):
-        if oj == 0:
-            continue
-        node = order[j - 1]
-        Ajj = Abar[sl[j - 1], sl[j - 1]]
-        Cjj = Cbar[node - 1][:, sl[j - 1]]
-        if not nk.is_observable(Ajj, Cjj, tol):
-            raise exc(
-                f"sub-state {j} (node {node}) is not observable from its "
-                "source node's outputs under the given block sizes"
-            )
     return MultiSensorDecomposition(
         T=T,
         T_inv=Tinv,
@@ -312,8 +302,8 @@ def multisensor_decompose(p, order=None, tol=None):
         T_acc = T_acc @ _block_diag(np.eye(n - m), Tb)
         o.append(k)
         m -= k
-    return _zero_structural(p, T_acc, o, m, order, tol,
-                            structure_tol=1e-8, exc=NumericalError)
+    return _zero_structural(p, T_acc, o, m, order, structure_tol=1e-8,
+                            exc=NumericalError)
 
 
 def _check_transform(p, T):
@@ -364,18 +354,29 @@ def decomposition_from_transform(p, T, o, u_dim=None, order=None, tol=None,
     _check_transform(p, T)
     order = _check_order(order if order is not None else range(1, p.n_nodes + 1),
                          p.n_nodes)
-    return _zero_structural(p, T, o, u_dim, order, tol or nk.DEFAULT_TOL,
-                            structure_tol=structure_tol, exc=InvalidTransform)
+    d = _zero_structural(p, T, o, u_dim, order, structure_tol=structure_tol,
+                         exc=InvalidTransform)
+    # Each nonempty diagonal block must be observable from its source node;
+    # multisensor_decompose splits its blocks off as observable already.
+    for j, oj in enumerate(o, 1):
+        node = d.source_node(j)
+        if oj and not nk.is_observable(d.A_sub(j), d.C_block(node, j), tol):
+            raise InvalidTransform(
+                f"sub-state {j} (node {node}) is not observable from its "
+                "source node's outputs under the given block sizes"
+            )
+    return d
 
 
 @dataclass(frozen=True, eq=False)
 class JordanClass:
-    """One distinct-eigenvalue class of the grouped real Jordan form.
+    """One distinct-eigenvalue class of the grouped eigenvalue-class form.
 
-    ``block`` is the class's real canonical block: for a real eigenvalue, the
-    usual Jordan structure with unit superdiagonal; for a fused conjugate
-    pair, 2x2 rotation-scaling blocks chained by identity couplings.  ``dim``
-    is the real dimension (both halves of a pair counted).
+    ``block`` is the class's real block ``V.T @ A @ V`` in an orthonormal
+    basis ``V`` of the class's invariant subspace: its eigenvalues are the
+    class's (both halves of a fused conjugate pair), with no canonical
+    structure inside.  ``dim`` is the real dimension (both halves of a pair
+    counted).
     """
 
     rep: complex
@@ -388,177 +389,118 @@ class JordanClass:
         return abs(self.rep)
 
 
-def _orth_basis(M, cutoff=1e-10):
-    """Orthonormal basis of the column space of ``M`` (possibly 0 columns)."""
-    if M.shape[1] == 0:
-        return M
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return U[:, s > cutoff * (s[0] if s.size else 1.0)]
+def _class_basis(A, cls, tol):
+    """Orthonormal real basis ``V`` of one eigenvalue class and its block.
 
-
-def _jordan_chains(A, lam, alg, tol):
-    """Generalized-eigenvector chains of ``A`` at ``lam``.
-
-    Returns a list of chains, each ordered from eigenvector up to chain top,
-    covering an ``alg``-dimensional invariant subspace.  All rank decisions
-    that disagree with the clustered multiplicities raise
-    :class:`IllConditionedJordan` — a dubious canonical form is worse than no
-    canonical form.
+    ``V`` spans the kernel of ``(A - lam I)^k`` at the smallest ``k`` whose
+    kernel reaches the class dimension; for a conjugate pair, the real and
+    imaginary parts of that complex kernel.  The span is ``A``-invariant,
+    so the class block is ``V.T @ A @ V``.  Each power is ranked against
+    ``rank_tol * max(sigma_max, ||A - lam I||_2^k)``: once the power
+    collapses to round-off dust, its own largest singular value is
+    meaningless as a reference.  A kernel growth that disagrees with the
+    clustered multiplicity raises :class:`IllConditionedJordan` — a dubious
+    class basis is worse than none.
     """
-    n = A.shape[0]
-    complex_mode = abs(complex(lam).imag) > 0
-    dt = complex if complex_mode else float
-    B = A.astype(dt) - complex(lam) * np.eye(n, dtype=dt)
-    if not complex_mode:
-        B = B.real
+    lam, n = cls.rep, A.shape[0]
+    alg = cls.dim // 2 if cls.complex_pair else cls.dim
 
     def bail(why):
         raise IllConditionedJordan(
-            f"Jordan structure at eigenvalue {complex(lam):.6g} could not be "
+            f"eigenvalue class at {lam:.6g} could not be "
             f"certified: {why}. The sequential multi-sensor decomposition "
             "route does not need the eigenstructure and may still apply.",
-            eigenvalue=complex(lam),
-        )
-
-    kernels = [np.zeros((n, 0), dtype=dt)]
-    dims = [0]
-    Bk = np.eye(n, dtype=dt)
-    norm_B = float(np.linalg.norm(B, 2))
-    depth = None
-    for k in range(1, n + 1):
-        Bk = Bk @ B
-        U, s, Vh = np.linalg.svd(Bk)
-        # Anchor the cutoff to ||B||^k: once the power collapses to round-off
-        # dust, its own largest singular value is meaningless as a reference.
-        anchor = max(float(s[0]) if s.size else 0.0, norm_B ** k, 1e-300)
-        cutoff = (nk.DEFAULT_TOL if tol is None else tol).rank_tol * anchor
-        r = int(np.count_nonzero(s > cutoff))
-        kernels.append(Vh[r:].conj().T)
-        dims.append(n - r)
-        if dims[k] == alg:
-            depth = k
-            break
-        if dims[k] < alg and dims[k] <= dims[k - 1]:
-            bail(f"kernel growth stalled at dimension {dims[k]} < {alg}")
-        if dims[k] > alg:
-            bail(f"kernel dimension {dims[k]} exceeds multiplicity {alg}")
-    if depth is None:
-        bail("chain depth search exhausted")
-    counts = [dims[k] - dims[k - 1] for k in range(1, depth + 1)]
-    if any(counts[k] > counts[k - 1] for k in range(1, depth)):
-        bail(f"kernel increments {counts} are not monotone")
-    chains = []  # each chain: [top, ..., level-1 vector]; built top-down
-    for k in range(depth, 0, -1):
-        for ch in chains:
-            ch.append(B @ ch[-1])
-        existing = [ch[-1] for ch in chains]
-        need = counts[k - 1] - len(chains)
-        if need < 0:
-            bail(f"chain count at depth {k} exceeds kernel increment")
-        if need:
-            obstruction = _orth_basis(np.hstack(
-                [kernels[k - 1]] + [v.reshape(n, 1) for v in existing]
-            )) if (kernels[k - 1].shape[1] or existing) else np.zeros((n, 0), dtype=dt)
-            Kk = kernels[k]
-            M = Kk - obstruction @ (obstruction.conj().T @ Kk) \
-                if obstruction.shape[1] else Kk
-            _, s2, Vh2 = np.linalg.svd(M)
-            if s2.size < need or s2[need - 1] <= 1e-8:
-                bail(f"could not find {need} independent chain tops at depth {k}")
-            for t in range(need):
-                chains.append([Kk @ Vh2.conj().T[:, t]])
-    return [list(reversed(ch)) for ch in chains]
-
-
-def _real_class_basis(A, cls, tol):
-    """Columns and canonical block for one eigenvalue class."""
-    lam = cls.rep
-    if not cls.complex_pair:
-        chains = _jordan_chains(A, lam.real, cls.dim, tol)
-        cols = []
-        blocks = []
-        for ch in sorted(chains, key=len, reverse=True):
-            cols.extend(ch)
-            L = len(ch)
-            blocks.append(lam.real * np.eye(L) + np.diag(np.ones(L - 1), 1))
-        return np.column_stack(cols), _block_diag(*blocks)
-    if cls.dim % 2:
-        raise IllConditionedJordan(
-            f"conjugate-pair class at {lam:.6g} has odd dimension {cls.dim}",
             eigenvalue=lam,
         )
-    chains = _jordan_chains(A, lam, cls.dim // 2, tol)
-    a, b = lam.real, lam.imag
-    D = np.array([[a, b], [-b, a]])
-    cols = []
-    blocks = []
-    for ch in sorted(chains, key=len, reverse=True):
-        for v in ch:
-            cols.append(v.real)
-            cols.append(v.imag)
-        L = len(ch)
-        blk = np.kron(np.eye(L), D) + np.kron(np.diag(np.ones(L - 1), 1), np.eye(2))
-        blocks.append(blk)
-    return np.column_stack(cols), _block_diag(*blocks)
+
+    if cls.complex_pair and cls.dim % 2:
+        bail(f"conjugate-pair class has odd dimension {cls.dim}")
+    B = A - (lam if cls.complex_pair else lam.real) * np.eye(n)
+    norm_B = float(np.linalg.norm(B, 2))
+    Bk = np.eye(n)
+    k = dim = 0
+    while dim < alg:  # the kernel grows at every power, or bail() stops
+        k += 1
+        Bk = Bk @ B
+        _, s, Vh = np.linalg.svd(Bk)
+        anchor = max(float(s[0]), norm_B ** k, 1e-300)
+        r = int(np.count_nonzero(s > tol.rank_tol * anchor))
+        if n - r > alg:
+            bail(f"kernel dimension {n - r} exceeds multiplicity {alg}")
+        if n - r <= dim:
+            bail(f"kernel growth stalled at dimension {n - r} < {alg}")
+        dim = n - r
+    V = Vh[r:].conj().T
+    if cls.complex_pair:
+        V = np.linalg.qr(np.hstack([V.real, V.imag]))[0]
+    return V, V.T @ A @ V
 
 
 def jordan_grouped(A, tol=None):
-    """Real Jordan form with blocks grouped by distinct eigenvalue.
+    """Real block-diagonal form with one block per distinct eigenvalue.
 
     Returns ``(T, classes)`` with ``A ≈ T · blockdiag(class blocks) · T^{-1}``;
-    classes are ordered by descending magnitude, ties by descending real part
-    then ascending imaginary part, and a conjugate pair forms a single class
-    in real 2x2 rotation-scaling form.  Certification failures (inconsistent
-    chain ranks, ill-conditioned basis, poor reconstruction) raise
+    the columns of ``T`` are one orthonormal basis per class (see
+    :func:`_class_basis`), so only the angles between classes condition it.
+    Classes are ordered by descending magnitude, ties by descending real part
+    then ascending imaginary part, and a conjugate pair forms a single real
+    class.  Certification failures (inconsistent kernel growth,
+    ill-conditioned basis, poor reconstruction) raise
     :class:`IllConditionedJordan` rather than returning a dubious form.
     """
     tol = tol or nk.DEFAULT_TOL
     A = nk.as_square(A, "A")
-    return _jordan_basis(A, nk.eigen_info(A, tol).classes, tol)
+    T, _, _, classes = _jordan_basis(A, nk.eigen_info(A, tol).classes, tol)
+    return T, classes
 
 
 def _jordan_basis(A, eig_classes, tol):
-    """:func:`jordan_grouped` on the :func:`numkit.eigen_info` classes
-    ``eig_classes`` of ``A``, in their order."""
+    """``(T, T_inv, cond_T, classes)`` of :func:`jordan_grouped` on the
+    :func:`numkit.eigen_info` classes ``eig_classes`` of ``A``, in their
+    order; ``T`` is inverted and conditioned once, here."""
     n = A.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), ()
+        return np.zeros((0, 0)), np.zeros((0, 0)), 1.0, ()
     cols = []
     classes = []
     for cls in eig_classes:
-        V, block = _real_class_basis(A, cls, tol)
+        V, block = _class_basis(A, cls, tol)
         cols.append(V)
         classes.append(JordanClass(cls.rep, cls.dim, block, cls.complex_pair))
     T = np.hstack(cols)
     cond = float(np.linalg.cond(T))
     if not np.isfinite(cond) or cond > _JORDAN_COND_LIMIT:
         raise IllConditionedJordan(
-            f"Jordan basis condition number {cond:.3g} exceeds "
+            f"class basis condition number {cond:.3g} exceeds "
             f"{_JORDAN_COND_LIMIT:.0e}; the sequential multi-sensor "
             "decomposition route does not need the eigenstructure."
         )
+    T_inv = np.linalg.inv(T)
     J = _block_diag(*(c.block for c in classes))
-    recon = T @ J @ np.linalg.inv(T)
-    if np.linalg.norm(recon - A, 2) > 1e-7 * max(1.0, np.linalg.norm(A, 2)):
+    residual = np.linalg.norm(T @ J @ T_inv - A, 2)
+    if residual > 1e-7 * max(1.0, np.linalg.norm(A, 2)):
         raise IllConditionedJordan(
-            "Jordan reconstruction residual exceeds 1e-7 relative to the "
+            "class basis reconstruction residual exceeds 1e-7 relative to the "
             "plant; the sequential multi-sensor decomposition route does not "
             "need the eigenstructure."
         )
-    return T, tuple(classes)
+    return T, T_inv, cond, tuple(classes)
 
 
 @dataclass(frozen=True, eq=False)
 class NodeSplit:
-    """Node-local reordering of the grouped Jordan coordinates.
+    """Node-local reordering of the eigenvalue-class coordinates.
 
     ``detectable``/``undetectable`` index the eigenvalue classes this node
     can/cannot estimate from its own outputs (stable classes always count as
-    detectable).  ``perm`` maps reordered coordinates back to Jordan
+    detectable).  ``perm`` maps reordered coordinates back to class
     coordinates (detectable blocks first).  The node's local observer runs on
     the ``det_dim + aug_dim`` states of ``(local_dynamics, local_output)``:
     the detectable classes plus the locally observable residual of the
     undetectable ones, split off orthogonally by ``inner_split``.
+    ``(obs_basis, obs_dim)`` is the observability split of that local pair
+    (:func:`~distobs.numkit.obs_canon_decomp`): the split's one decision on
+    what the node observes, on which its gain is placed.
     """
 
     node: int
@@ -570,6 +512,8 @@ class NodeSplit:
     local_output: np.ndarray
     det_dim: int
     aug_dim: int
+    obs_basis: np.ndarray
+    obs_dim: int
 
     def renumbered(self, node):
         """This split for node ``node``, a node with the same outputs: a
@@ -581,54 +525,53 @@ class NodeSplit:
 
 
 def node_local_split(T, classes, node, C_i, detectable, tol=None):
-    """Split the grouped Jordan coordinates by node ``node``'s own visibility.
+    """Split the class coordinates by node ``node``'s own visibility.
 
     ``detectable`` indexes the eigenvalue classes the node estimates from
     its own outputs, its :func:`~distobs.conditions.detectable_set` (as the
     feasibility report's ``per_node_detectable`` holds it); it relies on the
     network for the others.  Those are further split orthogonally into their
     locally observable residual (which augments the node's observer so its
-    output model is unbiased) and the remainder.  Returns the
-    :class:`NodeSplit` consumed by the root-coverage observer synthesis; a
-    local pair that cannot detect a detectable unstable class raises
-    :class:`NumericalError`.
+    output model is unbiased) and the remainder.  One more split of the
+    resulting local pair decides what the node observes; if it leaves an
+    eigenvalue of a detectable class with ``|lambda| >= 1 - eig_cluster_tol``
+    unobservable, the pair cannot carry the table's decision and
+    :class:`NumericalError` names that class.  Returns the
+    :class:`NodeSplit` consumed by the root-coverage observer synthesis.
     """
     tol = tol or nk.DEFAULT_TOL
     n = T.shape[0]
     C_i = nk.as_matrix(C_i, f"C_{node}", cols=n)
-    Cz = C_i @ T
-    J = _block_diag(*(c.block for c in classes)) if classes else np.zeros((0, 0))
     sl = _slices([c.dim for c in classes])
     detectable = sorted(detectable)
     undetectable = [k for k in range(len(classes)) if k not in detectable]
     ordered = detectable + undetectable
-    P = np.zeros((n, n))
-    at = 0
-    for k in ordered:
-        width = classes[k].dim
-        P[sl[k], at:at + width] = np.eye(width)
-        at += width
-    Jr = P.T @ J @ P
-    Cr = Cz @ P
+    cols = [r for k in ordered for r in range(sl[k].start, sl[k].stop)]
+    P = np.eye(n)[:, cols]
+    Jr = _block_diag(*(classes[k].block for k in ordered))
+    Cr = (C_i @ T)[:, cols]
     det_dim = sum(classes[k].dim for k in detectable)
     J_und = Jr[det_dim:, det_dim:]
     C_und = Cr[:, det_dim:]
-    scale = max(float(np.linalg.norm(J, 2)), float(np.linalg.norm(Cz, 2)))
+    scale = max(float(np.linalg.norm(Jr, 2)), float(np.linalg.norm(Cr, 2)))
     Tbar, aug_dim = nk.obs_canon_decomp(J_und, C_und, tol, scale=scale)
     J_aug = (Tbar.T @ J_und @ Tbar)[:aug_dim, :aug_dim]
     H_aug = (C_und @ Tbar)[:, :aug_dim]
     local_dynamics = _block_diag(Jr[:det_dim, :det_dim], J_aug)
     local_output = np.hstack([Cr[:, :det_dim], H_aug])
     # The local pair must be detectable, else the node's own observer cannot
-    # converge on the states it claims to estimate.
-    for k in detectable:
-        cls = classes[k]
-        if cls.magnitude >= 1.0 - tol.eig_cluster_tol:
-            if not nk.pbh_rank_ok(local_dynamics, local_output, cls.rep, tol):
-                raise NumericalError(
-                    f"node {node}: local pair lost detectability of "
-                    f"eigenvalue {cls.rep:.6g} after the split"
-                )
+    # converge on the states it claims to estimate: no eigenvalue this split
+    # leaves unobservable may belong to a detectable unstable class.
+    T_loc, k = nk.obs_canon_decomp(local_dynamics, local_output, tol)
+    unobs = np.linalg.eigvals((T_loc.T @ local_dynamics @ T_loc)[k:, k:])
+    lost = {min(range(len(classes)), key=lambda c: abs(
+        classes[c].rep - complex(mu.real, abs(mu.imag)))) for mu in unobs}
+    for c in detectable:
+        if c in lost and classes[c].magnitude >= 1.0 - tol.eig_cluster_tol:
+            raise NumericalError(
+                f"node {node}: local pair lost detectability of "
+                f"eigenvalue {classes[c].rep:.6g} after the split"
+            )
     return NodeSplit(
         node=node,
         detectable=tuple(detectable),
@@ -639,12 +582,14 @@ def node_local_split(T, classes, node, C_i, detectable, tol=None):
         local_output=local_output,
         det_dim=det_dim,
         aug_dim=aug_dim,
+        obs_basis=T_loc,
+        obs_dim=k,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class JordanSystem:
-    """Grouped real Jordan coordinates of a plant plus every node's split.
+    """Eigenvalue-class coordinates of a plant plus every node's split.
 
     Attributes
     ----------
@@ -652,10 +597,10 @@ class JordanSystem:
         The plant the coordinates were computed for.
     T : (n, n) ndarray
         Real similarity with ``inv(T) @ A @ T`` block diagonal, one block
-        per eigenvalue class.
+        per eigenvalue class; the columns of each class are orthonormal.
     T_inv : (n, n) ndarray
-        Precomputed inverse of ``T`` (solved once; the runtime recursions
-        reuse it every step).
+        Precomputed inverse of ``T`` (inverted once, with the basis; the
+        runtime recursions reuse it every step).
     classes : tuple of JordanClass
         Eigenvalue classes in the column order of ``T``.
     per_node : tuple of NodeSplit
@@ -682,7 +627,7 @@ class JordanSystem:
 
 
 def jordan_system(p, tol=None, report=None):
-    """Compute grouped Jordan coordinates of ``p`` and split them per node.
+    """Compute eigenvalue-class coordinates of ``p`` and split them per node.
 
     ``report``, a ``feasibility_report(p, g, tol)``, supplies the eigenvalue
     classes and each node's detectable set, so no rank decision is made
@@ -710,8 +655,8 @@ def jordan_system(p, tol=None, report=None):
     """
     tol = tol or nk.DEFAULT_TOL
     info = nk.eigen_info(p.A, tol) if report is None else None
-    T, classes = _jordan_basis(p.A, (report or info).classes, tol)
-    T_inv = np.linalg.solve(T, np.eye(p.n))
+    T, T_inv, cond_T, classes = _jordan_basis(p.A, (report or info).classes,
+                                              tol)
     per_node = []
     for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
         if r != i:
@@ -720,7 +665,6 @@ def jordan_system(p, tol=None, report=None):
         detectable = (detectable_set(p.A, C_i, tol, info) if report is None
                       else report.per_node_detectable[i - 1])
         per_node.append(node_local_split(T, classes, i, C_i, detectable, tol))
-    cond_T = float(np.linalg.cond(T)) if p.n else 1.0
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, classes=classes,
         per_node=tuple(per_node), cond_T=cond_T,

@@ -332,6 +332,8 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     sub-state's source node (global id) to ``{node: {parent: weight}}``, and
     the route's construction validates the rows against the same
     stochasticity and acyclicity requirements the static weights satisfy.
+    ``gains`` or ``weights`` keyed by a node that sources no nonempty
+    sub-state raise ``ValueError`` naming that node.
     """
     tol = tol or nk.DEFAULT_TOL
     verdict = check_condition1(p, g, tol)
@@ -358,6 +360,7 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                 f"{order}"
             )
     designs = []
+    sources = set()  # global ids of the nodes sourcing a nonempty sub-state
     for comp in comps:
         h, ids = subgraph(g, comp)
         local_plant = Plant(p.A, tuple(p.C[v - 1] for v in ids))
@@ -396,6 +399,7 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
             source = d.source_node(j)
             route = spanning_dag(h, {source}, max_parents)
             src_global = ids[source - 1]
+            sources.add(src_global)
             if src_global in user_weights:
                 rows = {v: {l: float(w) for l, w in row.items()}
                         for v, row in user_weights[src_global].items()}
@@ -426,6 +430,13 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
         designs.append(ComponentDesign(
             nodes=ids, graph=h, bank=bank, stability=stability,
         ))
+    for name, given in (("gains", gains), ("weights", user_weights)):
+        stray = sorted(set(given) - sources)
+        if stray:
+            raise ValueError(
+                f"{name} given for node {stray[0]}, which sources no "
+                "nonempty sub-state"
+            )
     informed = {v for comp in comps for v in comp}
     relay = None
     if len(informed) < g.n_nodes:

@@ -37,8 +37,9 @@ def local_observer(split, given=None, tol=None):
 
     The node's pair couples its detectable eigenvalue classes with the
     locally observable residual of the others; only the observable part of
-    that pair gets a deadbeat gain, and the stable directions the node
-    cannot see from its own outputs get zero gain rows.
+    that pair, as the split decided it (``split.obs_basis``,
+    ``split.obs_dim``), gets a deadbeat gain, and the stable directions the
+    node cannot see from its own outputs get zero gain rows.
 
     Parameters
     ----------
@@ -59,8 +60,10 @@ def local_observer(split, given=None, tol=None):
     ------
     NotDetectable
         If no gain can make (or ``given`` does not make) the local error
-        dynamics Schur stable — an internal consistency failure, since the
-        split only admits detectable local pairs.
+        dynamics Schur stable.  The split refuses a pair that loses a
+        detectable unstable class, so a synthesized gain fails here only
+        when the pair loses the locally observable residual of a relayed
+        unstable class, a decision at the rank cutoff.
     """
     tol = tol or nk.DEFAULT_TOL
     J = split.local_dynamics
@@ -69,17 +72,11 @@ def local_observer(split, given=None, tol=None):
     r = F.shape[0]
     if given is not None:
         L = nk.as_matrix(given, "given gain", rows=n_s, cols=r)
-    elif n_s == 0:
-        L = np.zeros((0, r))
+    elif split.obs_dim == 0:
+        L = np.zeros((n_s, r))
     else:
-        T_loc, k = nk.obs_canon_decomp(J, F, tol)
-        if k == 0:
-            L = np.zeros((n_s, r))
-        else:
-            A_o = (T_loc.T @ J @ T_loc)[:k, :k]
-            C_o = (F @ T_loc)[:, :k]
-            L_o = nk.place_observer_gain(A_o, C_o, tol)
-            L = T_loc[:, :k] @ L_o
+        V = split.obs_basis[:, :split.obs_dim]
+        L = V @ nk.place_observer_gain(V.T @ J @ V, F @ V, tol)
     rho = nk.spectral_radius(J - L @ F) if n_s else 0.0
     if rho >= 1.0:
         raise NotDetectable(

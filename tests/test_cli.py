@@ -119,6 +119,13 @@ def test_switching_scenario_contents():
     # an integer too large for a float
     (lambda s: s["plant"].update(A=[[10 ** 400]]),
      "plant.A: non-numeric or non-finite"),
+    # weight keys are range-checked as gain keys are: source, node, parent
+    (lambda s: s.update(options={"weights": {"9": {"2": {"1": 1.0}}}}),
+     "options.weights: node 9 out of range"),
+    (lambda s: s.update(options={"weights": {"1": {"0": {"1": 1.0}}}}),
+     "options.weights: node 0 out of range"),
+    (lambda s: s.update(options={"weights": {"1": {"2": {"3": 1.0}}}}),
+     "options.weights: node 3 out of range"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_load_scenario_rejects(tmp_path, mutate, fragment):
     payload = _minimal_scenario()
@@ -274,6 +281,25 @@ def test_design_rejects_non_finite_weight_exits_3(tmp_path, capsys):
     rc = main(["design", _write(tmp_path, "s.json", raw), "--out", str(bank)])
     assert rc == 3
     assert "non-finite weight nan on edge 1->2" in capsys.readouterr().err
+    assert not bank.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"weights": {"99": {"2": {"1": 1.0}}}},
+     "options.weights: node 99 out of range"),
+    ({"weights": {"3": {"2": {"1": 1.0}}}},
+     "weights given for node 3, which sources no nonempty sub-state"),
+    ({"gains": {"3": [[1.0]]}},
+     "gains given for node 3, which sources no nonempty sub-state"),
+], ids=["weights_out_of_range", "weights_non_source", "gains_non_source"])
+def test_design_rejects_overrides_that_match_nothing(tmp_path, capsys,
+                                                     override, message):
+    raw = json.loads(open(bundled_scenario_path("sec8.json")).read())
+    raw["options"].update(override)
+    bank = tmp_path / "bank.json"
+    rc = main(["design", _write(tmp_path, "s.json", raw), "--out", str(bank)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
     assert not bank.exists()
 
 

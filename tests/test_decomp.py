@@ -4,20 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from distobs import (
     Plant,
+    ToleranceConfig,
     apply_given_transformation,
     decomposition_from_transform,
+    design_condition1,
     detectable_set,
     jordan_grouped,
     jordan_system,
     multisensor_decompose,
     node_local_split,
 )
+from distobs import numkit as nk
 from distobs.errors import (
     IllConditionedJordan,
     InvalidTransform,
     NumericalError,
     ShapeError,
 )
+from distobs.netgraph import Digraph
 from conftest import krylov_observable, structured_plant
 
 STAIR_A = np.array([
@@ -175,6 +179,33 @@ def test_structural_gate_zeroes_dust_exactly():
     np.testing.assert_array_equal(d.T_inv, np.linalg.inv(T))
 
 
+def test_observability_gate_guards_given_transforms_only(monkeypatch):
+    p = Plant(np.diag([2.0, 3.0, 5.0, 0.5]), GATE_C)
+    with pytest.raises(InvalidTransform, match=(
+        r"^sub-state 1 \(node 1\) is not observable from its source node's "
+        r"outputs under the given block sizes$"
+    )):
+        decomposition_from_transform(p, np.eye(4), (2, 1, 0, 0))
+    calls = []
+
+    def counted(*args, _orig=nk.obs_canon_decomp, **kwargs):
+        calls.append(1)
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(nk, "obs_canon_decomp", counted)
+    # a given transform: one staircase per nonempty sub-state
+    decomposition_from_transform(p, np.eye(4), (1, 1, 1, 0))
+    assert len(calls) == 3
+    # a computed one: one per sensor step, and none again on the sub-states
+    # those steps split off as observable
+    p = Plant(STAIR_A, STAIR_C)
+    calls.clear()
+    assert multisensor_decompose(p).o == (1, 1, 1)
+    assert len(calls) == 3
+    calls.clear()
+    design_condition1(p, Digraph(3, {(1, 2), (2, 3), (3, 1)}))
+    assert len(calls) == 3
+
+
 def test_decomposition_from_transform_dimension_checks():
     p = Plant(STAIR_A, STAIR_C)
     with pytest.raises(ShapeError):
@@ -214,6 +245,60 @@ def test_jordan_grouped_uncertifiable():
     with pytest.raises(IllConditionedJordan) as exc:
         jordan_grouped(A)
     assert abs(exc.value.eigenvalue - 2.0) < 1e-6
+
+
+def _planted_classes(rng):
+    """``(A, planted)``: a real ``n x n`` matrix, n in 8..16, under a random
+    basis, with a repeated diagonalizable eigenvalue, a 2x2 defective block,
+    a complex pair and simple real eigenvalues; ``planted`` lists each
+    class as ``(eigenvalue, real dimension)``."""
+    n = int(rng.integers(8, 17))
+    vals = rng.permutation(np.linspace(-2.0, 2.0, 17))
+    m = int(rng.integers(2, 4))
+    r, th = rng.uniform(0.3, 1.8), rng.uniform(0.3, 2.8)
+    a, b = r * np.cos(th), r * np.sin(th)
+    blocks = [vals[0] * np.eye(m), np.array([[vals[1], 1.0], [0.0, vals[1]]]),
+              np.array([[a, b], [-b, a]])]
+    planted = [(complex(vals[0]), m), (complex(vals[1]), 2),
+               (complex(a, b), 2)]
+    for v in vals[2:n - m - 2]:
+        blocks.append(np.array([[v]]))
+        planted.append((complex(v), 1))
+    J0 = np.zeros((n, n))
+    at = 0
+    for blk in blocks:
+        J0[at:at + len(blk), at:at + len(blk)] = blk
+        at += len(blk)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    V = Q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q2
+    return V @ J0 @ np.linalg.inv(V), planted
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_class_bases_of_planted_classes(seed):
+    A, planted = _planted_classes(np.random.default_rng(seed))
+    # rounding splits the defective pair's eigenvalues by about
+    # 2 sqrt(eps ||A|| cond(V)), up to 1e-7 here; the default clustering
+    # tolerance would split that class on about 1 draw in 1,250
+    T, classes = jordan_grouped(A, ToleranceConfig(eig_cluster_tol=1e-6))
+    key = [(round(lam.real, 6), round(abs(lam.imag), 6), dim)
+           for lam, dim in planted]
+    assert sorted(key) == sorted(
+        (round(c.rep.real, 6), round(abs(c.rep.imag), 6), c.dim)
+        for c in classes)
+    J = np.zeros_like(A)
+    at = 0
+    for c in classes:
+        V = T[:, at:at + c.dim]
+        J[at:at + c.dim, at:at + c.dim] = c.block
+        at += c.dim
+        # one orthonormal basis per class, its block at the class's
+        # eigenvalues (a defective pair scatters like sqrt(eps))
+        assert np.linalg.norm(V.T @ V - np.eye(c.dim), 2) <= 1e-13
+        for mu in np.linalg.eigvals(c.block):
+            assert min(abs(mu - c.rep), abs(mu - c.rep.conjugate())) <= 1e-6
+    assert np.linalg.norm(A @ T - T @ J, 2) <= 1e-12 * np.linalg.norm(A, 2)
 
 
 def test_node_local_split_two_sensor_plant():

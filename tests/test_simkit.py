@@ -289,6 +289,35 @@ def test_switched_runs_match_reference_both_schemes():
     assert _normalized_dev(tr, xhat) < 1e-9
 
 
+def test_scheme2_defective_and_complex_classes_match_reference():
+    # an unstable defective class (a 2x2 Jordan block at 1.2) and an
+    # unstable complex pair under a random basis: node 1 detects the first,
+    # node 2 the second, and node 3 measures nothing and relays both
+    rng = np.random.default_rng(7)
+    J0 = np.zeros((6, 6))
+    J0[:2, :2] = [[1.2, 1.0], [0.0, 1.2]]
+    J0[2:4, 2:4] = 1.1 * np.array([[np.cos(0.9), np.sin(0.9)],
+                                   [-np.sin(0.9), np.cos(0.9)]])
+    J0[4, 4], J0[5, 5] = 0.5, -0.3
+    V = rng.standard_normal((6, 6))
+    V_inv = np.linalg.inv(V)
+    p = Plant(V @ J0 @ V_inv, (
+        np.array([[1.0, 0.0, 0.0, 0.0, 0.3, 0.0]]) @ V_inv,
+        np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.2]]) @ V_inv,
+        np.zeros((0, 6))))
+    g = Digraph(3, {(1, 2), (2, 3), (3, 1)})
+    bank = design_condition2(p, g)
+    assert [c.dim for c in bank.jsys.classes] == [2, 2, 1, 1]
+    assert [rec.split.undetectable for rec in bank.nodes] == [
+        (1,), (0,), (0, 1)]
+    x0 = rng.standard_normal(6)
+    est0 = rng.standard_normal((3, 6))
+    tr = simulate(p, bank, x0, est0=est0, K=40)
+    _, xhat = reference_simulate(p, bank, x0, est0=est0, K=40)
+    assert _normalized_dev(tr, xhat) < 1e-9
+    assert (tr.rel_err[:, -1] < 1e-6).all()
+
+
 @pytest.mark.parametrize("seed", [1, 5])
 def test_large_network_matches_reference(seed):
     # 100-node strongly connected core plus 20 relay-only nodes, both

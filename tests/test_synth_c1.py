@@ -283,6 +283,18 @@ def test_design_condition1_weights_override():
         design_condition1(WORKED_PLANT, WORKED_GRAPH, weights=outside)
 
 
+@pytest.mark.parametrize("override", ["gains", "weights"])
+def test_design_condition1_rejects_overrides_for_non_sources(override):
+    # node 3 measures nothing, so it sources an empty sub-state
+    given = {"gains": {3: np.zeros((0, 1))},
+             "weights": {3: {2: {1: 1.0}}}}[override]
+    with pytest.raises(ValueError, match=(
+        f"^{override} given for node 3, which sources no nonempty "
+        "sub-state$"
+    )):
+        design_condition1(WORKED_PLANT, WORKED_GRAPH, **{override: given})
+
+
 # nodes 2 and 3 form the only source component (local ids 1 and 2) and
 # each sources one sub-state; node 1 relays
 GLOBAL_ID_PLANT = Plant(np.diag([2.0, 3.0]), (

@@ -263,9 +263,11 @@ def _same_bits(a, b):
 
 
 def _assert_same_split(a, b):
-    assert (a.node, a.detectable, a.undetectable, a.det_dim, a.aug_dim) == (
-        b.node, b.detectable, b.undetectable, b.det_dim, b.aug_dim)
-    for name in ("perm", "inner_split", "local_dynamics", "local_output"):
+    assert (a.node, a.detectable, a.undetectable, a.det_dim, a.aug_dim,
+            a.obs_dim) == (b.node, b.detectable, b.undetectable, b.det_dim,
+                           b.aug_dim, b.obs_dim)
+    for name in ("perm", "inner_split", "local_dynamics", "local_output",
+                 "obs_basis"):
         assert _same_bits(getattr(a, name), getattr(b, name)), name
 
 
@@ -349,33 +351,33 @@ def test_node_local_work_is_done_once_per_distinct_output(monkeypatch):
     assert calls["pbh_rank_ok"] == D * U + S * U
     assert rep.per_node_detectable == ((0, 2), (0, 2), (1, 2)) + ((2,),) * 9
 
-    # the only rank tests a split makes are the post-split checks, one per
-    # unstable class its node detects: nodes 1 and 3 each detect one
-    post_split = sum(
-        len(set(rep.per_node_detectable[r - 1]) & set(rep.unstable))
-        for r in set(p._output_rep))
-    assert post_split == 2
+    # a split makes no rank test: it reads the table, and one staircase of
+    # its local pair (after one of the classes it relays) decides what the
+    # node observes, for the check and the gain alike
     count(decomp, "node_local_split")
     count(nk, "eigen_info")
+    count(nk, "obs_canon_decomp")
     calls["pbh_rank_ok"] = 0
     jsys = jordan_system(p, report=rep)
     assert calls["node_local_split"] == D
-    assert (calls["pbh_rank_ok"], calls["eigen_info"]) == (post_split, 0)
+    assert (calls["pbh_rank_ok"], calls["eigen_info"],
+            calls["obs_canon_decomp"]) == (0, 0, 2 * D)
     assert [sp.node for sp in jsys.per_node] == list(range(1, n_nodes + 1))
     assert tuple(sp.detectable for sp in jsys.per_node) == \
         rep.per_node_detectable
     # without a report: one eigen-pass and one detectable set per output
-    calls["pbh_rank_ok"] = calls["eigen_info"] = 0
+    calls["pbh_rank_ok"] = calls["eigen_info"] = calls["obs_canon_decomp"] = 0
     jordan_system(p)
-    assert (calls["pbh_rank_ok"], calls["eigen_info"]) == (
-        D * U + post_split, 1)
+    assert (calls["pbh_rank_ok"], calls["eigen_info"],
+            calls["obs_canon_decomp"]) == (D * U, 1, 2 * D)
 
-    calls["pbh_rank_ok"] = calls["eigen_info"] = 0
+    calls["pbh_rank_ok"] = calls["eigen_info"] = calls["obs_canon_decomp"] = 0
     count(synth_c2, "local_observer")
     count(synth_c2, "spanning_dag")
     bank = design_condition2(p, g, max_parents=2)
-    assert (calls["pbh_rank_ok"], calls["eigen_info"]) == (
-        D * U + S * U + post_split, 1)
+    # the local gains reuse the splits' staircases
+    assert (calls["pbh_rank_ok"], calls["eigen_info"],
+            calls["obs_canon_decomp"]) == (D * U + S * U, 1, 2 * D)
     assert calls["local_observer"] == D
     # one layering per relayed class: its route keeps every DAG parent for
     # the switching fallback, and the static weights take the first
