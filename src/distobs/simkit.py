@@ -8,25 +8,26 @@ Traces carry absolute and normalized error histories; the normalized metric
 unstable plant the state outgrows any absolute-error resolution within a few
 dozen steps.
 
-A design is compiled in two parts.  The scheme gives the local observers,
-whose innovations are formed only at the nodes with a gain; every link
-comes from the design's relay routes, each carrying one part of the state
-through its projector (:func:`_routes`), so both schemes share the link,
-switched-row and parent-map code.  A Scheme-1 node's own block is a link
-from itself.
+A design is compiled into frames, one basis shared by many nodes: a
+Scheme-1 component's decomposition, the plant basis for Scheme-1 relay
+nodes, or the Scheme-2 class basis.  In its frame a node copies each
+coordinate from its parents on the coordinate's relay route, or keeps its
+own, so a step of either scheme, static or switched, is one gather and one
+batched product; local-observer innovations are formed only at the nodes
+with a gain.  Both schemes share the frame, weight and parent-map code.
 """
 
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .decomp import Plant
+from .decomp import MultiSensorDecomposition, Plant
 from .errors import InvalidSignal, NumericalError, ShapeError
-from .netgraph import SpanningStructure
-from .synth_c1 import Condition1Design
+from .synth_c1 import Condition1Design, _blockdiag_part
 from .synth_c2 import C2ObserverBank
 
 __all__ = [
@@ -123,12 +124,12 @@ class SimulationTrace:
 def _scenario_hash(p, x0, est0, K, signal, scheme):
     h = hashlib.sha256()
     h.update(np.asarray(p.A, dtype=float).tobytes())
-    for Ci in p.C:
-        h.update(np.asarray(Ci, dtype=float).tobytes())
-        h.update(str(Ci.shape).encode())
+    # each output matrix then its shape text, in one update: the same bytes
+    # as one update apiece
+    h.update(b"".join(np.asarray(Ci, dtype=float).tobytes()
+                      + str(Ci.shape).encode() for Ci in p.C))
     h.update(np.asarray(x0, dtype=float).tobytes())
-    # one update with the stacked estimates: the same bytes as one per node
-    h.update(np.asarray(est0, dtype=float).tobytes())
+    h.update(est0.tobytes())
     h.update(str(K).encode())
     h.update(scheme.encode())
     if signal is not None:
@@ -137,8 +138,8 @@ def _scenario_hash(p, x0, est0, K, signal, scheme):
         # each mode as the text of its sorted edge list, node ids as ints
         edges, live = signal._edge_table
         strs = [repr((int(a), int(b))) for a, b in edges]
-        for row in live.tolist():
-            h.update(("[" + ", ".join(compress(strs, row)) + "]").encode())
+        h.update("".join("[" + ", ".join(compress(strs, row)) + "]"
+                         for row in live.tolist()).encode())
     return h.hexdigest()
 
 
@@ -170,43 +171,53 @@ def _check_signal(signal, g, K):
             f"mode index {signal.schedule[k]} out of range at step {k}")
 
 
+# Each chunk of the batched products costs about as much as this many rows.
+_CHUNK_COST = 16
+
+
 @dataclass(frozen=True, eq=False)
 class _NetworkOperator:
-    """A design compiled into one block-sparse affine network step.
+    """A design compiled into frames: one gather and one product per step.
 
-    Node ``i`` may run a local observer on a state row ``s_i`` (zero-padded
-    to a common width) and publishes an estimate ``x̂_i``.  One step is
+    A frame is a basis ``T`` that a set of nodes share: a Scheme-1
+    component's decomposition, the Scheme-2 class basis, or the plant basis
+    for Scheme-1 relay nodes.  In its coordinates ``z = T⁻¹ x̂`` each node
+    takes every coordinate either from its own estimate or, weighted, from
+    its parents on the coordinate's relay route, and one step is
 
-        ν_g      = C_g x[k] − Cs_g s_g[k]          (gain nodes g only)
-        s_i[k+1] = F_i s_i[k] + H_i ν_i            (H_i = 0 elsewhere)
-        x̂_i[k+1] = U_i s_i[k+1] + Σ_{e: dst_e = i} E_e x̂_{src_e}[k]
+        ν_g      = C_g x[k] − Cs_g s_g[k]             (gain nodes g only)
+        s_g[k+1] = F_g s_g[k] + H_g ν_g
+        x̂_i[k+1] = T D g_i + T A1 z_i + (U_i s_i[k+1] or H_i ν_i)
 
-    ``H``, ``C`` and ``Cs`` hold only the rows of the ``gain`` nodes, those
-    with a nonzero gain; every other node does pure consensus.  ``F`` and
-    ``U`` are ``None`` when the observer state is the estimate itself
-    (Scheme 1): then a node's own block is a link from itself, and the gain
-    nodes add ``H_g ν_g``.  The innovation is formed before the gain
-    multiplies it: folding the gain into ``F`` and ``C`` cancels large terms
-    and loses digits on high-gain designs.
+    where ``g_i`` holds the gathered coordinates, ``D`` the block-diagonal
+    sub-state or class dynamics and ``A1`` the Scheme-1 couplings (zero for
+    Scheme 2 and the plant basis, whose ``D`` is ``A``).  ``F`` and ``U``
+    are ``None`` for Scheme 1, where the gain nodes add ``H_g ν_g`` to their
+    estimate; under Scheme 2 a gain node's detected classes come from its
+    local observer ``U_g s_g`` instead of its own coordinates.  The
+    innovation is formed before the gain multiplies it: folding the gain
+    into ``F`` and ``C`` cancels large terms and loses digits on high-gain
+    designs.
 
-    The sum over links is one ``np.bincount`` over the local part followed
-    by the link terms; an ``index`` holds the flat ``(node, coordinate)``
-    target of each entry, so each estimate takes its local part first, then
-    its links in compiled order.  ``static`` is the triple ``(src, E,
-    index)`` of the designed links, one block per ``(src, dst)`` link.
+    The nodes of each frame fill ``R``-row chunks, frames with a basis
+    first, and ``rows[i]`` is node ``i``'s row.  A step reads the source
+    vector ``[Z | x̂ | 0]``: the estimates in row order, ``Z`` their leading
+    chunks times each chunk's ``Tinv`` (its frame's ``T⁻ᵀ``), and a zero
+    for unused columns.  ``take`` holds, for every row and column ``slot *
+    n + coordinate``, its source position and ``column`` its weight entry;
+    the product with ``M``, per chunk ``S`` copies of ``(T D)ᵀ`` above
+    ``(T A1)ᵀ`` for Scheme 1, sums the slots into the new estimates.  The
+    numpy calls per step do not depend on the number of frames, routes or
+    links.
 
-    A switching signal instead drives a fixed list of rows, each one
-    projector ``P[q]`` applied to one node's estimate: every routed
-    ``(child, parent, projector)`` triple — the dynamics of one sub-state or
-    eigenvalue class mapped back to plant coordinates, or the plant map
-    itself for a relay node — then every ``(child, projector)`` group's
-    fallback to the child's own estimate; a self link is a group without
-    parents.  ``rows`` holds each row's flat ``node * len(P) + q`` position
-    in the step's products ``P[q] x̂_node`` and ``row_index`` its scatter
-    targets.  ``edges`` lists the distinct routed links, ``triple_edge`` and
-    ``group`` give each triple's link and group, and :meth:`weights` turns a
-    signal into one weight row per mode.  Node indices are 0-based, the
-    links of ``edges`` 1-based ``(parent, child)`` pairs.
+    Weight entries are every routed ``(child, parent, route)`` slot, then
+    under switching one fallback slot per ``(child, route)`` group, then
+    the own slots of weight 1, then the zero.  ``fixed`` holds their static
+    weights; a switching signal reweights the routed and fallback entries
+    (:meth:`weights`), ``edges`` listing the distinct routed links, 1-based
+    ``(parent, child)`` pairs, and ``entry_edge`` and ``group`` each routed
+    entry's link and group.  ``gap`` is the largest
+    ``‖T (D + A1) T⁻¹ − A‖ / ‖A‖`` over the frames.
     """
 
     gain: np.ndarray
@@ -215,48 +226,39 @@ class _NetworkOperator:
     Cs: np.ndarray
     F: object
     U: object
-    P: np.ndarray
-    static: tuple
+    Tinv: np.ndarray
+    take: np.ndarray
+    column: np.ndarray
+    M: np.ndarray
     rows: np.ndarray
-    row_index: np.ndarray
+    fixed: np.ndarray
     edges: list
-    triple_edge: np.ndarray
+    entry_edge: np.ndarray
     group: np.ndarray
+    gap: float
 
     def weights(self, signal, K):
-        """``(W, step)``: the row weights ``W[step[k]]`` of step ``k``.
+        """``(W, step)``: the weights ``W[step[k]]`` of the routed and
+        fallback entries at step ``k``; the other entries keep ``fixed``.
 
         A group splits its weight uniformly over the parents whose link is
-        alive; a group with none, a self link always, gives weight 1 to its
-        fallback row.  ``W`` holds one row per mode that the first ``K``
-        steps use.
+        alive; a group with none gives weight 1 to its fallback.  ``W``
+        holds one row per mode that the first ``K`` steps use, one row in
+        all for a static run.
         """
+        if signal is None:
+            return (self.fixed[None, :self.entry_edge.size],
+                    np.zeros(K, dtype=np.intp))
         used, step = np.unique(np.asarray(signal.schedule[:K], dtype=np.intp),
                                return_inverse=True)
-        alive = signal._columns(self.edges)[used][:, self.triple_edge]
-        n_groups = self.rows.size - self.group.size
+        alive = signal._columns(self.edges)[used][:, self.entry_edge]
+        n_groups = int(self.group.max(initial=-1)) + 1
         count = np.bincount(
             (self.group + n_groups * np.arange(used.size)[:, None]).ravel(),
             weights=alive.ravel(), minlength=used.size * n_groups,
         ).reshape(used.size, n_groups)
-        W = np.concatenate(
-            [alive / np.maximum(count, 1)[:, self.group], count == 0], axis=1)
-        return W, step.reshape(-1)
-
-
-def _merge_links(src, dst, E):
-    """One block per ``(src, dst)`` link: blocks sharing a link are summed
-    in order of appearance, and links keep the order they first appear in.
-    A link with one block keeps it unchanged."""
-    _, lead, slot = np.unique(src * (dst.max(initial=0) + 1) + dst,
-                              return_index=True, return_inverse=True)
-    order = np.argsort(lead)
-    lead, rank = lead[order], np.argsort(order)
-    out = E[lead]
-    rest = np.delete(np.arange(src.size), lead)
-    # np.add.at adds in array order, so each link sums its blocks in order
-    np.add.at(out, rank[slot.reshape(-1)[rest]], E[rest])
-    return src[lead], dst[lead], out
+        return (np.concatenate([alive / np.maximum(count, 1)[:, self.group],
+                                count == 0], axis=1), step.reshape(-1))
 
 
 def _scheme(design):
@@ -268,139 +270,134 @@ def _scheme(design):
                      f"got {type(design).__name__}")
 
 
-def _routes(design):
-    """Every relay route of a design as ``(label, ids, route, projector,
-    own)``.
+class _Part(NamedTuple):
+    """Some coordinates of a frame: the non-roots of ``route`` take them
+    from their parents, the nodes of ``own`` (route ids) from themselves,
+    in the last slot when ``last`` (the couplings)."""
 
-    ``ids[v - 1]`` is the global id of the route's node ``v``; a parent
-    ``l`` of node ``i`` passes ``projector @ x̂_l`` to ``i``, the dynamics of
-    the routed part of the state in plant coordinates, and each root of
-    ``own`` feeds it to itself the same way.  The sub-state-consensus
-    design gives, per component and in component-local ids, the couplings
-    and the tail that every member propagates itself (``"c<component>"``, a
-    route of roots only, ``N_mat + T[:, u] A_uu T⁻¹[u, :]``) and each
-    sub-state's route from its source (``"c<component>/s<sub-state>"``,
-    ``P_j = T[:, j] A_jj T⁻¹[j, :]``), then the relay route (``"relay"``,
-    ``A``).  The per-eigenvalue bank gives each relayed class's route
-    (``"class<index>"``, ``P_c = T[:, c] J_c T⁻¹[c, :]``); a detecting node
-    takes its own part from its local observer.
+    coords: np.ndarray
+    label: str
+    route: object
+    own: tuple
+    last: bool = False
+
+
+class _Frame(NamedTuple):
+    """A basis and the nodes that use it: ``basis`` is a component's
+    decomposition, the class system, or ``None`` for the plant basis;
+    ``members`` lists the global ids of the frame's nodes, and
+    ``ids[v - 1]`` is the global id of route node ``v``."""
+
+    basis: object
+    members: tuple
+    ids: tuple
+    parts: list
+
+
+def _frames(design):
+    """Every frame of a design, those with a basis first.
+
+    The sub-state-consensus design gives per component its tail, which
+    every member keeps (``"c<component>"``), each nonempty sub-state's
+    route from its source (``"c<component>/s<sub-state>"``) and the
+    couplings, which every member reads from its whole estimate; then the
+    relay nodes take the whole state in the plant basis (``"relay"``).
+    The per-eigenvalue bank gives each relayed class's route
+    (``"class<index>"``), then the classes every node detects.
     """
     if _scheme(design) == "c2":
         jsys, ids = design.jsys, design.graph.nodes
-        for k, route in design.class_weights.items():
-            sl = jsys.class_slice(k)
-            yield (f"class{k}", ids, route, jsys.T[:, sl]
-                   @ jsys.classes[k].block @ jsys.T_inv[sl, :], ())
+        coords = [np.arange(sl.start, sl.stop) for sl in jsys.slots]
+        parts = [_Part(coords[k], f"class{k}", route, route.roots)
+                 for k, route in design.class_weights.items()]
+        parts += [_Part(coords[k], f"class{k}", None, ids)
+                  for k in range(len(coords)) if k not in design.class_weights]
+        yield _Frame(jsys, ids, ids, parts)
         return
+    n = design.plant.n
     for c, comp in enumerate(design.components):
-        d, u = comp.decomposition, comp.decomposition.unobs_slice
+        d = comp.decomposition
         local = tuple(range(1, len(comp.nodes) + 1))
-        yield (f"c{c}", comp.nodes, SpanningStructure(local, {}, local, {}),
-               comp.bank.N_mat + d.T[:, u] @ (d.A_unobs @ d.T_inv[u, :]),
-               local)
+        u = d.unobs_slice
+        parts = [_Part(np.arange(u.start, u.stop), f"c{c}", None, local)]
         for j, route in comp.bank.weights.items():
             sl = d.block_slice(j)
-            yield (f"c{c}/s{j}", comp.nodes, route,
-                   d.T[:, sl] @ (d.A_sub(j) @ d.T_inv[sl, :]), route.roots)
+            parts.append(_Part(np.arange(sl.start, sl.stop), f"c{c}/s{j}",
+                               route, route.roots))
+        parts.append(_Part(np.arange(n), f"c{c}", None, local, last=True))
+        yield _Frame(d, comp.nodes, comp.nodes, parts)
     if design.relay is not None:
-        yield "relay", design.graph.nodes, design.relay, design.plant.A, ()
+        yield _Frame(None, design.relay.relay_nodes, design.graph.nodes,
+                     [_Part(np.arange(n), "relay", design.relay, ())])
 
 
-def _operator(p, design, F, H, Cs, U, switched):
-    """Package a design's local-observer blocks with its routed links.
-
-    Only the nodes with a nonzero gain keep their rows of ``H`` and ``Cs``
-    (``None`` when the observer state is the estimate).  A static run gets
-    one block ``Σ w·P_q`` per link, own blocks included, summed over the
-    routes that link carries; a ``switched`` run gets one row per routed
-    ``(child, parent, projector)`` triple and one fallback row per ``(child,
-    projector)`` group instead, an own block being a group without parents.
-    """
-    n = p.n
-    gain = np.flatnonzero(H.any(axis=(1, 2)))
-    C = np.zeros((gain.size, H.shape[2], n))
-    for k, i in enumerate(gain.tolist()):
-        C[k, :p.C[i].shape[0]] = p.C[i]
-    local = gain if U is None else np.arange(p.n_nodes)
-
-    def targets(*nodes):  # bincount targets: each node's entries in turn
-        return (np.concatenate(nodes)[:, None] * n + np.arange(n)).ravel()
-
-    P, links, groups = [], [], []
-    for _, ids, route, proj, own in _routes(design):
-        q = len(P)
-        P.append(proj)
-        if switched:
-            groups += [(ids[i - 1], q, tuple([ids[l - 1] for l in ps]))
-                       for i, ps in route.parent_sets.items()]
-            groups += [(ids[i - 1], q, ()) for i in own]
-        else:
-            links += [(ids[i - 1], ids[l - 1], q, w)
-                      for i, row in route.weights.items()
-                      for l, w in row.items() if w]
-            links += [(ids[i - 1], ids[i - 1], q, 1.0) for i in own]
-    P = np.array(P, dtype=float).reshape(len(P), n, n)
-    lw = np.array(links, dtype=float).reshape(-1, 4)
-    child, parent, q = lw[:, :3].astype(np.intp).T
-    src, dst, E = _merge_links(parent - 1, child - 1,
-                               lw[:, 3, None, None] * P[q])
-    t = np.array([(i, l, j, g) for g, (i, j, parents) in enumerate(groups)
-                  for l in parents], dtype=np.intp).reshape(-1, 4)
-    gr = np.array([(i, j) for i, j, _ in groups], dtype=np.intp).reshape(-1, 2)
-    pairs = list(zip(t[:, 1].tolist(), t[:, 0].tolist()))
-    edge_pos = {e: k for k, e in enumerate(dict.fromkeys(pairs))}
-    row_src = np.concatenate([t[:, 1], gr[:, 0]]) - 1
-    return _NetworkOperator(
-        gain=gain, H=H[gain], C=C, Cs=C if Cs is None else Cs[gain], F=F,
-        U=U, P=P, static=(src, E, targets(local, dst)),
-        rows=row_src * len(P) + np.concatenate([t[:, 2], gr[:, 1]]),
-        row_index=targets(local, t[:, 0] - 1, gr[:, 0] - 1),
-        edges=list(edge_pos),
-        triple_edge=np.array([edge_pos[e] for e in pairs], dtype=np.intp),
-        group=t[:, 3],
-    )
+def _maps(basis, A):
+    """``(T, T_inv, D, A1)`` of a frame; ``None`` for the identity and for
+    absent couplings."""
+    if basis is None:
+        return None, None, A, None
+    if isinstance(basis, MultiSensorDecomposition):
+        A2 = _blockdiag_part(basis)
+        return basis.T, basis.T_inv, A2, basis.Abar - A2
+    D = np.zeros_like(A)
+    for sl, cls in zip(basis.slots, basis.classes):
+        D[sl, sl] = cls.block
+    return basis.T, basis.T_inv, D, None
 
 
-def _compile_c1(p, design, est0):
-    """Local-observer gains of the sub-state-consensus design: ``TH_i``,
-    zero unless ``i`` sources a nonempty sub-state.  A node's state is its
-    estimate, and its own block a self link (see :func:`_routes`); the
-    bank's ``G_il`` are not read."""
-    H = np.zeros((p.n_nodes, p.n, max(Ci.shape[0] for Ci in p.C)))
+def _chunk_rows(sizes):
+    """Rows per chunk that minimize the padded rows plus the chunk cost."""
+    sizes = np.asarray(sizes)
+    R = np.arange(1, sizes.max() + 1)
+    chunks = -(-sizes[:, None] // R)
+    return int(R[np.argmin((chunks * (R + _CHUNK_COST)).sum(axis=0))])
+
+
+def _c1_local(p, design):
+    """``(gain, H, None, None, None, None)`` of the sub-state-consensus
+    design: ``TH_i`` at each node that sources a nonempty sub-state with a
+    nonzero gain.  A node's state is its estimate, measured through its own
+    ``C_i``.  The bank's ``G_il`` are not read."""
+    gain, H = [], []
     for comp in design.components:
         d, bank = comp.decomposition, comp.bank
         for j in bank.weights:  # the nonempty sub-states
             i = d.source_node(j)
-            H[comp.nodes[i - 1] - 1, :, :bank.TH[i - 1].shape[1]] = \
-                bank.TH[i - 1]
-    return None, H, None, None, np.array(est0)
+            if bank.TH[i - 1].any():
+                gain.append(comp.nodes[i - 1] - 1)
+                H.append(bank.TH[i - 1])
+    Hs = np.zeros((len(gain), p.n, max(Ci.shape[0] for Ci in p.C)))
+    for k, Hk in enumerate(H):
+        Hs[k, :, :Hk.shape[1]] = Hk
+    return np.array(gain, dtype=np.intp), Hs, None, None, None, None
 
 
-def _compile_c2(p, bank, est0):
-    """Local-observer blocks of the per-eigenvalue bank.
+def _c2_local(p, bank, est0):
+    """``(gain, H, Cs, F, U, s0)`` of the per-eigenvalue bank, at the nodes
+    with a nonzero local gain.
 
-    Node ``i``'s state is its local observer's ``s_i`` with dynamics
-    ``J_i``, gain ``L_i`` and output model ``F_i``; its local estimate is
-    ``U_i s_i`` (the detectable columns of ``T · perm``), and the classes it
-    relays come from its parents on their routes.  Nodes with identical
-    outputs (``Plant._output_rep``) share one split, so those that also
-    share one gain are filled as one group.
+    Node ``g``'s observer state ``s_g`` has dynamics ``F_g``, gain ``H_g``
+    and output model ``Cs_g``; its detected classes are ``U_g s_g`` (the
+    detectable columns of ``T · perm``).  Nodes with identical outputs
+    (``Plant._output_rep``) share one split, so those that also share one
+    gain are filled as one group.
     """
-    N, n, jsys = p.n_nodes, p.n, bank.jsys
-    T, Tinv = jsys.T, jsys.T_inv
-    width = max(r.split.det_dim + r.split.aug_dim for r in bank.nodes)
+    n, jsys = p.n, bank.jsys
+    recs = [rec for rec in bank.nodes if rec.gain.any()]
+    gain = np.array([rec.node - 1 for rec in recs], dtype=np.intp)
+    width = max([r.split.det_dim + r.split.aug_dim for r in recs], default=0)
     r_max = max(Ci.shape[0] for Ci in p.C)
-    F = np.zeros((N, width, width))
-    H = np.zeros((N, width, r_max))
-    Cs = np.zeros((N, r_max, width))
-    U = np.zeros((N, n, width))
-    s0 = np.zeros((N, width))
-    Z = np.asarray(est0) @ Tinv.T
+    F = np.zeros((gain.size, width, width))
+    H = np.zeros((gain.size, width, r_max))
+    Cs = np.zeros((gain.size, r_max, width))
+    U = np.zeros((gain.size, n, width))
+    s0 = np.zeros((gain.size, width))
+    Z = est0[gain] @ jsys.T_inv.T
     rep = jsys.plant._output_rep
     members = {}
-    for rec in bank.nodes:
+    for k, rec in enumerate(recs):
         key = (rep[rec.node - 1], id(rec.gain))
-        members.setdefault(key, (rec, []))[1].append(rec.node - 1)
+        members.setdefault(key, (rec, []))[1].append(k)
     for rec, idx in members.values():
         sp = rec.split
         det, ds = sp.det_dim, sp.det_dim + sp.aug_dim
@@ -408,20 +405,146 @@ def _compile_c2(p, bank, est0):
         F[idx, :ds, :ds] = sp.local_dynamics
         H[idx, :ds, :r] = rec.gain
         Cs[idx, :r, :ds] = sp.local_output
-        U[idx, :, :det] = (T @ sp.perm)[:, :det]
+        U[idx, :, :det] = (jsys.T @ sp.perm)[:, :det]
         zbar = Z[idx] @ sp.perm
         s0[idx, :det] = zbar[:, :det]
         s0[idx, det:ds] = (zbar[:, det:] @ sp.inner_split)[:, :sp.aug_dim]
-    return F, H, Cs, U, s0
+    return gain, H, Cs, F, U, s0
+
+
+def _entries(frames, switched, skip):
+    """Every weight entry of the frames' parts as ``(child, parent, slot,
+    weight, part)`` arrays (0-based global ids, ``part`` indexing the
+    parts in frame order), then each routed entry's ``(child, route)``
+    group and the number of routed entries.
+
+    Routed entries come first, then under ``switched`` one fallback entry
+    per group, in the slot after its parents, then the own entries of
+    weight 1, in slot 0 or, for a ``last`` part, -1, for every node of a
+    part's ``own`` not flagged in ``skip``.
+    """
+    parts = [part for frame in frames for part in frame.parts]
+    ids = np.concatenate([np.asarray(f.ids, dtype=np.intp) for f in frames])
+    # off[part] + v indexes the global id of the part's route node v
+    off = np.repeat(np.cumsum([0] + [len(f.ids) for f in frames])[:-1] - 1,
+                    [len(f.parts) for f in frames])
+    rows = [{} if part.route is None else
+            part.route.parent_sets if switched else part.route.weights
+            for part in parts]
+    kids = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    kid_part = np.repeat(np.arange(len(rows)), kids)
+    count = np.fromiter(chain.from_iterable(map(len, r.values()) for r in rows),
+                        dtype=np.intp, count=kid_part.size)
+    kid = ids[off[kid_part] + np.fromiter(chain.from_iterable(rows),
+                                          dtype=np.intp, count=kid_part.size)]
+    part = np.repeat(kid_part, count)
+    parent = ids[off[part] + np.fromiter(
+        chain.from_iterable(chain.from_iterable(r.values() for r in rows)),
+        dtype=np.intp, count=part.size)]
+    weight = np.zeros(part.size) if switched else np.fromiter(
+        chain.from_iterable(v.values() for r in rows for v in r.values()),
+        dtype=float, count=part.size)
+    slot = np.arange(part.size) - np.repeat(np.cumsum(count) - count, count)
+    own_part = np.repeat(np.arange(len(parts)), [len(p.own) for p in parts])
+    own = ids[off[own_part] + np.fromiter(
+        chain.from_iterable(p.own for p in parts), dtype=np.intp,
+        count=own_part.size)]
+    keep = ~skip[own - 1]
+    own, own_part = own[keep], own_part[keep]
+    fall = kid if switched else kid[:0]
+    last = np.array([p.last for p in parts], dtype=bool)
+    cat = np.concatenate
+    return (cat([np.repeat(kid, count), fall, own]) - 1,
+            cat([parent, fall, own]) - 1,
+            cat([slot, count[:fall.size], -last[own_part].astype(np.intp)]),
+            cat([weight, np.ones(fall.size + own.size)]),
+            cat([part, kid_part[:fall.size], own_part]),
+            np.repeat(np.arange(kid.size), count), part.size)
 
 
 def _compile(p, design, est0, switched):
-    """``(operator, s0)``: a design compiled into one network step and the
-    initial observer states; the local blocks come from the scheme's
-    ``_compile_*``, the links from :func:`_routes`."""
-    compile_local = _compile_c1 if _scheme(design) == "c1" else _compile_c2
-    *local, s0 = compile_local(p, design, est0)
-    return _operator(p, design, *local, switched), s0
+    """``(operator, s0)``: a design compiled into frames (see
+    :class:`_NetworkOperator`) and the gain nodes' initial observer states.
+
+    Every frame coordinate of every node becomes one weight entry per
+    source slot (:func:`_entries`): a routed parent (the route's static
+    weights, or under a ``switched`` run its parent sets plus a fallback to
+    the node itself), or the node itself with weight 1.  A Scheme-2 gain
+    node takes no entry for its detected classes, which its local observer
+    gives.  The frames' nodes fill ``R``-row chunks, ``R`` chosen by
+    :func:`_chunk_rows`.
+    """
+    n, N = p.n, p.n_nodes
+    c1 = _scheme(design) == "c1"
+    gain, H, Cs, F, U, s0 = (_c1_local(p, design) if c1
+                             else _c2_local(p, design, est0))
+    C = np.zeros((gain.size, H.shape[2], n))
+    for k, i in enumerate(gain.tolist()):
+        C[k, :p.C[i].shape[0]] = p.C[i]
+    frames = list(_frames(design))
+    sizes = np.array([len(f.members) for f in frames])
+    R = _chunk_rows(sizes)
+    chunks = -(-sizes // R)
+    chunk_frame = np.repeat(np.arange(len(frames)), chunks)
+    members = np.concatenate([np.asarray(f.members, dtype=np.intp)
+                              for f in frames])
+    row = np.empty(N, dtype=np.intp)
+    row[members - 1] = (np.repeat((np.cumsum(chunks) - chunks) * R - (
+        np.cumsum(sizes) - sizes), sizes) + np.arange(members.size))
+    in_chunks = int(chunks[[f.basis is not None for f in frames]].sum())
+    z_size = in_chunks * R * n
+    rows_total = chunk_frame.size * R
+    # a Scheme-2 gain node's detected classes come from its local observer
+    skip = np.zeros(N, dtype=bool)
+    skip[gain] = not c1
+    child, parent, slot, weight, part, group, n_routed = _entries(
+        frames, switched, skip)
+    S = int(slot.max(initial=0)) + 1
+    slot[slot < 0] = S
+
+    # one column per entry and coordinate of its part
+    blocks = [q.coords for f in frames for q in f.parts]
+    plain = np.array([f.basis is None for f in frames for _ in f.parts])
+    blen = np.array([b.size for b in blocks], dtype=np.intp)
+    size = blen[part]
+    rep = np.repeat(np.arange(child.size), size)
+    coord = np.concatenate(blocks)[np.repeat(
+        (np.cumsum(blen) - blen)[part] - (np.cumsum(size) - size), size)
+        + np.arange(rep.size)]
+    base = np.where(plain[part], z_size, 0) + row[parent] * n
+    take = np.full((rows_total, (S + c1) * n), z_size + rows_total * n,
+                   dtype=np.intp)
+    column = np.full(take.shape, child.size, dtype=np.intp)
+    at = (row[child][rep], slot[rep] * n + coord)
+    take[at] = base[rep] + coord
+    column[at] = rep
+
+    M, Tinv, gap = [], [], 0.0
+    norm_A = np.linalg.norm(p.A) or 1.0
+    for T, T_inv, D, A1 in (_maps(f.basis, p.A) for f in frames):
+        A1 = np.zeros_like(D) if A1 is None else A1
+        if T is None:
+            TD, TA1 = D, A1
+        else:
+            TD, TA1 = T @ D, T @ A1
+            Tinv.append(T_inv.T)
+            gap = max(gap, np.linalg.norm((TD + TA1) @ T_inv - p.A) / norm_A)
+        M.append(np.vstack([TD.T] * S + [TA1.T] * c1))
+    pairs = np.unique((parent[:n_routed] + 1) * (N + 1) + child[:n_routed] + 1,
+                      return_inverse=True)
+    op = _NetworkOperator(
+        gain=gain, H=H, C=C, Cs=C if Cs is None else Cs, F=F, U=U,
+        Tinv=np.array(Tinv, dtype=float).reshape(-1, n, n)[
+            chunk_frame[:in_chunks]],
+        take=take.reshape(-1, R, take.shape[1]),
+        column=column.reshape(take.shape[0] // R, R, -1),
+        M=np.array(M)[chunk_frame], rows=row,
+        fixed=np.append(weight, 0.0),
+        edges=[divmod(k, N + 1) for k in pairs[0].tolist()],
+        entry_edge=pairs[1].reshape(-1),
+        group=group if switched else group[:0], gap=float(gap),
+    )
+    return op, s0
 
 
 def _run(op, A, x0, s0, xh0, K, signal):
@@ -431,42 +554,48 @@ def _run(op, A, x0, s0, xh0, K, signal):
     x[0] = x0
     for k in range(K):  # the plant does not depend on the estimates
         x[k + 1] = A @ x[k]
-    y = (x[:K] @ op.C.reshape(-1, n).T).reshape(K, *op.C.shape[:2])
-    xhat = np.empty((N, K + 1, n))
-    xhat[:, 0] = xh0
-    s, xh = s0, xh0
-    if signal is None:
-        src, E, index = op.static
-    else:
-        W, step = op.weights(signal, K)
-        # column block q of P_all is P[q]ᵀ, so xh @ P_all holds every P[q] x̂
-        P_all = op.P.transpose(2, 0, 1).reshape(n, -1)
-        index = op.row_index
+    y = (x[:K] @ op.C.reshape(-1, n).T).reshape(K, *op.C.shape[:2], 1)
+    W, step = op.weights(signal, K)
+    # the source vector [Z | x̂ | 0], the estimates in chunk-row order: each
+    # step writes Z and x̂ in place and records x̂ in node order
+    R = op.take.shape[1]
+    src = np.zeros((op.Tinv.shape[0] + op.take.shape[0]) * R * n + 1)
+    Z = src[:op.Tinv.shape[0] * R * n].reshape(-1, R, n)
+    xh = src[Z.size:-1].reshape(-1, R, n)
+    xh.reshape(-1, n)[op.rows] = xh0
+    rec = np.empty((K + 1, N, n))
+    rec[0] = xh0
+    at = op.rows[op.gain]
+    s = None if op.U is None else s0[..., None]
+    fixed, w, mode = op.fixed.copy(), np.empty(op.column.shape), -1
     for k in range(K):
-        innov = y[k] - np.einsum("gri,gi->gr", op.Cs, s.take(op.gain, axis=0))
-        local = np.einsum("gir,gr->gi", op.H, innov)
-        if op.U is not None:
-            s = np.einsum("nij,nj->ni", op.F, s)
-            s[op.gain] += local
-            local = np.einsum("nij,nj->ni", op.U, s)
-        if signal is None:
-            net = np.einsum("eij,ej->ei", E, xh.take(src, axis=0))
-        else:
-            net = ((xh @ P_all).reshape(-1, n).take(op.rows, axis=0)
-                   * W[step[k], :, None])
-        xh = np.bincount(index, np.concatenate([local.ravel(), net.ravel()]),
-                         N * n).reshape(N, n)
         if op.U is None:
-            s = xh
-        xhat[:, k + 1] = xh
-    return x, xhat
+            innov = y[k] - op.Cs @ xh.reshape(-1, n, 1)[at]
+            local = op.H @ innov
+        else:
+            innov = y[k] - op.Cs @ s
+            s = op.F @ s + op.H @ innov
+            local = op.U @ s
+        np.matmul(xh[:Z.shape[0]], op.Tinv, out=Z)
+        if step[k] != mode:
+            mode = step[k]
+            fixed[:W.shape[1]] = W[mode]
+            fixed.take(op.column, out=w)
+        X = src.take(op.take)
+        X *= w
+        np.matmul(X, op.M, out=xh)
+        xh.reshape(-1, n)[at] += local[..., 0]
+        xh.reshape(-1, n).take(op.rows, axis=0, out=rec[k + 1])
+    return x, rec.transpose(1, 0, 2)
 
 
 def simulate(p, bank, x0, est0=None, K=50, signal=None):
     """Run the plant and all observers for ``K`` steps.
 
-    The bank is compiled into a block-sparse network operator, and each
-    step advances every node at once.
+    The bank is compiled into frames (see :class:`_NetworkOperator`), and
+    each step advances every node at once.  ``metadata["operator_gap"]`` is
+    the largest relative gap ``‖T (D + A1) T⁻¹ − A‖ / ‖A‖`` between a
+    frame's compiled dynamics and the plant map.
 
     Parameters
     ----------
@@ -474,8 +603,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     bank : Condition1Design or C2ObserverBank
     x0 : (n,) array_like
         Initial plant state.
-    est0 : sequence of (n,) array_like, optional
-        Initial estimates per node; zeros when omitted.
+    est0 : (N, n) array_like, optional
+        Initial estimates, one row per node; zeros when omitted.
     K : int
         Horizon; the trace has ``K + 1`` records.
     signal : SwitchingSignal, optional
@@ -506,15 +635,20 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     if x0.shape != (p.n,):
         raise ShapeError(f"x0 must have {p.n} entries, got {x0.shape}")
     if est0 is None:
-        est0 = [np.zeros(p.n) for _ in range(N)]
-    est0 = [np.asarray(e, dtype=float).reshape(-1) for e in est0]
-    if len(est0) != N or any(e.shape != (p.n,) for e in est0):
+        est0 = np.zeros((N, p.n))
+    try:
+        est0 = np.asarray(est0, dtype=float)
+    except ValueError:  # ragged
+        est0 = None
+    if est0 is None or est0.ndim == 0 or est0.shape[0] != N \
+            or est0.size != N * p.n:
         raise ShapeError(f"est0 must hold {N} vectors of {p.n} entries")
+    est0 = est0.reshape(N, p.n)
     scheme = _scheme(bank)
     op, s0 = _compile(p, bank, est0, signal is not None)
     _check_signal(signal, bank.graph, K)
     with np.errstate(over="ignore", invalid="ignore"):
-        x_arr, xh_arr = _run(op, p.A, x0, s0, np.array(est0), K, signal)
+        x_arr, xh_arr = _run(op, p.A, x0, s0, est0, K, signal)
         diff = xh_arr - x_arr
         err = np.sqrt(np.einsum("nki,nki->nk", diff, diff))
         x_norm = np.linalg.norm(x_arr, axis=1)
@@ -534,6 +668,7 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
         "scheme": scheme,
         "seed": getattr(signal, "seed", None),
         "scenario_hash": _scenario_hash(p, x0, est0, K, signal, scheme),
+        "operator_gap": op.gap,
     }
     return SimulationTrace(
         x=x_arr, xhat=xh_arr, err=err, rel_err=rel,
@@ -546,15 +681,16 @@ def dag_parent_map(design):
 
     For the sub-state-consensus design the labels are
     ``"c<component>/s<sub-state>"`` plus ``"relay"``; for the per-eigenvalue
-    bank they are ``"class<index>"`` (see :func:`_routes`).  Node ids are
+    bank they are ``"class<index>"`` (see :func:`_frames`).  Node ids are
     global, and a route with no parent sets is left out.  This is the
     ``{parent sets}`` input of the link-failure signal generator and
     validator.
     """
     return {
-        label: {ids[i - 1]: tuple([ids[l - 1] for l in ps])
-                for i, ps in route.parent_sets.items()}
-        for label, ids, route, *_ in _routes(design) if route.parent_sets
+        part.label: {frame.ids[i - 1]: tuple([frame.ids[l - 1] for l in ps])
+                     for i, ps in part.route.parent_sets.items()}
+        for frame in _frames(design) for part in frame.parts
+        if part.route is not None and part.route.parent_sets
     }
 
 

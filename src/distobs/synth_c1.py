@@ -21,10 +21,10 @@ the routes with their weights; the dense neighbor matrices ``G_il`` are
 computed on first read of :attr:`CompactObserverBank.G`.  ``G_il`` is
 ``sum_j w_ilj P_j`` with ``P_j = T[:, j] A_jj T^{-1}[j, :]`` (plus the own
 sub-state and tail for ``l = i``).  The simulator never needs them: it
-compiles each link's block as the same weighted sum of projectors, read
-from the sub-state routes as for every other relay route, and each node's
-own block as a link from itself: ``N_mat`` and the tail at every member,
-plus its own sub-state's projector at a source.  The error
+steps each component in the coordinates of ``T``, where a member copies
+every foreign sub-state from its parents on that sub-state's route and
+keeps its own sub-state and the tail, then maps the block dynamics and
+the couplings back through ``T``.  The error
 dynamics decouple by sub-state: the source node's error follows the closed
 loop ``A_jj - L C_jj``, and the followers' copies form a nilpotent block
 because the consensus weights are strictly lower triangular in topological

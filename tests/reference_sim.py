@@ -1,8 +1,8 @@
 """Per-node reference recursion for the simulation equivalence tests.
 
-``simulate`` steps every node at once through a compiled block-sparse
-network operator.  This module keeps the node-by-node recursions it
-replaced, so the equivalence tests compare the compiled kernel against an
+``simulate`` steps every node at once through the design compiled into
+frames (one gather and one batched product per step).  This module keeps
+the node-by-node recursions it replaced, so the equivalence tests compare the compiled kernel against an
 independent implementation rather than against itself:
 
 * ``form="compact"`` steps each Scheme-1 node through its assembled compact
