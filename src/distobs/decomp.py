@@ -26,7 +26,7 @@ transform is given in print at limited precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ from .errors import (
 __all__ = [
     "Plant",
     "MultiSensorDecomposition",
-    "JordanClass",
     "JordanSystem",
     "NodeSplit",
     "multisensor_decompose",
@@ -162,11 +161,6 @@ class MultiSensorDecomposition:
     def n(self):
         return self.Abar.shape[0]
 
-    @property
-    def n_blocks(self):
-        """Number of block slots: one per sensor step plus the unobservable tail."""
-        return len(self.o) + 1
-
     def block_slice(self, j):
         """Index range of sub-state ``j`` (1-based step position)."""
         return self.slots[j - 1]
@@ -188,10 +182,6 @@ class MultiSensorDecomposition:
     def A_unobs(self):
         """Dynamics of the collectively unobservable tail."""
         return self.Abar[self.unobs_slice, self.unobs_slice]
-
-    def A_coupling(self, j):
-        """How sub-state ``j`` drives the unobservable tail."""
-        return self.Abar[self.unobs_slice, self.block_slice(j)]
 
     def C_block(self, i, j):
         """Node ``i``'s output block on sub-state ``j``."""
@@ -368,27 +358,6 @@ def decomposition_from_transform(p, T, o, u_dim=None, order=None, tol=None,
     return d
 
 
-@dataclass(frozen=True, eq=False)
-class JordanClass:
-    """One distinct-eigenvalue class of the grouped eigenvalue-class form.
-
-    ``block`` is the class's real block ``V.T @ A @ V`` in an orthonormal
-    basis ``V`` of the class's invariant subspace: its eigenvalues are the
-    class's (both halves of a fused conjugate pair), with no canonical
-    structure inside.  ``dim`` is the real dimension (both halves of a pair
-    counted).
-    """
-
-    rep: complex
-    dim: int
-    block: np.ndarray
-    complex_pair: bool
-
-    @property
-    def magnitude(self):
-        return abs(self.rep)
-
-
 def _class_basis(A, cls, tol):
     """Orthonormal real basis ``V`` of one eigenvalue class and its block.
 
@@ -440,11 +409,12 @@ def jordan_grouped(A, tol=None):
     """Real block-diagonal form with one block per distinct eigenvalue.
 
     Returns ``(T, classes)`` with ``A ≈ T · blockdiag(class blocks) · T^{-1}``;
-    the columns of ``T`` are one orthonormal basis per class (see
-    :func:`_class_basis`), so only the angles between classes condition it.
-    Classes are ordered by descending magnitude, ties by descending real part
-    then ascending imaginary part, and a conjugate pair forms a single real
-    class.  Certification failures (inconsistent kernel growth,
+    ``classes`` are the :func:`numkit.eigen_info` classes of ``A``, in its
+    order (descending magnitude, ties by descending real part then ascending
+    imaginary part; a conjugate pair is one real class), each with its
+    ``block`` attached.  The columns of ``T`` are one orthonormal basis per
+    class (see :func:`_class_basis`), so only the angles between classes
+    condition it.  Certification failures (inconsistent kernel growth,
     ill-conditioned basis, poor reconstruction) raise
     :class:`IllConditionedJordan` rather than returning a dubious form.
     """
@@ -457,7 +427,9 @@ def jordan_grouped(A, tol=None):
 def _jordan_basis(A, eig_classes, tol):
     """``(T, T_inv, cond_T, classes)`` of :func:`jordan_grouped` on the
     :func:`numkit.eigen_info` classes ``eig_classes`` of ``A``, in their
-    order; ``T`` is inverted and conditioned once, here."""
+    order: ``classes`` are those same records with each class's real block
+    ``V.T @ A @ V`` attached.  ``T`` is inverted and conditioned once,
+    here."""
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 1.0, ()
@@ -466,7 +438,7 @@ def _jordan_basis(A, eig_classes, tol):
     for cls in eig_classes:
         V, block = _class_basis(A, cls, tol)
         cols.append(V)
-        classes.append(JordanClass(cls.rep, cls.dim, block, cls.complex_pair))
+        classes.append(replace(cls, block=block))
     T = np.hstack(cols)
     cond = float(np.linalg.cond(T))
     if not np.isfinite(cond) or cond > _JORDAN_COND_LIMIT:
@@ -567,7 +539,7 @@ def node_local_split(T, classes, node, C_i, detectable, tol=None):
     lost = {min(range(len(classes)), key=lambda c: abs(
         classes[c].rep - complex(mu.real, abs(mu.imag)))) for mu in unobs}
     for c in detectable:
-        if c in lost and classes[c].magnitude >= 1.0 - tol.eig_cluster_tol:
+        if c in lost and abs(classes[c].rep) >= 1.0 - tol.eig_cluster_tol:
             raise NumericalError(
                 f"node {node}: local pair lost detectability of "
                 f"eigenvalue {classes[c].rep:.6g} after the split"
@@ -601,8 +573,9 @@ class JordanSystem:
     T_inv : (n, n) ndarray
         Precomputed inverse of ``T`` (inverted once, with the basis; the
         runtime recursions reuse it every step).
-    classes : tuple of JordanClass
-        Eigenvalue classes in the column order of ``T``.
+    classes : tuple of EigenClass
+        Eigenvalue classes in the column order of ``T``, the feasibility
+        table's own (:func:`numkit.eigen_info`) with their blocks attached.
     per_node : tuple of NodeSplit
         Entry ``i - 1`` is node ``i``'s detectable/undetectable split.
     cond_T : float

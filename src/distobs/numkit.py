@@ -2,15 +2,15 @@
 
 Everything here is deliberately small: SVD-based rank decisions, the
 observability split behind all canonical decompositions (an orthogonal
-staircase), eigenvalue clustering with conjugate fusion, and deadbeat
-observer gains by rank-one deflation on the dual pair.  All tolerances flow
-through :class:`ToleranceConfig` so a single knob set governs rank,
-clustering, and stability-margin decisions.
+staircase), eigenvalue clustering on the conjugate-folded spectrum, and
+deadbeat observer gains by rank-one deflation on the dual pair.  All
+tolerances flow through :class:`ToleranceConfig` so a single knob set governs
+rank, clustering, and stability-margin decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,22 +170,23 @@ def pbh_rank_ok(A, C, lam, tol=None):
 class EigenClass:
     """One clustered eigenvalue class of a real matrix.
 
-    ``rep`` is the cluster representative (imaginary part >= 0); for a fused
+    ``rep`` is the cluster representative (imaginary part >= 0); for a
     conjugate pair, ``dim`` counts both halves, so ``sum(dim) == n`` over all
-    classes.
+    classes.  ``block``, attached by the class-basis construction of
+    :mod:`distobs.decomp`, is the class's real block in an orthonormal basis
+    of its invariant subspace; it takes no part in comparisons.
     """
 
     rep: complex
-    indices: tuple
     dim: int
     complex_pair: bool
+    block: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class EigenInfo:
     """Clustered spectrum of a real square matrix."""
 
-    eigenvalues: np.ndarray
     classes: tuple
 
     def unstable_classes(self, tol=None):
@@ -228,59 +229,30 @@ def _cluster_indices(vals, tol_abs):
 def eigen_info(A, tol=None):
     """Cluster the spectrum of a real matrix into distinct-eigenvalue classes.
 
-    Computed eigenvalues within ``eig_cluster_tol`` of each other (transitively)
-    form one class; a class and its complex conjugate are fused into a single
-    class whose representative has a positive imaginary part.  Classes are
-    ordered by descending ``|lambda|``, ties by descending real part, then
-    ascending imaginary part.
+    The spectrum is folded into the closed upper half plane, so a conjugate
+    pair lands on one point, and folded eigenvalues within
+    ``eig_cluster_tol`` of each other (transitively) form one class.  A
+    class whose mean imaginary part exceeds ``eig_cluster_tol`` is a
+    conjugate pair, represented by the mean of its upper halves; any other
+    class is real, represented by its mean real part.  Classes are ordered
+    by descending ``|lambda|``, ties by descending real part, then ascending
+    imaginary part.
     """
     tol = tol or DEFAULT_TOL
     A = as_square(A, "A")
-    n = A.shape[0]
-    if n == 0:
-        return EigenInfo(np.zeros(0, dtype=complex), ())
     w = np.linalg.eigvals(A)
-    raw = _cluster_indices(list(w), tol.eig_cluster_tol)
-    # Representative per raw cluster; flatten near-real ones onto the axis.
-    clusters = []
-    for idx in raw:
-        rep = complex(np.mean(w[idx]))
-        if abs(rep.imag) <= tol.eig_cluster_tol:
-            rep = complex(rep.real, 0.0)
-        clusters.append({"rep": rep, "indices": list(idx)})
-    # Fuse conjugate pairs.  Real input guarantees a mirror cluster exists.
-    fused = []
-    used = [False] * len(clusters)
-    for i, ci in enumerate(clusters):
-        if used[i]:
-            continue
-        used[i] = True
-        if ci["rep"].imag == 0.0:
-            fused.append((ci["rep"], ci["indices"], False))
-            continue
-        target = ci["rep"].conjugate()
-        mate = None
-        for j in range(i + 1, len(clusters)):
-            if not used[j] and abs(clusters[j]["rep"] - target) <= 2 * tol.eig_cluster_tol:
-                mate = j
-                break
-        if mate is None:
-            raise NumericalError(
-                f"complex eigenvalue cluster near {ci['rep']:.6g} has no "
-                "conjugate partner; spectrum clustering is inconsistent"
-            )
-        used[mate] = True
-        rep = ci["rep"] if ci["rep"].imag > 0 else ci["rep"].conjugate()
-        fused.append((rep, ci["indices"] + clusters[mate]["indices"], True))
     classes = []
-    for rep, indices, is_pair in fused:
-        classes.append(EigenClass(rep, tuple(sorted(indices)), len(indices),
-                                  is_pair))
+    for idx in _cluster_indices(list(w.real + 1j * np.abs(w.imag)),
+                                tol.eig_cluster_tol):
+        wk = w[idx]
+        if np.mean(np.abs(wk.imag)) > tol.eig_cluster_tol:
+            classes.append(EigenClass(complex(np.mean(wk[wk.imag > 0])),
+                                      len(idx), True))
+        else:
+            classes.append(EigenClass(complex(np.mean(wk).real, 0.0),
+                                      len(idx), False))
     classes.sort(key=lambda c: (-abs(c.rep), -c.rep.real, c.rep.imag))
-    info = EigenInfo(w, tuple(classes))
-    if sum(c.dim for c in classes) != n:
-        raise NumericalError("eigenvalue classes do not partition the spectrum")
-    return info
+    return EigenInfo(tuple(classes))
 
 
 def spectral_radius(M):

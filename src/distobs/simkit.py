@@ -378,9 +378,7 @@ def _c2_local(p, bank, est0):
 
     Node ``g``'s observer state ``s_g`` has dynamics ``F_g``, gain ``H_g``
     and output model ``Cs_g``; its detected classes are ``U_g s_g`` (the
-    detectable columns of ``T · perm``).  Nodes with identical outputs
-    (``Plant._output_rep``) share one split, so those that also share one
-    gain are filled as one group.
+    detectable columns of ``T · perm``).
     """
     n, jsys = p.n, bank.jsys
     recs = [rec for rec in bank.nodes if rec.gain.any()]
@@ -393,22 +391,17 @@ def _c2_local(p, bank, est0):
     U = np.zeros((gain.size, n, width))
     s0 = np.zeros((gain.size, width))
     Z = est0[gain] @ jsys.T_inv.T
-    rep = jsys.plant._output_rep
-    members = {}
     for k, rec in enumerate(recs):
-        key = (rep[rec.node - 1], id(rec.gain))
-        members.setdefault(key, (rec, []))[1].append(k)
-    for rec, idx in members.values():
         sp = rec.split
         det, ds = sp.det_dim, sp.det_dim + sp.aug_dim
         r = rec.gain.shape[1]
-        F[idx, :ds, :ds] = sp.local_dynamics
-        H[idx, :ds, :r] = rec.gain
-        Cs[idx, :r, :ds] = sp.local_output
-        U[idx, :, :det] = (jsys.T @ sp.perm)[:, :det]
-        zbar = Z[idx] @ sp.perm
-        s0[idx, :det] = zbar[:, :det]
-        s0[idx, det:ds] = (zbar[:, det:] @ sp.inner_split)[:, :sp.aug_dim]
+        F[k, :ds, :ds] = sp.local_dynamics
+        H[k, :ds, :r] = rec.gain
+        Cs[k, :r, :ds] = sp.local_output
+        U[k, :, :det] = (jsys.T @ sp.perm)[:, :det]
+        zbar = Z[k] @ sp.perm
+        s0[k, :det] = zbar[:det]
+        s0[k, det:ds] = (zbar[det:] @ sp.inner_split)[:sp.aug_dim]
     return gain, H, Cs, F, U, s0
 
 

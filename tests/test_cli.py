@@ -728,3 +728,72 @@ def test_simulate_refuses_what_design_refuses(tmp_path, capsys):
                                     "the stability certificate failed")
     assert "unobservable-part radius 1.5" in simulated.out
     assert not out.exists()
+
+
+def test_explicit_switching_schedule_runs(tmp_path, capsys):
+    payload = _minimal_scenario()
+    schedule = [0, 1, 0, 1, 1]
+    payload["simulation"]["switching"] = {
+        "modes": [_BOTH_LINKS, [[1, 2]]], "schedule": schedule, "T": 2}
+    out = tmp_path / "trace.csv"
+    rc = main(["simulate", _write(tmp_path, "s.json", payload),
+               "--out", str(out)])
+    assert rc == 0
+    assert "switching over 2 modes" in capsys.readouterr().out
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    # the last row is the state after the final step, with no mode
+    assert [r[1] for r in rows[1:]] == [str(m) for m in schedule] + [""]
+
+
+@pytest.mark.parametrize("switching,fragment", [
+    ({"modes": [[[1, 2]], [[2, 1]]], "schedule": [0, 1, 0, 0, 0], "T": 1},
+     "mode 1 contains edges [(2, 1)] absent from the baseline graph"),
+    ({"modes": [[[1, 2]]], "schedule": [0] * 4, "T": 1},
+     "schedule covers 4 steps, horizon is 5"),
+    ({"modes": [[[1, 2]]], "schedule": [0, 0, 1, 0, 0], "T": 1},
+     "mode index 1 out of range at step 2"),
+], ids=["absent_edge", "short_schedule", "mode_out_of_range"])
+def test_explicit_switching_rejects_bad_signal(tmp_path, capsys, switching,
+                                               fragment):
+    payload = _minimal_scenario()
+    payload["graph"]["edges"] = [[1, 2]]
+    payload["simulation"]["switching"] = switching
+    assert main(["simulate", _write(tmp_path, "s.json", payload)]) == 3
+    assert fragment in capsys.readouterr().err
+
+
+def test_remark1_auto_falls_back_to_scheme1(capsys):
+    assert main(["design", bundled_scenario_path("remark1.json")]) == 0
+    assert "scheme: c1" in capsys.readouterr().out
+
+
+def test_design_auto_without_any_condition_exits_2(tmp_path, capsys):
+    payload = _minimal_scenario()
+    payload["plant"]["C"] = [[[0.0]], [[0.0]]]
+    assert main(["design", _write(tmp_path, "s.json", payload)]) == 2
+    assert ("infeasible: neither design condition holds"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("policy,code", [("deadbeat", 0), ("pole-list", 3)])
+def test_poles_policy_option(tmp_path, capsys, policy, code):
+    payload = _minimal_scenario()
+    payload["options"] = {"poles_policy": policy}
+    assert main(["design", _write(tmp_path, "s.json", payload)]) == code
+    err = capsys.readouterr().err
+    assert ("unsupported poles policy" in err) == bool(code)
+
+
+def test_check_reports_a_near_real_pair_once(tmp_path, capsys):
+    # eigenvalues 1.5 +- 7.5e-8 i: one real class of dimension 2
+    path = _write(tmp_path, "near_real.json", {
+        "format_version": 1,
+        "plant": {"A": [[1.5, 7.5e-8], [-7.5e-8, 1.5]], "C": [[[1.0, 0.0]],
+                                                               [[0.0, 1.0]]]},
+        "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
+    })
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "eigenvalue classes needing coverage: ['1.5']\n" in out
+    assert "component {1, 2}: ok (roots: 1.5 <- [1, 2])\n" in out

@@ -69,6 +69,17 @@ def test_feasibility_report_fields():
         list(rep.source_comps) == [(1, 2), (3,)]
 
 
+def test_near_real_pair_needs_coverage_once():
+    # eigenvalues 1.5 +- 7.5e-8 i form one real class of dimension 2
+    d = 7.5e-8
+    p = Plant(np.array([[1.5, d], [-d, 1.5]]),
+              (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])))
+    rep = feasibility_report(p, Digraph(2, {(1, 2), (2, 1)}))
+    assert [(c.rep, c.dim) for c in rep.classes] == [(1.5, 2)]
+    assert rep.unstable == (0,)
+    assert rep.root_sets == {0: (1, 2)}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_per_eigenvalue_implies_collective(seed):

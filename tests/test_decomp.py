@@ -280,7 +280,8 @@ def test_class_bases_of_planted_classes(seed):
     A, planted = _planted_classes(np.random.default_rng(seed))
     # rounding splits the defective pair's eigenvalues by about
     # 2 sqrt(eps ||A|| cond(V)), up to 1e-7 here; the default clustering
-    # tolerance would split that class on about 1 draw in 1,250
+    # tolerance would split that class along the real axis on 2 of draws
+    # 0-4,999 (2453 and 2457)
     T, classes = jordan_grouped(A, ToleranceConfig(eig_cluster_tol=1e-6))
     key = [(round(lam.real, 6), round(abs(lam.imag), 6), dim)
            for lam, dim in planted]
@@ -299,6 +300,19 @@ def test_class_bases_of_planted_classes(seed):
         for mu in np.linalg.eigvals(c.block):
             assert min(abs(mu - c.rep), abs(mu - c.rep.conjugate())) <= 1e-6
     assert np.linalg.norm(A @ T - T @ J, 2) <= 1e-12 * np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize("seed", [2586, 3997])
+def test_class_bases_of_near_real_defective_pairs(seed):
+    # the defective pair's eigenvalues come out as a conjugate pair whose
+    # halves are within eig_cluster_tol of the axis but more than
+    # eig_cluster_tol apart: one real class of dimension 2 all the same
+    A, planted = _planted_classes(np.random.default_rng(seed))
+    T, classes = jordan_grouped(A)
+    assert sorted((round(lam.real, 6), round(abs(lam.imag), 6), dim)
+                  for lam, dim in planted) == sorted(
+        (round(c.rep.real, 6), round(abs(c.rep.imag), 6), c.dim)
+        for c in classes)
 
 
 def test_node_local_split_two_sensor_plant():

@@ -152,6 +152,97 @@ def test_eigen_info_boundary_margin():
     assert nk.eigen_info(B).unstable_classes() == ()
 
 
+def test_eigen_info_near_real_pair_is_one_class():
+    # eigenvalues 1.5 +- 7.5e-8 i: 1.5e-7 apart, so a clustering of the raw
+    # spectrum splits them, yet neither half is off the axis by more than
+    # eig_cluster_tol
+    d = 7.5e-8
+    info = nk.eigen_info(np.array([[1.5, d], [-d, 1.5]]))
+    assert [(c.rep, c.dim, c.complex_pair) for c in info.classes] == [
+        (1.5 + 0j, 2, False)]
+    assert info.unstable_classes() == (0,)
+
+
+def _fused_classes(A, tol=nk.DEFAULT_TOL):
+    """Reference clustering: cluster the raw spectrum, flatten near-real
+    clusters onto the axis, then fuse each complex cluster with the first
+    cluster near its mirror.  ``(rep, dim, complex_pair)`` per class in
+    :func:`numkit.eigen_info`'s order."""
+    w = np.linalg.eigvals(A)
+    t = tol.eig_cluster_tol
+    raw, left = [], set(range(len(w)))
+    while left:  # transitive closure of |w_i - w_j| <= t, by lowest index
+        grp, todo = set(), [min(left)]
+        while todo:
+            i = todo.pop()
+            if i not in grp:
+                grp.add(i)
+                todo += [j for j in left if abs(w[i] - w[j]) <= t]
+        left -= grp
+        idx = sorted(grp)
+        rep = complex(np.mean(w[idx]))
+        raw.append((complex(rep.real, 0.0) if abs(rep.imag) <= t else rep,
+                    len(idx)))
+    classes, used = [], set()
+    for a, (rep, dim) in enumerate(raw):
+        if a in used:
+            continue
+        used.add(a)
+        if rep.imag == 0.0:
+            classes.append((rep, dim, False))
+            continue
+        b = next(b for b in range(a + 1, len(raw)) if b not in used
+                 and abs(raw[b][0] - rep.conjugate()) <= 2 * t)
+        used.add(b)
+        classes.append((rep if rep.imag > 0 else rep.conjugate(),
+                        dim + raw[b][1], True))
+    return sorted(classes, key=lambda c: (-abs(c[0]), -c[0].real, c[0].imag))
+
+
+def _random_spectrum(rng):
+    """A real matrix of order 1..16 under a random basis, with repeated
+    real eigenvalues and complex pairs, diagonal and defective; rounded
+    values make exact repeats across blocks likely."""
+    n = int(rng.integers(1, 17))
+    blocks, left = [], n
+    while left:
+        kind = int(rng.integers(0, 4)) if left > 1 else 0
+        v = round(float(rng.uniform(-2.0, 2.0)), int(rng.integers(1, 3)))
+        if kind == 0:
+            m = int(rng.integers(1, min(left, 3) + 1))
+            blocks.append(v * np.eye(m))
+        elif kind == 1:
+            blocks.append(np.array([[v, 1.0], [0.0, v]]))
+        else:
+            a, b = v / 1.4, round(float(rng.uniform(0.05, 1.5)), 1)
+            R = np.array([[a, b], [-b, a]])
+            if kind == 3 and left >= 4:
+                R = np.kron(np.eye(2), R) + np.kron(
+                    [[0.0, float(rng.integers(0, 2))], [0.0, 0.0]], np.eye(2))
+            blocks.append(R)
+        left -= len(blocks[-1])
+    J = np.zeros((n, n))
+    at = 0
+    for blk in blocks:
+        J[at:at + len(blk), at:at + len(blk)] = blk
+        at += len(blk)
+    V = rng.standard_normal((n, n))
+    return V @ J @ np.linalg.inv(V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_eigen_info_matches_fused_reference(seed):
+    A = _random_spectrum(np.random.default_rng(seed))
+    ref = _fused_classes(A)
+    got = [(c.rep, c.dim, c.complex_pair) for c in nk.eigen_info(A).classes]
+    assert sum(dim for _, dim, _ in got) == A.shape[0]
+    # the reference can split a near-real pair into two classes at one
+    # representative; everywhere else the two agree bit for bit
+    if len({rep for rep, _, _ in ref}) == len(ref):
+        assert got == ref
+
+
 def test_spectral_radius():
     assert nk.spectral_radius(np.zeros((0, 0))) == 0.0
     assert nk.spectral_radius(np.diag([0.5, -2.0])) == pytest.approx(2.0)
