@@ -14,18 +14,20 @@ the first suffices for the sub-state consensus route.  Verdicts come with
 diagnostics naming the failing component and eigenvalue.
 
 Every verdict reads one table of rank decisions: one eigen-pass of ``A``,
-then one rank test per distinct output matrix and one per source component
-(outputs stacked) for each class on or near the unit circle, so no question
-is answered twice.  Nodes with identical outputs (most often relay-only nodes
-that measure nothing) share one set of tests.
+then one staircase on the class block of each class on or near the unit
+circle per distinct output matrix and per source component (outputs
+stacked), so no question is answered twice.  Nodes with identical outputs
+(most often relay-only nodes that measure nothing) share one set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import numkit as nk
-from .errors import NumericalError
+from .errors import IllConditionedJordan, NumericalError
 from .netgraph import source_components
 
 __all__ = [
@@ -39,22 +41,50 @@ __all__ = [
 ]
 
 
-def detectable_set(A, C_i, tol=None, info=None):
+def detectable_set(A, C_i, tol=None):
     """Indices of the eigenvalue classes detectable from ``C_i`` alone.
 
-    Stable classes are always detectable; classes on or numerically near the
-    unit circle must pass the rank test ``[A - lam I; C_i]`` at full column
-    rank.  ``info`` may carry a precomputed :func:`numkit.eigen_info` result
-    for ``A``; indices refer to its class ordering.
+    Stable classes are always detectable; a class on or numerically near
+    the unit circle is when the staircase (:func:`numkit.obs_canon_decomp`)
+    of its block ``(V.T @ A @ V, C_i @ V)``, ranked against
+    ``rank_tol * max(||A||_2, ||C_i||_2)``, observes it whole.  Indices
+    refer to the :func:`numkit.eigen_info` class ordering.
     """
     tol = tol or nk.DEFAULT_TOL
     A = nk.as_square(A, "A")
-    info = info or nk.eigen_info(A, tol)
-    unstable = info.unstable_classes(tol)
-    return tuple(
-        k for k, cls in enumerate(info.classes)
-        if k not in unstable or nk.pbh_rank_ok(A, C_i, cls.rep, tol)
-    )
+    C_i = nk.as_matrix(C_i, "C_i", cols=A.shape[0])
+    return _RankTable(A, tol).detects(0, C_i)
+
+
+def _class_basis(A, cls, tol, norm_A):
+    """Orthonormal real basis ``V`` of one eigenvalue class and its block.
+
+    ``V`` spans the kernel of the class's polynomial ``prod_j (A - w_j I)``
+    over its computed eigenvalues (``cls.members``, each conjugate pair one
+    real quadratic factor), ranked against ``rank_tol * max(1, ||A||_2)^m``
+    for ``m`` factors, so it is ``A``-invariant and the block is
+    ``V.T @ A @ V``.  A kernel whose dimension is not ``cls.dim`` raises
+    :class:`IllConditionedJordan`: a dubious class basis is worse than none.
+    """
+    n = A.shape[0]
+    P = np.eye(n)
+    for w in cls.members:
+        if w.imag > 0:
+            P = P @ (A @ A - 2.0 * w.real * A + abs(w) ** 2 * np.eye(n))
+        elif w.imag == 0:
+            P = P @ (A - w.real * np.eye(n))
+    _, s, Vh = np.linalg.svd(P)
+    r = int(np.count_nonzero(
+        s > tol.rank_tol * max(1.0, norm_A) ** len(cls.members)))
+    if n - r != cls.dim:
+        raise IllConditionedJordan(
+            f"eigenvalue class at {cls.rep:.6g} could not be certified: the "
+            f"kernel of its polynomial has dimension {n - r}, not its "
+            f"multiplicity {cls.dim}",
+            eigenvalue=cls.rep,
+        )
+    V = Vh[r:].T
+    return V, V.T @ A @ V
 
 
 @dataclass(frozen=True)
@@ -84,92 +114,117 @@ class ConditionVerdict:
 
 
 class _RankTable:
-    """One eigen-pass of ``A`` and the rank decisions the verdicts read.
+    """One eigen-pass of ``A`` and every rank decision made on it.
 
-    ``unstable`` lists the classes needing coverage.  ``local(i)`` is node
-    ``i``'s :func:`detectable_set`, made once per distinct output matrix on
-    first read and kept, so no verdict repeats a rank test another one has
-    made and nodes with identical outputs share one.  :meth:`detectors`
-    inverts the per-node sets into the root sets, once per report.
+    ``unstable`` lists the classes needing coverage.  Class bases and the
+    staircases of the class blocks against the output a ``key`` stands for
+    (a node id, or a source component) are each made once and kept, so a
+    verdict, a node split and a local gain all read the same decision.
     """
 
-    def __init__(self, p, g, tol):
-        self.p, self.tol = p, tol
-        self.info = nk.eigen_info(p.A, tol)
+    def __init__(self, A, tol):
+        self.A, self.tol = A, tol
+        self.info = nk.eigen_info(A, tol)
         self.unstable = self.info.unstable_classes(tol)
-        self.comps = tuple(source_components(g))
-        self._local = {}
+        self.norm_A = float(np.linalg.norm(A, 2))
+        self._bases, self._splits = {}, {}
 
-    def detects(self, C):
-        return detectable_set(self.p.A, C, self.tol, self.info)
+    def basis(self, k):
+        """``(V, block)`` of class ``k`` (:func:`_class_basis`)."""
+        if k not in self._bases:
+            self._bases[k] = _class_basis(self.A, self.info.classes[k],
+                                          self.tol, self.norm_A)
+        return self._bases[k]
 
-    def local(self, i):
-        r = self.p._output_rep[i - 1]
-        if r not in self._local:
-            self._local[r] = self.detects(self.p.C[r - 1])
-        return self._local[r]
+    def splits(self, key, C, ks):
+        """Map of class ``k`` (each of ``ks`` at least) to the staircase
+        ``(T_k, o_k)`` of its block against ``C``."""
+        if key not in self._splits:
+            # ||C||_2 <= ||C||_F: most outputs need no SVD to lose to ||A||_2
+            scale = self.norm_A
+            if np.linalg.norm(C) > scale:
+                scale = max(scale, float(np.linalg.norm(C, 2)))
+            self._splits[key] = (scale, {})
+        scale, made = self._splits[key]
+        for k in ks:
+            if k not in made:
+                V, block = self.basis(k)
+                made[k] = nk.obs_canon_decomp(block, C @ V, self.tol, scale)
+        return made
 
-    def detectors(self, nodes):
-        """Each class needing coverage mapped to the nodes of ``nodes``
-        (ascending ids) that detect it on their own."""
-        out = {k: [] for k in self.unstable}
+    def detects(self, key, C):
+        """The classes ``C`` detects alone: every stable class, and each
+        class needing coverage whose block it observes whole."""
+        made = self.splits(key, C, self.unstable)
+        return tuple(k for k, cls in enumerate(self.info.classes)
+                     if k not in self.unstable or made[k][1] == cls.dim)
+
+    def root_sets(self, p, nodes):
+        """``(local, roots)``: the classes each distinct output of ``nodes``
+        detects, by its lowest node id, and each class needing coverage
+        mapped to the nodes of ``nodes`` that detect it, ascending."""
+        groups = {}
         for i in nodes:
-            for k in self.local(i):
-                if k in out:
-                    out[k].append(i)
-        return {k: tuple(found) for k, found in out.items()}
+            groups.setdefault(p._output_rep[i - 1], []).append(i)
+        local = {r: self.detects(r, p.C[r - 1]) for r in groups}
+        return local, {k: tuple(sorted(i for r, ids in groups.items()
+                                       if k in local[r] for i in ids))
+                       for k in self.unstable}
 
-    def _verdict(self, covered, roots):
-        """Verdict over the source components; ``covered[c]`` holds the
-        classes component ``c`` covers, ``roots[c]`` its root map."""
+    def verdict(self, comps, covered, roots):
+        """Verdict over the source components ``comps``; ``covered[c]``
+        holds the classes component ``c`` covers, ``roots[c]`` its root
+        map."""
         checks = []
-        for comp, seen, r in zip(self.comps, covered, roots):
+        for comp, seen, r in zip(comps, covered, roots):
             failing = tuple(
                 self.info.classes[k].rep for k in self.unstable if k not in seen
             )
             checks.append(ComponentCheck(comp, not failing, failing, r))
         return ConditionVerdict(all(c.ok for c in checks), tuple(checks))
 
-    def condition1(self):
-        """One stacked test per source component and class."""
-        covered = [self.detects(self.p.stacked_output(c)) for c in self.comps]
-        return self._verdict(covered, [{} for _ in self.comps])
+    def condition1(self, p, comps):
+        """One stacked decision per source component."""
+        covered = [self.detects(c, p.stacked_output(c)) for c in comps]
+        return self.verdict(comps, covered, [{} for _ in comps])
 
-    def condition2(self, detectors=None):
-        """Root existence, read from the members' own tests.
+    def condition2(self, comps, roots_all):
+        """Root existence, read from the members' own decisions.
 
-        ``detectors`` is a :meth:`detectors` map over any superset of the
-        source components' members (default: exactly those members).  Roots
-        come out in ascending order, the order components list members in.
+        ``roots_all`` is a :meth:`root_sets` map over any superset of the
+        source components' members.  Roots come out in ascending order, the
+        order components list members in.
         """
-        if detectors is None:
-            detectors = self.detectors(sorted(i for c in self.comps for i in c))
         roots = []
-        for comp in self.comps:
+        for comp in comps:
             members = frozenset(comp)
             here = {k: tuple(i for i in nodes if i in members)
-                    for k, nodes in detectors.items()}
+                    for k, nodes in roots_all.items()}
             roots.append({k: nodes for k, nodes in here.items() if nodes})
-        return self._verdict(roots, roots)
+        return self.verdict(comps, roots, roots)
 
 
 def check_condition1(p, g, tol=None):
     """Collective detectability of every source component.
 
     For each source component, stacks the outputs of all member nodes and
-    runs the rank test at every eigenvalue class on or near the unit circle.
+    decides each class on or near the unit circle as :func:`detectable_set`.
     """
-    return _RankTable(p, g, tol or nk.DEFAULT_TOL).condition1()
+    comps = tuple(source_components(g))
+    return _RankTable(p.A, tol or nk.DEFAULT_TOL).condition1(p, comps)
 
 
 def check_condition2(p, g, tol=None):
     """Root-node existence per source component and unstable eigenvalue class.
 
     A class fails for a component when no member node detects it with its own
-    outputs alone; ``roots`` records who does, which is exactly what the
-    per-eigenvalue synthesis needs.
+    outputs alone (:func:`detectable_set`); ``roots`` records who does, which
+    is exactly what the per-eigenvalue synthesis needs.
     """
-    return _RankTable(p, g, tol or nk.DEFAULT_TOL).condition2()
+    comps = tuple(source_components(g))
+    t = _RankTable(p.A, tol or nk.DEFAULT_TOL)
+    _, roots = t.root_sets(p, [i for c in comps for i in c])
+    return t.condition2(comps, roots)
 
 
 @dataclass(frozen=True)
@@ -179,7 +234,8 @@ class FeasibilityReport:
     ``per_node_detectable`` holds each node's locally detectable class
     indices; ``root_sets`` maps each covered class index to every node in the
     whole graph that detects it.  Every field is read from one table of rank
-    decisions, so the verdicts cannot disagree by accident.
+    decisions, so the verdicts cannot disagree by accident; ``table`` keeps
+    it for :func:`~distobs.decomp.jordan_system`.
     """
 
     classes: tuple
@@ -189,6 +245,7 @@ class FeasibilityReport:
     source_comps: tuple
     cond1: ConditionVerdict
     cond2: ConditionVerdict
+    table: _RankTable = field(default=None, compare=False, repr=False)
 
 
 def feasibility_report(p, g, tol=None):
@@ -199,12 +256,11 @@ def feasibility_report(p, g, tol=None):
     inconsistent at the working tolerance, which is reported as an error
     rather than returned silently.
     """
-    t = _RankTable(p, g, tol or nk.DEFAULT_TOL)
-    nodes = range(1, p.n_nodes + 1)
-    per_node = tuple(t.local(i) for i in nodes)
-    root_sets = t.detectors(nodes)
-    c1 = t.condition1()
-    c2 = t.condition2(root_sets)
+    t = _RankTable(p.A, tol or nk.DEFAULT_TOL)
+    comps = tuple(source_components(g))
+    local, root_sets = t.root_sets(p, range(1, p.n_nodes + 1))
+    c1 = t.condition1(p, comps)
+    c2 = t.condition2(comps, root_sets)
     if c2.ok and not c1.ok:
         raise NumericalError(
             "rank decisions are inconsistent: per-eigenvalue coverage holds "
@@ -213,9 +269,10 @@ def feasibility_report(p, g, tol=None):
     return FeasibilityReport(
         classes=t.info.classes,
         unstable=t.unstable,
-        per_node_detectable=per_node,
+        per_node_detectable=tuple(map(local.__getitem__, p._output_rep)),
         root_sets=root_sets,
-        source_comps=t.comps,
+        source_comps=comps,
         cond1=c1,
         cond2=c2,
+        table=t,
     )

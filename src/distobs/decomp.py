@@ -14,9 +14,9 @@ observer can use:
   from its own outputs versus the classes it must receive from the network.
   Nothing inside a class needs canonical (Jordan chain) structure.  Which
   classes a node detects is the feasibility table's decision
-  (:func:`~distobs.conditions.detectable_set`); the split does not test it
-  again, and one observability split of the node's local pair both checks
-  that the pair can carry it and fixes where the local gain goes.
+  (:func:`~distobs.conditions.detectable_set`); the split makes no rank
+  decision of its own, but assembles what the node observes from the same
+  per-class staircases.
 
 :func:`apply_given_transformation` applies an externally supplied basis change
 verbatim, and :func:`decomposition_from_transform` additionally validates and
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numkit as nk
-from .conditions import detectable_set
+from .conditions import _RankTable
 from .errors import (
     IllConditionedJordan,
     InvalidTransform,
@@ -358,53 +358,6 @@ def decomposition_from_transform(p, T, o, u_dim=None, order=None, tol=None,
     return d
 
 
-def _class_basis(A, cls, tol):
-    """Orthonormal real basis ``V`` of one eigenvalue class and its block.
-
-    ``V`` spans the kernel of ``(A - lam I)^k`` at the smallest ``k`` whose
-    kernel reaches the class dimension; for a conjugate pair, the real and
-    imaginary parts of that complex kernel.  The span is ``A``-invariant,
-    so the class block is ``V.T @ A @ V``.  Each power is ranked against
-    ``rank_tol * max(sigma_max, ||A - lam I||_2^k)``: once the power
-    collapses to round-off dust, its own largest singular value is
-    meaningless as a reference.  A kernel growth that disagrees with the
-    clustered multiplicity raises :class:`IllConditionedJordan` — a dubious
-    class basis is worse than none.
-    """
-    lam, n = cls.rep, A.shape[0]
-    alg = cls.dim // 2 if cls.complex_pair else cls.dim
-
-    def bail(why):
-        raise IllConditionedJordan(
-            f"eigenvalue class at {lam:.6g} could not be "
-            f"certified: {why}. The sequential multi-sensor decomposition "
-            "route does not need the eigenstructure and may still apply.",
-            eigenvalue=lam,
-        )
-
-    if cls.complex_pair and cls.dim % 2:
-        bail(f"conjugate-pair class has odd dimension {cls.dim}")
-    B = A - (lam if cls.complex_pair else lam.real) * np.eye(n)
-    norm_B = float(np.linalg.norm(B, 2))
-    Bk = np.eye(n)
-    k = dim = 0
-    while dim < alg:  # the kernel grows at every power, or bail() stops
-        k += 1
-        Bk = Bk @ B
-        _, s, Vh = np.linalg.svd(Bk)
-        anchor = max(float(s[0]), norm_B ** k, 1e-300)
-        r = int(np.count_nonzero(s > tol.rank_tol * anchor))
-        if n - r > alg:
-            bail(f"kernel dimension {n - r} exceeds multiplicity {alg}")
-        if n - r <= dim:
-            bail(f"kernel growth stalled at dimension {n - r} < {alg}")
-        dim = n - r
-    V = Vh[r:].conj().T
-    if cls.complex_pair:
-        V = np.linalg.qr(np.hstack([V.real, V.imag]))[0]
-    return V, V.T @ A @ V
-
-
 def jordan_grouped(A, tol=None):
     """Real block-diagonal form with one block per distinct eigenvalue.
 
@@ -413,33 +366,28 @@ def jordan_grouped(A, tol=None):
     order (descending magnitude, ties by descending real part then ascending
     imaginary part; a conjugate pair is one real class), each with its
     ``block`` attached.  The columns of ``T`` are one orthonormal basis per
-    class (see :func:`_class_basis`), so only the angles between classes
-    condition it.  Certification failures (inconsistent kernel growth,
-    ill-conditioned basis, poor reconstruction) raise
-    :class:`IllConditionedJordan` rather than returning a dubious form.
+    class (see :func:`~distobs.conditions._class_basis`), so only the angles
+    between classes condition it.  Certification failures (a class kernel
+    of the wrong dimension, ill-conditioned basis, poor reconstruction)
+    raise :class:`IllConditionedJordan` rather than returning a dubious form.
     """
-    tol = tol or nk.DEFAULT_TOL
     A = nk.as_square(A, "A")
-    T, _, _, classes = _jordan_basis(A, nk.eigen_info(A, tol).classes, tol)
+    T, _, _, classes = _jordan_basis(_RankTable(A, tol or nk.DEFAULT_TOL))
     return T, classes
 
 
-def _jordan_basis(A, eig_classes, tol):
-    """``(T, T_inv, cond_T, classes)`` of :func:`jordan_grouped` on the
-    :func:`numkit.eigen_info` classes ``eig_classes`` of ``A``, in their
-    order: ``classes`` are those same records with each class's real block
-    ``V.T @ A @ V`` attached.  ``T`` is inverted and conditioned once,
-    here."""
-    n = A.shape[0]
-    if n == 0:
+def _jordan_basis(t):
+    """``(T, T_inv, cond_T, classes)`` of :func:`jordan_grouped` from the
+    class bases of the rank table ``t``: ``classes`` are its eigenvalue
+    classes, in their order, with each class's real block ``V.T @ A @ V``
+    attached.  ``T`` is inverted and conditioned once, here."""
+    A = t.A
+    if A.shape[0] == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 1.0, ()
-    cols = []
-    classes = []
-    for cls in eig_classes:
-        V, block = _class_basis(A, cls, tol)
-        cols.append(V)
-        classes.append(replace(cls, block=block))
-    T = np.hstack(cols)
+    bases = [t.basis(k) for k in range(len(t.info.classes))]
+    classes = tuple(replace(cls, block=block)
+                    for cls, (_, block) in zip(t.info.classes, bases))
+    T = np.hstack([V for V, _ in bases])
     cond = float(np.linalg.cond(T))
     if not np.isfinite(cond) or cond > _JORDAN_COND_LIMIT:
         raise IllConditionedJordan(
@@ -456,7 +404,7 @@ def _jordan_basis(A, eig_classes, tol):
             "plant; the sequential multi-sensor decomposition route does not "
             "need the eigenstructure."
         )
-    return T, T_inv, cond, tuple(classes)
+    return T, T_inv, cond, classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,11 +416,12 @@ class NodeSplit:
     detectable).  ``perm`` maps reordered coordinates back to class
     coordinates (detectable blocks first).  The node's local observer runs on
     the ``det_dim + aug_dim`` states of ``(local_dynamics, local_output)``:
-    the detectable classes plus the locally observable residual of the
+    the detectable classes plus the locally observable part of the
     undetectable ones, split off orthogonally by ``inner_split``.
-    ``(obs_basis, obs_dim)`` is the observability split of that local pair
-    (:func:`~distobs.numkit.obs_canon_decomp`): the split's one decision on
-    what the node observes, on which its gain is placed.
+    ``(obs_basis, obs_dim)`` is the observability split of that local pair,
+    on which its gain is placed.  ``relayed_output`` is the output on the
+    rest of the undetectable classes: below the rank cutoff but not zero,
+    so the observer takes it from its relayed estimates.
     """
 
     node: int
@@ -486,6 +435,7 @@ class NodeSplit:
     aug_dim: int
     obs_basis: np.ndarray
     obs_dim: int
+    relayed_output: np.ndarray
 
     def renumbered(self, node):
         """This split for node ``node``, a node with the same outputs: a
@@ -496,22 +446,31 @@ class NodeSplit:
         return twin
 
 
-def node_local_split(T, classes, node, C_i, detectable, tol=None):
+def _observable_first(splits):
+    """Block-diagonal orthogonal matrix of the per-class staircases
+    ``(T_k, o_k)`` in ``splits``, its columns reordered so that every
+    class's ``o_k`` observable directions come first, and their number."""
+    lead = np.array([j < o_k for T_k, o_k in splits for j in range(len(T_k))],
+                    dtype=bool)
+    B = _block_diag(*(T_k for T_k, _ in splits))
+    return np.hstack([B[:, lead], B[:, ~lead]]), int(lead.sum())
+
+
+def node_local_split(T, classes, node, C_i, detectable, splits):
     """Split the class coordinates by node ``node``'s own visibility.
 
     ``detectable`` indexes the eigenvalue classes the node estimates from
     its own outputs, its :func:`~distobs.conditions.detectable_set` (as the
     feasibility report's ``per_node_detectable`` holds it); it relies on the
-    network for the others.  Those are further split orthogonally into their
-    locally observable residual (which augments the node's observer so its
-    output model is unbiased) and the remainder.  One more split of the
-    resulting local pair decides what the node observes; if it leaves an
-    eigenvalue of a detectable class with ``|lambda| >= 1 - eig_cluster_tol``
-    unobservable, the pair cannot carry the table's decision and
-    :class:`NumericalError` names that class.  Returns the
-    :class:`NodeSplit` consumed by the root-coverage observer synthesis.
+    network for the others.  ``splits`` maps every class index to the
+    staircase ``(T_k, o_k)`` of its block against ``C_i``, which that
+    decision was read from.  The split makes no rank decision of its own:
+    the classes' spectra are disjoint, so the observable subspace of the
+    block-diagonal local pair is the direct sum of the classes' observable
+    parts, and both ``inner_split`` and ``obs_basis`` are assembled from
+    ``splits``.  Returns the :class:`NodeSplit` consumed by the
+    root-coverage observer synthesis.
     """
-    tol = tol or nk.DEFAULT_TOL
     n = T.shape[0]
     C_i = nk.as_matrix(C_i, f"C_{node}", cols=n)
     sl = _slices([c.dim for c in classes])
@@ -519,43 +478,27 @@ def node_local_split(T, classes, node, C_i, detectable, tol=None):
     undetectable = [k for k in range(len(classes)) if k not in detectable]
     ordered = detectable + undetectable
     cols = [r for k in ordered for r in range(sl[k].start, sl[k].stop)]
-    P = np.eye(n)[:, cols]
     Jr = _block_diag(*(classes[k].block for k in ordered))
     Cr = (C_i @ T)[:, cols]
     det_dim = sum(classes[k].dim for k in detectable)
-    J_und = Jr[det_dim:, det_dim:]
-    C_und = Cr[:, det_dim:]
-    scale = max(float(np.linalg.norm(Jr, 2)), float(np.linalg.norm(Cr, 2)))
-    Tbar, aug_dim = nk.obs_canon_decomp(J_und, C_und, tol, scale=scale)
-    J_aug = (Tbar.T @ J_und @ Tbar)[:aug_dim, :aug_dim]
-    H_aug = (C_und @ Tbar)[:, :aug_dim]
-    local_dynamics = _block_diag(Jr[:det_dim, :det_dim], J_aug)
-    local_output = np.hstack([Cr[:, :det_dim], H_aug])
-    # The local pair must be detectable, else the node's own observer cannot
-    # converge on the states it claims to estimate: no eigenvalue this split
-    # leaves unobservable may belong to a detectable unstable class.
-    T_loc, k = nk.obs_canon_decomp(local_dynamics, local_output, tol)
-    unobs = np.linalg.eigvals((T_loc.T @ local_dynamics @ T_loc)[k:, k:])
-    lost = {min(range(len(classes)), key=lambda c: abs(
-        classes[c].rep - complex(mu.real, abs(mu.imag)))) for mu in unobs}
-    for c in detectable:
-        if c in lost and abs(classes[c].rep) >= 1.0 - tol.eig_cluster_tol:
-            raise NumericalError(
-                f"node {node}: local pair lost detectability of "
-                f"eigenvalue {classes[c].rep:.6g} after the split"
-            )
+    Tbar, aug_dim = _observable_first([splits[k] for k in undetectable])
+    J_aug = (Tbar.T @ Jr[det_dim:, det_dim:] @ Tbar)[:aug_dim, :aug_dim]
+    H_und = Cr[:, det_dim:] @ Tbar
+    T_loc, obs_dim = _observable_first(
+        [splits[k] for k in detectable] + [(np.eye(aug_dim), aug_dim)])
     return NodeSplit(
         node=node,
         detectable=tuple(detectable),
         undetectable=tuple(undetectable),
-        perm=P,
+        perm=np.eye(n)[:, cols],
         inner_split=Tbar,
-        local_dynamics=local_dynamics,
-        local_output=local_output,
+        local_dynamics=_block_diag(Jr[:det_dim, :det_dim], J_aug),
+        local_output=np.hstack([Cr[:, :det_dim], H_und[:, :aug_dim]]),
         det_dim=det_dim,
         aug_dim=aug_dim,
         obs_basis=T_loc,
-        obs_dim=k,
+        obs_dim=obs_dim,
+        relayed_output=H_und[:, aug_dim:],
     )
 
 
@@ -602,13 +545,11 @@ class JordanSystem:
 def jordan_system(p, tol=None, report=None):
     """Compute eigenvalue-class coordinates of ``p`` and split them per node.
 
-    ``report``, a ``feasibility_report(p, g, tol)``, supplies the eigenvalue
-    classes and each node's detectable set, so no rank decision is made
-    twice; without it, one eigen-pass and one
-    :func:`~distobs.conditions.detectable_set` per distinct output matrix
-    do.  :func:`node_local_split` runs once per distinct output matrix, for
-    the lowest node id that has it; nodes with identical outputs receive a
-    copy of that split renumbered to their own id
+    ``report``, a ``feasibility_report(p, g, tol)``, supplies its table of
+    class bases and rank decisions, so none is made twice; without it, one
+    table is built here.  :func:`node_local_split` runs once per distinct
+    output matrix, for the lowest node id that has it; nodes with identical
+    outputs receive a copy of that split renumbered to their own id
     (:meth:`NodeSplit.renumbered`), sharing its arrays.
 
     Parameters
@@ -626,18 +567,18 @@ def jordan_system(p, tol=None, report=None):
     IllConditionedJordan
         If the eigenbasis cannot be trusted (see ``jordan_grouped``).
     """
-    tol = tol or nk.DEFAULT_TOL
-    info = nk.eigen_info(p.A, tol) if report is None else None
-    T, T_inv, cond_T, classes = _jordan_basis(p.A, (report or info).classes,
-                                              tol)
+    t = getattr(report, "table", None)
+    t = t or _RankTable(p.A, tol or nk.DEFAULT_TOL)
+    T, T_inv, cond_T, classes = _jordan_basis(t)
+    ks = range(len(classes))
     per_node = []
     for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
         if r != i:
             per_node.append(per_node[r - 1].renumbered(i))
             continue
-        detectable = (detectable_set(p.A, C_i, tol, info) if report is None
-                      else report.per_node_detectable[i - 1])
-        per_node.append(node_local_split(T, classes, i, C_i, detectable, tol))
+        per_node.append(node_local_split(T, classes, i, C_i,
+                                         t.detects(i, C_i),
+                                         t.splits(i, C_i, ks)))
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, classes=classes,
         per_node=tuple(per_node), cond_T=cond_T,

@@ -52,14 +52,14 @@ class InvalidTransform(DistobsError):
 class IllConditionedJordan(DistobsError):
     """Eigenstructure extraction could not be certified at the working tolerance.
 
-    Raised instead of silently returning a dubious canonical form.  The message
-    points at the sequential-decomposition design route, which does not need the
-    eigenstructure.
+    Raised instead of silently returning a dubious class basis.  When only
+    the assembled basis fails, the message points at the
+    sequential-decomposition design route, which does not need it.
 
     Attributes
     ----------
     eigenvalue : complex or None
-        The eigenvalue whose chain structure failed certification, when a
+        The eigenvalue whose class basis failed certification, when a
         single one can be named.
     """
 

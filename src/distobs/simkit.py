@@ -185,16 +185,18 @@ class _NetworkOperator:
     takes every coordinate either from its own estimate or, weighted, from
     its parents on the coordinate's relay route, and one step is
 
-        ν_g      = C_g x[k] − Cs_g s_g[k]             (gain nodes g only)
+        ν_g      = C_g x[k] − Cs_g s_g[k] − Cu_g x̂_g[k]   (gain nodes g only)
         s_g[k+1] = F_g s_g[k] + H_g ν_g
         x̂_i[k+1] = T D g_i + T A1 z_i + (U_i s_i[k+1] or H_i ν_i)
 
     where ``g_i`` holds the gathered coordinates, ``D`` the block-diagonal
     sub-state or class dynamics and ``A1`` the Scheme-1 couplings (zero for
-    Scheme 2 and the plant basis, whose ``D`` is ``A``).  ``F`` and ``U``
-    are ``None`` for Scheme 1, where the gain nodes add ``H_g ν_g`` to their
-    estimate; under Scheme 2 a gain node's detected classes come from its
-    local observer ``U_g s_g`` instead of its own coordinates.  The
+    Scheme 2 and the plant basis, whose ``D`` is ``A``).  ``F``, ``U`` and
+    ``Cu`` are ``None`` for Scheme 1, where the gain nodes add ``H_g ν_g``
+    to their estimate; under Scheme 2 a gain node's detected classes come
+    from its local observer ``U_g s_g`` instead of its own coordinates, and
+    ``Cu_g`` reads the output its local pair leaves out from its relayed
+    classes (``NodeSplit.relayed_output``).  The
     innovation is formed before the gain multiplies it: folding the gain
     into ``F`` and ``C`` cancels large terms and loses digits on high-gain
     designs.
@@ -226,6 +228,7 @@ class _NetworkOperator:
     Cs: np.ndarray
     F: object
     U: object
+    Cu: object
     Tinv: np.ndarray
     take: np.ndarray
     column: np.ndarray
@@ -354,7 +357,7 @@ def _chunk_rows(sizes):
 
 
 def _c1_local(p, design):
-    """``(gain, H, None, None, None, None)`` of the sub-state-consensus
+    """``(gain, H, None, None, None, None, None)`` of the sub-state-consensus
     design: ``TH_i`` at each node that sources a nonempty sub-state with a
     nonzero gain.  A node's state is its estimate, measured through its own
     ``C_i``.  The bank's ``G_il`` are not read."""
@@ -369,16 +372,17 @@ def _c1_local(p, design):
     Hs = np.zeros((len(gain), p.n, max(Ci.shape[0] for Ci in p.C)))
     for k, Hk in enumerate(H):
         Hs[k, :, :Hk.shape[1]] = Hk
-    return np.array(gain, dtype=np.intp), Hs, None, None, None, None
+    return np.array(gain, dtype=np.intp), Hs, None, None, None, None, None
 
 
 def _c2_local(p, bank, est0):
-    """``(gain, H, Cs, F, U, s0)`` of the per-eigenvalue bank, at the nodes
-    with a nonzero local gain.
+    """``(gain, H, Cs, F, U, Cu, s0)`` of the per-eigenvalue bank, at the
+    nodes with a nonzero local gain.
 
     Node ``g``'s observer state ``s_g`` has dynamics ``F_g``, gain ``H_g``
     and output model ``Cs_g``; its detected classes are ``U_g s_g`` (the
-    detectable columns of ``T · perm``).
+    detectable columns of ``T · perm``), and ``Cu_g`` maps its estimate to
+    the output of its relayed classes' directions outside ``s_g``.
     """
     n, jsys = p.n, bank.jsys
     recs = [rec for rec in bank.nodes if rec.gain.any()]
@@ -389,6 +393,7 @@ def _c2_local(p, bank, est0):
     H = np.zeros((gain.size, width, r_max))
     Cs = np.zeros((gain.size, r_max, width))
     U = np.zeros((gain.size, n, width))
+    Cu = np.zeros((gain.size, r_max, n))
     s0 = np.zeros((gain.size, width))
     Z = est0[gain] @ jsys.T_inv.T
     for k, rec in enumerate(recs):
@@ -399,10 +404,12 @@ def _c2_local(p, bank, est0):
         H[k, :ds, :r] = rec.gain
         Cs[k, :r, :ds] = sp.local_output
         U[k, :, :det] = (jsys.T @ sp.perm)[:, :det]
+        Cu[k, :r] = sp.relayed_output @ (
+            sp.inner_split[:, sp.aug_dim:].T @ (sp.perm.T @ jsys.T_inv)[det:])
         zbar = Z[k] @ sp.perm
         s0[k, :det] = zbar[:det]
         s0[k, det:ds] = (zbar[det:] @ sp.inner_split)[:sp.aug_dim]
-    return gain, H, Cs, F, U, s0
+    return gain, H, Cs, F, U, Cu, s0
 
 
 def _entries(frames, switched, skip):
@@ -469,8 +476,8 @@ def _compile(p, design, est0, switched):
     """
     n, N = p.n, p.n_nodes
     c1 = _scheme(design) == "c1"
-    gain, H, Cs, F, U, s0 = (_c1_local(p, design) if c1
-                             else _c2_local(p, design, est0))
+    gain, H, Cs, F, U, Cu, s0 = (_c1_local(p, design) if c1
+                                 else _c2_local(p, design, est0))
     C = np.zeros((gain.size, H.shape[2], n))
     for k, i in enumerate(gain.tolist()):
         C[k, :p.C[i].shape[0]] = p.C[i]
@@ -526,7 +533,7 @@ def _compile(p, design, est0, switched):
     pairs = np.unique((parent[:n_routed] + 1) * (N + 1) + child[:n_routed] + 1,
                       return_inverse=True)
     op = _NetworkOperator(
-        gain=gain, H=H, C=C, Cs=C if Cs is None else Cs, F=F, U=U,
+        gain=gain, H=H, C=C, Cs=C if Cs is None else Cs, F=F, U=U, Cu=Cu,
         Tinv=np.array(Tinv, dtype=float).reshape(-1, n, n)[
             chunk_frame[:in_chunks]],
         take=take.reshape(-1, R, take.shape[1]),
@@ -566,7 +573,7 @@ def _run(op, A, x0, s0, xh0, K, signal):
             innov = y[k] - op.Cs @ xh.reshape(-1, n, 1)[at]
             local = op.H @ innov
         else:
-            innov = y[k] - op.Cs @ s
+            innov = y[k] - op.Cs @ s - op.Cu @ xh.reshape(-1, n, 1)[at]
             s = op.F @ s + op.H @ innov
             local = op.U @ s
         np.matmul(xh[:Z.shape[0]], op.Tinv, out=Z)

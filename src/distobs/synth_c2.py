@@ -60,10 +60,11 @@ def local_observer(split, given=None, tol=None):
     ------
     NotDetectable
         If no gain can make (or ``given`` does not make) the local error
-        dynamics Schur stable.  The split refuses a pair that loses a
-        detectable unstable class, so a synthesized gain fails here only
-        when the pair loses the locally observable residual of a relayed
-        unstable class, a decision at the rank cutoff.
+        dynamics Schur stable.  A synthesized gain fails here only through
+        rounding: the split's observable part holds every detectable
+        unstable class whole and the observable part of every relayed one,
+        as the feasibility table's staircases decided, so what it leaves
+        unobservable belongs to stable classes.
     """
     tol = tol or nk.DEFAULT_TOL
     J = split.local_dynamics

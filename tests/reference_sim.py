@@ -221,9 +221,13 @@ def _simulate_c2(p, bank, x0, est0, K, signal):
         for rec in bank.nodes:
             i, sp = rec.node, rec.split
             si = s[i - 1]
+            # the relayed classes' output outside the local pair comes from
+            # the node's relayed estimates
+            v = sp.inner_split.T @ (sp.perm.T @ z[i - 1])[sp.det_dim:]
             s_next = (
                 sp.local_dynamics @ si
-                + rec.gain @ (y[i - 1] - sp.local_output @ si)
+                + rec.gain @ (y[i - 1] - sp.local_output @ si
+                              - sp.relayed_output @ v[sp.aug_dim:])
             )
             parts = [s_next[:sp.det_dim]]
             for cls_idx, sl in rec.relayed:

@@ -679,9 +679,10 @@ def test_every_error_class_has_an_exit_code(monkeypatch, capsys, cls):
     assert "planted failure" in capsys.readouterr().err
 
 
-# near the rank cutoff: node 1 detects the double eigenvalue 1.5 in plant
-# coordinates (smallest singular value 1.6e-9 of the largest) but not in
-# Jordan coordinates (5.1e-10); node 2 measures nothing
+# near the rank cutoff: the rank test of [A - 1.5 I; C_1] in plant
+# coordinates passes (smallest singular value 1.6e-9 of the largest), but
+# node 1 observes one direction of the 2-dimensional class at 1.5 (the
+# staircase on its class block); node 2 measures nothing
 CUTOFF_A = [
     [1.5752447068572741, -0.09363612589792163, -0.07086389133109279],
     [0.10775167183888107, 0.7195526099258054, -0.49903236026487185],
@@ -696,38 +697,37 @@ def test_scheme2_design_keeps_the_checked_roots(tmp_path, capsys):
         "plant": {"A": CUTOFF_A, "C": [CUTOFF_C1, []]},
         "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
     })
-    assert main(["check", path]) == 0
+    # check and every design read one decision: the class is undetectable
+    assert main(["check", path]) == 2
     out = capsys.readouterr().out
-    assert "per-eigenvalue coverage: PASS" in out
-    assert "roots: 1.5 <- [1]" in out
-    # the design splits node 1 on the same decision, so node 1 estimates the
-    # class itself; its local pair then fails the post-split check, a
-    # numerical failure instead of an uncaught error
-    assert main(["design", path, "--scheme", "c2"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: node 1: local pair lost "
-                          "detectability of eigenvalue 1.5")
+    assert "collective detectability: FAIL" in out
+    assert "per-eigenvalue coverage: FAIL" in out
+    for scheme in ("c1", "c2", "auto"):
+        assert main(["design", path, "--scheme", scheme]) == 2
+        assert capsys.readouterr().err.startswith("infeasible: ")
 
 
 def test_simulate_refuses_what_design_refuses(tmp_path, capsys):
-    # the Scheme-1 design of the cutoff plant fails its certificate, so
-    # simulate stops where design does instead of running it
+    # the cutoff plant is infeasible, so simulate stops where design does
+    # instead of running a design
     path = _write(tmp_path, "cutoff.json", {
         "format_version": 1,
         "plant": {"A": CUTOFF_A, "C": [CUTOFF_C1, []]},
         "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
         "simulation": {"x0": [1.0, -1.0, 0.5], "K": 40},
     })
-    assert main(["design", path, "--scheme", "c1"]) == 4
-    design = capsys.readouterr()
     out = tmp_path / "trace.csv"
-    assert main(["simulate", path, "--scheme", "c1", "--out", str(out)]) == 4
-    simulated = capsys.readouterr()
-    assert simulated.err == design.err
-    assert simulated.err.startswith("numerical failure: design assembled but "
-                                    "the stability certificate failed")
-    assert "unobservable-part radius 1.5" in simulated.out
-    assert not out.exists()
+    for scheme in ("c1", "c2", "auto"):
+        assert main(["design", path, "--scheme", scheme]) == 2
+        design = capsys.readouterr()
+        assert main(["simulate", path, "--scheme", scheme,
+                     "--out", str(out)]) == 2
+        simulated = capsys.readouterr()
+        assert simulated.err == design.err
+        assert not out.exists()
+    assert simulated.err.startswith("infeasible: neither design condition "
+                                    "holds: source component {1, 2} cannot "
+                                    "collectively detect eigenvalue")
 
 
 def test_explicit_switching_schedule_runs(tmp_path, capsys):

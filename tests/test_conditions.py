@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distobs import conditions
 from distobs import numkit as nk
 from distobs import (
     Digraph,
@@ -110,15 +111,21 @@ def test_feasibility_report_makes_each_rank_decision_once(monkeypatch):
          np.eye(3), np.array([[1.0, 1.0, 0.0]])),
     )
     g = Digraph(4, {(1, 2), (2, 1), (2, 3)})
-    calls = {"eigen_info": 0, "pbh_rank_ok": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(nk, name), _name=name, **kwargs):
+    calls = {}
+    for owner, name in ((nk, "eigen_info"), (conditions, "_class_basis"),
+                        (nk, "obs_canon_decomp"), (nk, "pbh_rank_ok")):
+        calls[name] = 0
+
+        def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
-        monkeypatch.setattr(nk, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rep = feasibility_report(p, g)
     N, U, S = p.n_nodes, len(rep.unstable), len(rep.source_comps)
     assert (N, U, S) == (4, 2, 2)
-    assert calls == {"eigen_info": 1, "pbh_rank_ok": N * U + S * U}
+    # one basis per class needing a decision, one class-block staircase per
+    # (output, class) and (component, class)
+    assert calls == {"eigen_info": 1, "_class_basis": U,
+                     "obs_canon_decomp": N * U + S * U, "pbh_rank_ok": 0}
     assert rep.cond1.ok and rep.cond2.ok
     assert rep.root_sets == {0: (1, 3, 4), 1: (2, 3, 4)}

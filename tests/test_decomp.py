@@ -11,14 +11,16 @@ from distobs import (
     detectable_set,
     jordan_grouped,
     jordan_system,
+    local_observer,
     multisensor_decompose,
     node_local_split,
 )
 from distobs import numkit as nk
+from distobs.conditions import _RankTable
 from distobs.errors import (
     IllConditionedJordan,
     InvalidTransform,
-    NumericalError,
+    NotDetectable,
     ShapeError,
 )
 from distobs.netgraph import Digraph
@@ -203,7 +205,11 @@ def test_observability_gate_guards_given_transforms_only(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     design_condition1(p, Digraph(3, {(1, 2), (2, 3), (3, 1)}))
-    assert len(calls) == 3
+    # plus the collective check: one staircase per unstable class block on
+    # the one source component's stacked outputs
+    U = len(nk.eigen_info(p.A).unstable_classes())
+    assert U == 3
+    assert len(calls) == 3 + U
 
 
 def test_decomposition_from_transform_dimension_checks():
@@ -239,12 +245,18 @@ def test_jordan_grouped_defective_and_complex():
 
 
 def test_jordan_grouped_uncertifiable():
-    # two eigenvalues too close to separate yet individually resolvable at
-    # the iterated-kernel scale: no consistent chain structure exists
+    # two eigenvalues the clustering keeps apart but the rank cutoff of each
+    # class's polynomial cannot: each kernel takes both directions
     A = np.diag([2.0, 2.0 + 1e-9])
     with pytest.raises(IllConditionedJordan) as exc:
-        jordan_grouped(A)
+        jordan_grouped(A, ToleranceConfig(eig_cluster_tol=1e-10))
     assert abs(exc.value.eigenvalue - 2.0) < 1e-6
+    assert "kernel of its polynomial has dimension 2, not its multiplicity 1" \
+        in str(exc.value)
+    # clustered as one class, the product of both factors annihilates it
+    T, classes = jordan_grouped(A)
+    assert [c.dim for c in classes] == [2]
+    np.testing.assert_allclose(T @ classes[0].block @ T.T, A, atol=1e-15)
 
 
 def _planted_classes(rng):
@@ -318,22 +330,29 @@ def test_class_bases_of_near_real_defective_pairs(seed):
 def test_node_local_split_two_sensor_plant():
     A = np.diag([2.0, 2.0])
     T, classes = jordan_grouped(A)
-    # node seeing only the first coordinate cannot detect the double mode
+    table = _RankTable(A, nk.DEFAULT_TOL)
+    # node seeing only the first coordinate cannot detect the double mode;
+    # the direction it does see augments its local pair
     C1 = np.array([[1.0, 0.0]])
     assert detectable_set(A, C1) == ()
-    sp = node_local_split(T, classes, 1, C1, ())
+    sp = node_local_split(T, classes, 1, C1, (), table.splits(1, C1, (0,)))
     assert sp.undetectable == (0,)
-    assert sp.det_dim == 0
+    assert (sp.det_dim, sp.aug_dim, sp.obs_dim) == (0, 1, 1)
     # a node with full measurements detects it
     assert detectable_set(A, np.eye(2)) == (0,)
-    sp3 = node_local_split(T, classes, 3, np.eye(2), (0,))
+    sp3 = node_local_split(T, classes, 3, np.eye(2), (0,),
+                           table.splits(3, np.eye(2), (0,)))
     assert sp3.detectable == (0,)
     assert sp3.det_dim == 2
     assert sp3.aug_dim == 0
-    # the split takes the caller's decision; a local pair that cannot carry
-    # it fails the post-split check
-    with pytest.raises(NumericalError, match="node 1: local pair lost"):
-        node_local_split(T, classes, 1, C1, (0,))
+    assert sp3.obs_dim == 2
+    # the split takes the caller's decision without testing it again; a
+    # local pair that cannot carry it fails at the gain
+    sp = node_local_split(T, classes, 1, C1, (0,), table.splits(1, C1, (0,)))
+    assert (sp.det_dim, sp.obs_dim) == (2, 1)
+    with pytest.raises(NotDetectable, match="^node 1: local error dynamics "
+                       "have spectral radius 2"):
+        local_observer(sp)
 
 
 def test_jordan_system_assembles_per_node():
