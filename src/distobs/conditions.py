@@ -59,23 +59,38 @@ def detectable_set(A, C_i, tol=None):
 def _class_basis(A, cls, tol, norm_A):
     """Orthonormal real basis ``V`` of one eigenvalue class and its block.
 
-    ``V`` spans the kernel of the class's polynomial ``prod_j (A - w_j I)``
-    over its computed eigenvalues (``cls.members``, each conjugate pair one
-    real quadratic factor), ranked against ``rank_tol * max(1, ||A||_2)^m``
-    for ``m`` factors, so it is ``A``-invariant and the block is
-    ``V.T @ A @ V``.  A kernel whose dimension is not ``cls.dim`` raises
-    :class:`IllConditionedJordan`: a dubious class basis is worse than none.
+    The class's factors are ``A - w I`` over its computed eigenvalues ``w``
+    (``cls.members``); a conjugate pair ``a +- bi`` with ``b`` above
+    ``rank_tol * ||A||_2`` is one real factor ``(A - aI)^2 + b^2 I``.
+    ``V`` spans the kernel of the product of the first factors, as many as
+    it takes to reach ``cls.dim`` (one for a diagonalizable class, the index
+    for a defective one), so it is ``A``-invariant and the block is
+    ``V.T @ A @ V``.  Each product is ranked against ``rank_tol`` times the
+    product of its factors' norms (Frobenius, which costs no SVD): on the
+    rest of the space the product is as small as the distance to the
+    nearest other class makes it, and each factor's norm follows that
+    distance, so a near neighbour lowers the cutoff with it.  Each factor
+    counts at least ``m * eps * ||A||_2 / rank_tol`` for ``m`` members, the
+    norm below which its rounding is not resolved.  A kernel whose
+    dimension is not ``cls.dim`` raises :class:`IllConditionedJordan`: a
+    dubious class basis is worse than none.
     """
-    n = A.shape[0]
-    P = np.eye(n)
-    for w in cls.members:
-        if w.imag > 0:
-            P = P @ (A @ A - 2.0 * w.real * A + abs(w) ** 2 * np.eye(n))
-        elif w.imag == 0:
-            P = P @ (A - w.real * np.eye(n))
-    _, s, Vh = np.linalg.svd(P)
-    r = int(np.count_nonzero(
-        s > tol.rank_tol * max(1.0, norm_A) ** len(cls.members)))
+    n, w = A.shape[0], cls.members
+    I = np.eye(n)
+    floor = len(w) * nk._EPS * norm_A / tol.rank_tol
+    P, anchor = I, 1.0
+    for wj in w:
+        b = wj.imag if abs(wj.imag) > tol.rank_tol * norm_A else 0.0
+        if b < 0:
+            continue
+        S = A - wj.real * I
+        P = P @ (S @ S + b * b * I if b else S)
+        norm = np.sqrt(np.sum(S * S) + n * b * b)
+        anchor *= max(norm, floor) ** (2 if b else 1)
+        _, s, Vh = np.linalg.svd(P)
+        r = int(np.count_nonzero(s > tol.rank_tol * anchor))
+        if n - r >= cls.dim:
+            break
     if n - r != cls.dim:
         raise IllConditionedJordan(
             f"eigenvalue class at {cls.rep:.6g} could not be certified: the "
@@ -245,7 +260,7 @@ class FeasibilityReport:
     source_comps: tuple
     cond1: ConditionVerdict
     cond2: ConditionVerdict
-    table: _RankTable = field(default=None, compare=False, repr=False)
+    table: _RankTable = field(compare=False, repr=False)
 
 
 def feasibility_report(p, g, tol=None):

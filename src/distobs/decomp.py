@@ -545,9 +545,11 @@ class JordanSystem:
 def jordan_system(p, tol=None, report=None):
     """Compute eigenvalue-class coordinates of ``p`` and split them per node.
 
-    ``report``, a ``feasibility_report(p, g, tol)``, supplies its table of
-    class bases and rank decisions, so none is made twice; without it, one
-    table is built here.  :func:`node_local_split` runs once per distinct
+    ``report``, a ``feasibility_report(p, g, tol)``, supplies each node's
+    detectable set and the table of class bases and staircases it was read
+    from, so no decision is made twice and the splits follow the report's
+    root sets; its tolerances win over ``tol``.  Without it, one table is
+    built here.  :func:`node_local_split` runs once per distinct
     output matrix, for the lowest node id that has it; nodes with identical
     outputs receive a copy of that split renumbered to their own id
     (:meth:`NodeSplit.renumbered`), sharing its arrays.
@@ -567,8 +569,8 @@ def jordan_system(p, tol=None, report=None):
     IllConditionedJordan
         If the eigenbasis cannot be trusted (see ``jordan_grouped``).
     """
-    t = getattr(report, "table", None)
-    t = t or _RankTable(p.A, tol or nk.DEFAULT_TOL)
+    t = (_RankTable(p.A, tol or nk.DEFAULT_TOL) if report is None
+         else report.table)
     T, T_inv, cond_T, classes = _jordan_basis(t)
     ks = range(len(classes))
     per_node = []
@@ -576,8 +578,9 @@ def jordan_system(p, tol=None, report=None):
         if r != i:
             per_node.append(per_node[r - 1].renumbered(i))
             continue
-        per_node.append(node_local_split(T, classes, i, C_i,
-                                         t.detects(i, C_i),
+        detectable = (t.detects(i, C_i) if report is None
+                      else report.per_node_detectable[i - 1])
+        per_node.append(node_local_split(T, classes, i, C_i, detectable,
                                          t.splits(i, C_i, ks)))
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, classes=classes,

@@ -286,6 +286,7 @@ def _null_direction(M, x_dim, tol):
     level — that is exactly the uncontrollability certificate for the zero
     pole being placed.  A weakly observed mode is placed: the observability
     split made that rank decision, and the achieved spectrum is verified.
+    Its gain grows as the inverse of the freedom found here.
     """
     _, s, Vt = np.linalg.svd(M)
     cutoff = tol.rank_tol * (float(s[0]) if s.size else 0.0)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from distobs import (
     make_assumption2_signal,
     simulate,
 )
-from distobs import errors, numkit as nk
+from distobs import errors, numkit as nk, synth_c1
 from distobs.cli import (
     bundled_scenario_path,
     load_bank,
@@ -728,6 +729,52 @@ def test_simulate_refuses_what_design_refuses(tmp_path, capsys):
     assert simulated.err.startswith("infeasible: neither design condition "
                                     "holds: source component {1, 2} cannot "
                                     "collectively detect eigenvalue")
+
+
+def test_simulate_refuses_an_uncertified_design(tmp_path, monkeypatch,
+                                                capsys):
+    # a Scheme-1 design whose stability certificate fails is refused by
+    # design and simulate alike, and neither writes anything
+    certify = synth_c1.certify_stability
+    monkeypatch.setattr(
+        synth_c1, "certify_stability",
+        lambda *a: dataclasses.replace(certify(*a), ok=False))
+    path = _write(tmp_path, "s.json", _minimal_scenario())
+    bank, out = tmp_path / "bank.json", tmp_path / "trace.csv"
+    assert main(["design", path, "--scheme", "c1", "--out", str(bank)]) == 4
+    design = capsys.readouterr()
+    assert main(["simulate", path, "--scheme", "c1", "--out", str(out)]) == 4
+    simulated = capsys.readouterr()
+    assert simulated.err == design.err
+    assert simulated.err.startswith("numerical failure: design assembled but "
+                                    "the stability certificate failed")
+    assert "error spectral radii" in simulated.out
+    assert not bank.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("defective", [False, True])
+def test_repeated_eigenvalue_next_to_a_near_neighbour(tmp_path, capsys,
+                                                      defective):
+    # a 4-fold eigenvalue 1.2 with a neighbour at 1.205; the defective
+    # variant has a Jordan block, a far stable eigenvalue that sets the
+    # scale of the class's factors, and a random basis
+    A = np.diag([1.2] * 4 + [1.205] + [0.3] * defective)
+    if defective:
+        A[0, 1] = 0.5
+        Q = np.linalg.qr(np.random.default_rng(0).normal(size=A.shape))[0]
+        A = Q @ A @ Q.T
+    n = len(A)
+    path = _write(tmp_path, "near.json", {
+        "format_version": 1,
+        "plant": {"A": A.tolist(), "C": [np.eye(n).tolist(), []]},
+        "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
+        "simulation": {"x0": [1.0] * n, "K": 40},
+    })
+    assert main(["check", path]) == 0
+    assert "ok (roots: 1.205 <- [1], 1.2 <- [1])" in capsys.readouterr().out
+    for scheme in ("c1", "c2", "auto"):
+        assert main(["simulate", path, "--scheme", scheme]) == 0
+        assert "node 2: final normalized error" in capsys.readouterr().out
 
 
 def test_explicit_switching_schedule_runs(tmp_path, capsys):

@@ -246,17 +246,25 @@ def test_jordan_grouped_defective_and_complex():
 
 def test_jordan_grouped_uncertifiable():
     # two eigenvalues the clustering keeps apart but the rank cutoff of each
-    # class's polynomial cannot: each kernel takes both directions
-    A = np.diag([2.0, 2.0 + 1e-9])
+    # class's polynomial cannot, against a third that sets the factors'
+    # scale: the kernel takes both directions
+    A = np.diag([2.0, 2.0 + 1e-9, 10.0])
+    fine = ToleranceConfig(eig_cluster_tol=1e-10)
     with pytest.raises(IllConditionedJordan) as exc:
-        jordan_grouped(A, ToleranceConfig(eig_cluster_tol=1e-10))
+        jordan_grouped(A, fine)
     assert abs(exc.value.eigenvalue - 2.0) < 1e-6
     assert "kernel of its polynomial has dimension 2, not its multiplicity 1" \
         in str(exc.value)
-    # clustered as one class, the product of both factors annihilates it
+    # alone, the pair's own distance sets the scale, and each class separates
+    T, classes = jordan_grouped(A[:2, :2], fine)
+    assert [c.dim for c in classes] == [1, 1]
+    np.testing.assert_allclose(np.abs(T), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+    # clustered as one class, its first factor annihilates it
     T, classes = jordan_grouped(A)
-    assert [c.dim for c in classes] == [2]
-    np.testing.assert_allclose(T @ classes[0].block @ T.T, A, atol=1e-15)
+    assert [c.dim for c in classes] == [1, 2]
+    np.testing.assert_allclose(classes[0].block, [[10.0]], atol=1e-14)
+    np.testing.assert_allclose(classes[1].block, 2 * np.eye(2), atol=1e-8)
+    np.testing.assert_allclose(T.T @ T, np.eye(3), atol=1e-14)
 
 
 def _planted_classes(rng):

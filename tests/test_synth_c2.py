@@ -260,6 +260,7 @@ def _per_node_reference(p, g, tol=nk.DEFAULT_TOL):
         source_comps=comps,
         cond1=check_condition1(p, g, tol),
         cond2=ConditionVerdict(all(c.ok for c in checks), tuple(checks)),
+        table=table,
     )
     return splits, gains, report
 
@@ -467,6 +468,7 @@ def test_blind_node_detects_nothing():
     assert bank.class_weights[0].parent_sets == {2: (1,)}
     # node 1 sees the second direction through the 4e-8 coupling only, so
     # its deadbeat gain is large (5.6e7) and rounding stays near 1e-11
+    assert np.linalg.norm(bank.nodes[0].gain, 2) < 1e8
     tr = simulate(p, bank, [1.0, -1.0], K=40)
     assert (tr.rel_err[:, -1] < 1e-9).all()
 
@@ -521,6 +523,12 @@ def test_splits_equal_the_table_near_the_cutoff(seed):
         bank = design_condition2(p, g, report=rep)
         assert tuple(sp.detectable for sp in bank.jsys.per_node) == \
             rep.per_node_detectable
+        # a mode the staircase keeps is placed however weakly it is seen:
+        # its gain is the inverse of the placement freedom, which the
+        # staircase's cutoff keeps near rank_tol (the largest gain over
+        # draws 0-5,999 is 1.0e10)
+        assert max(np.linalg.norm(rec.gain, 2) for rec in bank.nodes
+                   if rec.gain.size) <= 100 / nk.DEFAULT_TOL.rank_tol
     else:
         with pytest.raises(Condition2Infeasible):
             design_condition2(p, g, report=rep)
