@@ -796,7 +796,8 @@ def _print_design(design, scheme):
             print(
                 f"eigenvalue {eig}: detected by {list(route.roots)}"
                 + (
-                    f", relayed to {sorted(route.weights)}" if route.weights
+                    f", relayed to {sorted(route.relay_nodes)}"
+                    if route.relay_nodes
                     else " (everywhere)"
                 )
             )

@@ -6,6 +6,12 @@ to the rest of the network: a layered spanning DAG rooted at the nodes that
 hold a part of the state, with up to ``max_parents`` parents per node and
 consensus weights that are strictly lower triangular in topological order.
 
+Everything runs on arrays.  A :class:`Digraph` keeps its edges as two arrays
+sorted by source, then target, and its out-adjacency as int-indexed lists,
+built once at construction.  A :class:`SpanningStructure` keeps its parent
+sets and weight rows as CSR arrays in topological order and validates them
+in one vectorised pass; the dicts its fields show are built when read.
+
 All tie-breaking is deterministic (ascending node id), so repeated runs and
 golden tests see identical structures.  Node ids are 1-based.
 """
@@ -14,6 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NotSpanning
 
@@ -27,43 +37,79 @@ __all__ = [
 ]
 
 
+def _is_id(v):
+    """Whether ``v`` is a Python or numpy integer (booleans are not)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _edge_arrays(edges, n):
+    """``(src, dst)`` of an edge collection: validated, without self-loops
+    or repeats, sorted by source, then target."""
+    edges = list(edges)
+    for e in edges:
+        try:
+            j, i = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} is not an ordered pair") from None
+        if not (_is_id(j) and _is_id(i)):
+            raise ValueError(f"edge {e!r} has a node id that is not an integer")
+        if not (1 <= j <= n and 1 <= i <= n):
+            raise ValueError(
+                f"edge ({j}, {i}) references a node outside 1..{n}")
+    a = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    key = _distinct(a[a[:, 0] != a[:, 1]] @ np.array([n + 1, 1]))
+    return key // (n + 1), key % (n + 1)
+
+
+def _distinct(x):
+    """The distinct values of integer array ``x``, ascending."""
+    x = np.sort(x)
+    return x[np.r_[True, x[1:] != x[:-1]]] if x.size else x
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Directed graph on nodes ``1..n_nodes`` with edge ``(j, i)`` meaning j→i.
 
-    Self-loops are dropped on construction: a node always hears itself, so the
-    loop carries no information and the stored edge set stays loop-free.
+    Node ids must be Python or numpy integers; anything else, booleans
+    included, raises ``ValueError`` naming the edge.  Self-loops are dropped
+    on construction: a node always hears itself, so the loop carries no
+    information and the stored edge set stays loop-free.
+
+    Construction also builds the edge arrays ``_src`` and ``_dst``, sorted
+    by source, then target, and the int-indexed out-adjacency ``_succ``:
+    ``_succ[v]`` holds node ``v``'s out-neighbors, ascending.
     """
 
     n_nodes: int
     edges: frozenset = field(default_factory=frozenset)
-    _pred: dict = field(init=False, repr=False, compare=False)
-    _succ: dict = field(init=False, repr=False, compare=False)
+    _src: np.ndarray = field(init=False, repr=False, compare=False)
+    _dst: np.ndarray = field(init=False, repr=False, compare=False)
+    _succ: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 0:
             raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
-        cleaned = set()
-        for e in self.edges:
-            try:
-                j, i = e
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {e!r} is not an ordered pair") from None
-            j, i = int(j), int(i)
-            if not (1 <= j <= self.n_nodes and 1 <= i <= self.n_nodes):
-                raise ValueError(
-                    f"edge ({j}, {i}) references a node outside 1..{self.n_nodes}"
-                )
-            if j != i:
-                cleaned.add((j, i))
-        object.__setattr__(self, "edges", frozenset(cleaned))
-        pred = {v: [] for v in range(1, self.n_nodes + 1)}
-        succ = {v: [] for v in range(1, self.n_nodes + 1)}
-        for j, i in sorted(cleaned):
-            pred[i].append(j)
-            succ[j].append(i)
-        object.__setattr__(self, "_pred", {v: tuple(u) for v, u in pred.items()})
-        object.__setattr__(self, "_succ", {v: tuple(u) for v, u in succ.items()})
+        self._index(*_edge_arrays(self.edges, self.n_nodes))
+
+    @classmethod
+    def _from_arrays(cls, n_nodes, src, dst):
+        """The graph of valid, loop-free edge arrays already sorted by
+        source, then target, without repeats."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n_nodes", n_nodes)
+        g._index(src, dst)
+        return g
+
+    def _index(self, src, dst):
+        ptr = np.zeros(self.n_nodes + 2, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=self.n_nodes + 1), out=ptr[1:])
+        out, ptr = dst.tolist(), ptr.tolist()
+        for name, value in (("edges", frozenset(zip(src.tolist(), out))),
+                            ("_src", src), ("_dst", dst),
+                            ("_succ", tuple([tuple(out[a:b]) for a, b in
+                                             zip(ptr, ptr[1:])]))):
+            object.__setattr__(self, name, value)
 
     @property
     def nodes(self):
@@ -71,18 +117,51 @@ class Digraph:
 
     def in_neighbors(self, i):
         """Nodes j with an edge j→i, ascending."""
-        return self._pred.get(i, ())
+        return tuple(self._src[self._dst == i].tolist())
 
     def out_neighbors(self, j):
         """Nodes i with an edge j→i, ascending."""
-        return self._succ.get(j, ())
+        return self._succ[j] if 1 <= j <= self.n_nodes else ()
 
     def closed_in_neighborhood(self, i):
         """``{i}`` plus in-neighbors — the set a node can hear each step."""
         return tuple(sorted({i, *self.in_neighbors(i)}))
 
 
-@dataclass(frozen=True)
+class _Rows(NamedTuple):
+    """Per-node rows as CSR arrays: row ``r`` belongs to node ``keys[r]``
+    and lists ``cols[ptr[r]:ptr[r + 1]]``, with ``vals`` alongside for
+    weight rows (``None`` for parent sets)."""
+
+    keys: np.ndarray
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray = None
+
+    @classmethod
+    def of(cls, rows, weighted):
+        """The rows of a ``{node: parent tuple}`` or, ``weighted``, a
+        ``{node: {parent: weight}}`` map, in its order."""
+        lens = np.fromiter(map(len, rows.values()), np.intp, len(rows))
+        ptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lens, out=ptr[1:])
+        return cls(
+            np.fromiter(rows, np.intp, len(rows)), ptr,
+            np.fromiter(chain.from_iterable(rows.values()), np.intp, ptr[-1]),
+            np.fromiter(chain.from_iterable(r.values() for r in rows.values()),
+                        float, ptr[-1]) if weighted else None)
+
+    def view(self):
+        """The rows as the dict they were read from."""
+        keys, ptr, cols = self.keys.tolist(), self.ptr.tolist(), self.cols.tolist()
+        if self.vals is None:
+            return {v: tuple(cols[a:b]) for v, a, b in zip(keys, ptr, ptr[1:])}
+        vals = self.vals.tolist()
+        return {v: dict(zip(cols[a:b], vals[a:b]))
+                for v, a, b in zip(keys, ptr, ptr[1:])}
+
+
+@dataclass(frozen=True, init=False)
 class SpanningStructure:
     """Relay route: a layered acyclic structure rooted at ``roots``, with
     the consensus weights that carry estimates along it.
@@ -90,13 +169,22 @@ class SpanningStructure:
     ``roots`` lists the nodes that hold the routed part themselves, in
     ascending order.  ``parent_sets`` maps each other node to its ordered
     parent tuple (a singleton for ``max_parents=1``), in ``topo_order``;
-    ``topo_order`` lists all covered nodes with every parent strictly before
-    its children.  ``weights[i]`` maps each node that non-root ``i`` listens
-    to onto a nonnegative weight, each row summing to one; roots carry no
-    row.  :func:`spanning_dag` puts weight 1 on each node's first parent,
-    and ``dataclasses.replace(route, weights=...)`` swaps in a caller's own.
-    Construction validates the weights (see :func:`_check_relay_weights`),
-    so the weight block among non-roots is always nilpotent.
+    ``topo_order`` lists all covered nodes once each, roots included, with
+    every parent strictly before its children.  ``weights[i]`` maps each
+    node that non-root ``i`` listens to onto a nonnegative weight, each row
+    summing to one; roots carry no row.  :func:`spanning_dag` puts weight 1
+    on each node's first parent, and ``dataclasses.replace(route,
+    weights=...)`` swaps in a caller's own.
+
+    The parent sets and weight rows are kept as CSR arrays over the relay
+    nodes in topological order (``_parent_rows`` and ``_weight_rows``), which
+    the simulator reads; a route built from arrays builds the
+    ``parent_sets`` and ``weights`` dicts only when they are read.
+    Construction validates the structure (see :func:`_check_route`): a node
+    listed twice, a root off the route, a parent or weighted node off the
+    route, a parent that does not come earlier, a nonzero weight on a later
+    non-root, and a parent set or weight row on a root or off the route are
+    all rejected, so the weight block among non-roots is always nilpotent.
     """
 
     roots: tuple
@@ -104,8 +192,37 @@ class SpanningStructure:
     topo_order: tuple
     weights: dict
 
-    def __post_init__(self):
-        _check_relay_weights(self.weights, self.roots, self.topo_order)
+    def __init__(self, roots, parent_sets, topo_order, weights):
+        _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True),
+                     _Rows.of(parent_sets, False))
+        root_set = set(roots)
+        relay = [v for v in topo_order if v not in root_set]
+        self._set(roots=roots, parent_sets=parent_sets, topo_order=topo_order,
+                  weights=weights, _parent_rows=_Rows.of(
+                      {v: parent_sets[v] for v in relay}, False),
+                  _weight_rows=_Rows.of({v: weights[v] for v in relay}, True))
+
+    @classmethod
+    def _from_rows(cls, roots, order, parents, weights):
+        """The route of node arrays ``roots`` and ``order`` (its topological
+        order) with these rows, already in that order."""
+        _check_route(roots, order, weights, parents)
+        route = object.__new__(cls)
+        route._set(roots=tuple(roots.tolist()), topo_order=tuple(order.tolist()),
+                   _parent_rows=parents, _weight_rows=weights)
+        return route
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # reached only while a dict field is unset: build it from its rows
+        if name not in ("parent_sets", "weights"):
+            raise AttributeError(name)
+        rows = self._parent_rows if name == "parent_sets" else self._weight_rows
+        self._set(**{name: rows.view()})
+        return getattr(self, name)
 
     def parents(self, i):
         return self.parent_sets.get(i, ())
@@ -113,27 +230,120 @@ class SpanningStructure:
     @property
     def relay_nodes(self):
         """The non-root nodes, in topological order."""
-        return tuple(self.parent_sets)
+        return tuple(self._weight_rows.keys.tolist())
 
 
-def _check_relay_weights(weights, roots, topo_order):
-    """Validate relay weights over a spanning order, raising ``ValueError``.
+def _ids(nodes):
+    """A node collection as an array."""
+    return np.fromiter(nodes, np.intp, len(nodes))
 
-    Every node of ``topo_order`` outside ``roots`` needs a row of finite,
-    nonnegative weights summing to one on covering nodes (roots or other
-    nodes of ``topo_order``); roots carry no row.  A nonzero weight on a
-    non-root parent must come from before the node in ``topo_order``, so the
-    weights among non-roots are strictly lower triangular in that order,
-    hence nilpotent.  Messages name the route by its sorted ``roots``.
+
+def _locator(order):
+    """A function giving each node's position in ``order``, -1 for a node
+    off it; ``None`` when ``order`` lists a node twice."""
+    L = order.size
+    if L and order.min() >= 1 and order.max() <= 4 * L + 64:  # dense ids
+        table = np.full(order.max() + 2, -1, dtype=np.intp)
+        table[order] = np.arange(L)
+        if (table[order] != np.arange(L)).any():
+            return None
+        # ids outside the table read its first or last entry, both -1
+        return lambda x: table.take(x, mode="clip")
+    s = np.argsort(order, kind="stable")
+    ranked = order[s]
+    if (ranked[1:] == ranked[:-1]).any():
+        return None
+
+    def positions(x):
+        if not L:
+            return np.full(x.shape, -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(ranked, x), L - 1)
+        return np.where(ranked[at] == x, s[at], -1)
+    return positions
+
+
+def _check_route(roots, order, weights, parents=None):
+    """Validate a route's rows in a handful of whole-array tests, raising
+    ``ValueError`` (see :func:`_offence`) when one fails.
+
+    ``roots`` and ``order``, the topological order, are node arrays.
+    ``order`` lists each node once and holds every root.  Every other
+    node of it needs a parent set on nodes strictly before it, and a row of
+    finite, nonnegative weights summing to one on covering nodes (nodes of
+    ``order``); a nonzero weight on a non-root must come strictly before
+    the node too, so the weights among non-roots are strictly lower
+    triangular in that order, hence nilpotent.  Roots and nodes off the
+    route carry neither.
     """
-    what = f"the route from {sorted(roots)}"
-    roots = set(roots)
-    rank = {v: k for k, v in enumerate(topo_order)}
-    cyclic = False
-    for i in topo_order:
-        if i in roots:
+    positions = _locator(order)
+    rpos = None if positions is None else positions(roots)
+    if rpos is None or (rpos < 0).any():
+        _offence(roots, order, weights, parents)
+    # relay[p]: position p holds a non-root; the last entry stands for -1
+    relay = np.ones(order.size + 1, dtype=bool)
+    relay[rpos] = relay[-1] = False
+    n_relay = int(relay.sum())
+    for rows in (parents, weights):
+        if rows is None:
             continue
-        row = weights.get(i)
+        lens = np.diff(rows.ptr)
+        kpos, cpos = positions(rows.keys), positions(rows.cols)
+        krep = np.repeat(kpos, lens)
+        kne = kpos[lens > 0]
+        if rows.vals is None:
+            ok = ((cpos >= 0) & (cpos < krep)).all()
+        else:
+            v = rows.vals
+            total = np.bincount(np.repeat(np.arange(lens.size), lens), v,
+                                minlength=lens.size)[lens > 0]
+            ok = ((v >= 0) & (v < np.inf) & (cpos >= 0)
+                  & (~relay[cpos] | (cpos < krep) | (v == 0))).all() and (
+                np.abs(total - 1.0) <= 1e-12).all()
+        if not (ok and kne.size == n_relay and relay[kne].all()):
+            _offence(roots, order, weights, parents)
+
+
+def _offence(roots, order, weights, parents):
+    """Raise ``ValueError`` for the first offence of a route that
+    :func:`_check_route` turned down, found row by row.
+
+    In turn: a node listed twice, a root off the route; then the parent
+    sets, if given, and the weight rows, each node by node in topological
+    order (a non-root's missing row, its offending entries in order, then
+    its sum), then a nonempty row on a root and one off the route; last a
+    nonzero weight on a non-root that does not come earlier.  Messages name
+    the route by its sorted ``roots``.
+    """
+    what = f"the route from {sorted(roots.tolist())}"
+    rank = {}
+    for k, v in enumerate(order.tolist()):
+        if v in rank:
+            raise ValueError(
+                f"node {v} appears twice in the topological order of {what}")
+        rank[v] = k
+    for r in roots.tolist():
+        if r not in rank:
+            raise ValueError(f"root {r} is not on {what}")
+    root_set = set(roots.tolist())
+    relay = [v for v in rank if v not in root_set]
+    if parents is not None:
+        ps = parents.view()
+        for i in relay:
+            if not ps.get(i):
+                raise ValueError(f"node {i} has no parents on {what}")
+            for l in ps[i]:
+                if l not in rank:
+                    raise ValueError(f"node {i} has parent {l}, which covers "
+                                     f"nothing for {what}")
+                if rank[l] >= rank[i]:
+                    raise ValueError(f"node {i} has parent {l}, which does "
+                                     f"not come before it on {what}")
+        _no_stray_rows(ps, root_set, rank, what, "must not have parents on it",
+                       "has parents")
+    ws = weights.view()
+    cyclic = False
+    for i in relay:
+        row = ws.get(i)
         if not row:
             raise ValueError(f"node {i} has no consensus weights for {what}")
         for l, w in row.items():
@@ -141,25 +351,90 @@ def _check_relay_weights(weights, roots, topo_order):
                 raise ValueError(f"non-finite weight {w} on edge {l}->{i}")
             if w < 0:
                 raise ValueError(f"negative weight {w} on edge {l}->{i}")
-            if l not in roots and l not in rank:
+            if l not in rank:
                 raise ValueError(
-                    f"node {i} weights {l}, which covers nothing for {what}"
-                )
-            cyclic |= w != 0.0 and l not in roots and rank[l] >= rank[i]
+                    f"node {i} weights {l}, which covers nothing for {what}")
+            cyclic |= w != 0.0 and l not in root_set and rank[l] >= rank[i]
         total = sum(row.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights of node {i} sum to {total}, not 1")
-    for i in roots:
-        if weights.get(i):
-            raise ValueError(
-                f"node {i} is a root for {what} and must not carry "
-                "consensus weights for it"
-            )
+    _no_stray_rows(ws, root_set, rank, what,
+                   "must not carry consensus weights for it",
+                   "carries consensus weights")
     if cyclic:
         raise ValueError(
             "consensus weights are not strictly lower triangular under the "
             "topological order; the relay block would not be nilpotent"
         )
+
+
+def _no_stray_rows(rows, root_set, rank, what, on_root, off_route):
+    """Raise ``ValueError`` for a nonempty row of a root, the roots taken
+    in set order, then for one of a node off the route."""
+    for i in root_set:
+        if rows.get(i):
+            raise ValueError(f"node {i} is a root for {what} and {on_root}")
+    for i, row in rows.items():
+        if row and i not in rank:
+            raise ValueError(f"node {i} {off_route} on {what} but is not on it")
+
+
+def _check_relay_weights(weights, roots, topo_order):
+    """Validate relay weights ``{node: {parent: weight}}`` over a spanning
+    order, raising ``ValueError`` as :func:`_check_route` does."""
+    _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True))
+
+
+def _tarjan(g):
+    """``(components, comp)``: the strong components in reverse-topological
+    condensation order, each a sorted tuple, and ``comp[v]``, the index of
+    node ``v``'s component.
+
+    Iterative Tarjan over the int-indexed adjacency, starting from each
+    unvisited node in ascending order and following out-edges in ascending
+    order.
+    """
+    n, succ = g.n_nodes, g._succ
+    index = [-1] * (n + 1)
+    low = [0] * (n + 1)
+    comp = [-1] * (n + 1)
+    stack = []
+    at = [0] * (n + 1)  # each stacked node's stack position
+    components = []
+    counter = 0
+    for start in range(1, n + 1):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        at[start] = len(stack)
+        stack.append(start)
+        work = [(start, iter(succ[start]))]
+        while work:
+            v, nbrs = work[-1]
+            for w in nbrs:  # resumes where the node's last visit stopped
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    at[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    members = stack[at[v]:]
+                    del stack[at[v]:]
+                    for w in members:
+                        comp[w] = len(components)
+                    components.append(tuple(sorted(members)))
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return components, comp
 
 
 def strong_components(g):
@@ -169,51 +444,7 @@ def strong_components(g):
     a sorted tuple, and a component is emitted only after every component it
     has edges into.
     """
-    succ = g._succ
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = 0
-    for start in g.nodes:
-        if start in index:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while ptr < len(succ[v]):
-                w = succ[v][ptr]
-                ptr += 1
-                if w not in index:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
+    return _tarjan(g)[0]
 
 
 def source_components(g):
@@ -223,16 +454,12 @@ def source_components(g):
     rest of the network — each must be informative on its own for any
     distributed observer to exist.
     """
-    comps = strong_components(g)
-    member = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            member[v] = k
-    has_external_in = [False] * len(comps)
-    for j, i in g.edges:
-        if member[j] != member[i]:
-            has_external_in[member[i]] = True
-    sources = [comp for k, comp in enumerate(comps) if not has_external_in[k]]
+    comps, comp = _tarjan(g)
+    comp = np.array(comp)
+    entered = np.zeros(len(comps), dtype=bool)
+    cross = comp[g._src] != comp[g._dst]
+    entered[comp[g._dst[cross]]] = True
+    sources = [c for c, e in zip(comps, entered.tolist()) if not e]
     return sorted(sources, key=lambda c: c[0])
 
 
@@ -247,51 +474,59 @@ def spanning_dag(g, roots, max_parents):
     first parent.  Raises :class:`NotSpanning` (carrying the unreachable
     set) if the roots do not reach every node.
     """
-    roots = frozenset(int(r) for r in roots)
-    for r in roots:
-        if not (1 <= r <= g.n_nodes):
-            raise ValueError(f"root {r} is outside 1..{g.n_nodes}")
-    if not roots and g.n_nodes:
+    roots = _distinct(np.fromiter(roots, np.intp))
+    n, succ = g.n_nodes, g._succ
+    if roots.size and not 1 <= roots[0] <= roots[-1] <= n:
+        raise ValueError(f"root {roots[0] if roots[0] < 1 else roots[-1]} is "
+                         f"outside 1..{n}")
+    if not roots.size and n:
         raise ValueError("at least one root is required")
     if max_parents < 1:
         raise ValueError(f"max_parents must be >= 1, got {max_parents}")
-    succ = g._succ
-    pred = g._pred
     # Multi-source BFS layering: layer = shortest edge distance from the roots.
-    layer = {r: 0 for r in roots}
-    frontier = sorted(roots)
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w not in layer:
-                    layer[w] = d + 1
-                    nxt.append(w)
-        frontier = sorted(set(nxt))
-        d += 1
-    unreachable = [v for v in g.nodes if v not in layer]
-    if unreachable:
+    layer = np.full(n + 1, -1, dtype=np.intp)
+    layer[roots] = 0
+    layer = layer.tolist()
+    queue = roots.tolist()
+    for v in queue:  # the queue grows while it is read
+        d = layer[v] + 1
+        for w in succ[v]:
+            if layer[w] < 0:
+                layer[w] = d
+                queue.append(w)
+    layer = np.array(layer[1:], dtype=np.intp)
+    if len(queue) < n:
+        unreachable = (np.flatnonzero(layer < 0) + 1).tolist()
         raise NotSpanning(
-            f"nodes {sorted(unreachable)} are unreachable from roots "
-            f"{sorted(roots)}",
+            f"nodes {unreachable} are unreachable from roots "
+            f"{roots.tolist()}",
             unreachable=unreachable,
         )
-    order = sorted(layer, key=lambda v: (layer[v], v))
+    order = np.argsort(layer, kind="stable") + 1  # by (layer, id)
+    pos = np.empty(n + 1, dtype=np.intp)
+    pos[order] = np.arange(n)
     # Parent candidates: in-neighbors strictly earlier in the (layer, id)
     # order.  Every non-root has one at the previous layer by construction;
     # same-layer lower-id neighbors add redundancy for multi-parent DAGs while
-    # keeping the relation acyclic.
-    parent_sets = {}
-    for v in order:
-        if v in roots:
-            continue
-        cands = [u for u in pred[v] if (layer[u], u) < (layer[v], v)]
-        cands.sort(key=lambda u: (layer[u], u))
-        parent_sets[v] = tuple(cands[:max_parents])
-    weights = {v: {ps[0]: 1.0} for v, ps in parent_sets.items()}
-    return SpanningStructure(tuple(sorted(roots)), parent_sets, tuple(order),
-                             weights)
+    # keeping the relation acyclic.  The roots fill the first positions.
+    pu, pv = pos[g._src], pos[g._dst]
+    cand = np.flatnonzero((pu < pv) & (pv >= roots.size))
+    by = cand[np.lexsort((pu[cand], pv[cand]))]
+    child, parent = pv[by], pu[by]
+    # sorted by child, an entry is among its child's first max_parents iff
+    # the entry max_parents places earlier has another child
+    first = np.ones(child.size, dtype=bool)
+    first[max_parents:] = child[max_parents:] != child[:-max_parents]
+    child, parent = child[first], order[parent[first]]
+    relay = order[roots.size:]
+    pptr = np.zeros(relay.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(child - roots.size, minlength=relay.size),
+              out=pptr[1:])
+    return SpanningStructure._from_rows(
+        roots, order,
+        _Rows(relay, pptr, parent),
+        _Rows(relay, np.arange(relay.size + 1), parent[pptr[:-1]],
+              np.ones(relay.size)))
 
 
 def subgraph(g, keep):
@@ -304,10 +539,9 @@ def subgraph(g, keep):
     for v in ids:
         if not (1 <= v <= g.n_nodes):
             raise ValueError(f"node {v} is outside 1..{g.n_nodes}")
-    relabel = {v: k + 1 for k, v in enumerate(ids)}
-    edges = {
-        (relabel[j], relabel[i])
-        for (j, i) in g.edges
-        if j in relabel and i in relabel
-    }
-    return Digraph(len(ids), frozenset(edges)), ids
+    label = np.zeros(g.n_nodes + 1, dtype=np.intp)
+    label[list(ids)] = np.arange(1, len(ids) + 1)
+    src, dst = label[g._src], label[g._dst]
+    inside = (src > 0) & (dst > 0)
+    # relabeling keeps the order, so the arrays stay sorted
+    return Digraph._from_arrays(len(ids), src[inside], dst[inside]), ids

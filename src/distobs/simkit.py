@@ -418,32 +418,31 @@ def _entries(frames, switched, skip):
     parts in frame order), then each routed entry's ``(child, route)``
     group and the number of routed entries.
 
-    Routed entries come first, then under ``switched`` one fallback entry
-    per group, in the slot after its parents, then the own entries of
-    weight 1, in slot 0 or, for a ``last`` part, -1, for every node of a
-    part's ``own`` not flagged in ``skip``.
+    Routed entries come first, read from each route's rows (its weight
+    rows, or under ``switched`` its parent sets), then under ``switched``
+    one fallback entry per group, in the slot after its parents, then the
+    own entries of weight 1, in slot 0 or, for a ``last`` part, -1, for
+    every node of a part's ``own`` not flagged in ``skip``.
     """
     parts = [part for frame in frames for part in frame.parts]
     ids = np.concatenate([np.asarray(f.ids, dtype=np.intp) for f in frames])
     # off[part] + v indexes the global id of the part's route node v
     off = np.repeat(np.cumsum([0] + [len(f.ids) for f in frames])[:-1] - 1,
                     [len(f.parts) for f in frames])
-    rows = [{} if part.route is None else
-            part.route.parent_sets if switched else part.route.weights
-            for part in parts]
-    kids = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    rows = [None if part.route is None else part.route._parent_rows
+            if switched else part.route._weight_rows for part in parts]
+    kids = np.array([0 if r is None else r.keys.size for r in rows],
+                    dtype=np.intp)
     kid_part = np.repeat(np.arange(len(rows)), kids)
-    count = np.fromiter(chain.from_iterable(map(len, r.values()) for r in rows),
-                        dtype=np.intp, count=kid_part.size)
-    kid = ids[off[kid_part] + np.fromiter(chain.from_iterable(rows),
-                                          dtype=np.intp, count=kid_part.size)]
+    rows = [r for r in rows if r is not None]
+    cat = np.concatenate
+    none = np.zeros(0, dtype=np.intp)
+    count = cat([np.diff(r.ptr) for r in rows] + [none])
+    kid = ids[off[kid_part] + cat([r.keys for r in rows] + [none])]
     part = np.repeat(kid_part, count)
-    parent = ids[off[part] + np.fromiter(
-        chain.from_iterable(chain.from_iterable(r.values() for r in rows)),
-        dtype=np.intp, count=part.size)]
-    weight = np.zeros(part.size) if switched else np.fromiter(
-        chain.from_iterable(v.values() for r in rows for v in r.values()),
-        dtype=float, count=part.size)
+    parent = ids[off[part] + cat([r.cols for r in rows] + [none])]
+    weight = np.zeros(part.size) if switched else cat(
+        [r.vals for r in rows] + [np.zeros(0)])
     slot = np.arange(part.size) - np.repeat(np.cumsum(count) - count, count)
     own_part = np.repeat(np.arange(len(parts)), [len(p.own) for p in parts])
     own = ids[off[own_part] + np.fromiter(
@@ -453,7 +452,6 @@ def _entries(frames, switched, skip):
     own, own_part = own[keep], own_part[keep]
     fall = kid if switched else kid[:0]
     last = np.array([p.last for p in parts], dtype=bool)
-    cat = np.concatenate
     return (cat([np.repeat(kid, count), fall, own]) - 1,
             cat([parent, fall, own]) - 1,
             cat([slot, count[:fall.size], -last[own_part].astype(np.intp)]),
@@ -686,12 +684,17 @@ def dag_parent_map(design):
     ``{parent sets}`` input of the link-failure signal generator and
     validator.
     """
-    return {
-        part.label: {frame.ids[i - 1]: tuple([frame.ids[l - 1] for l in ps])
-                     for i, ps in part.route.parent_sets.items()}
-        for frame in _frames(design) for part in frame.parts
-        if part.route is not None and part.route.parent_sets
-    }
+    out = {}
+    for frame in _frames(design):
+        ids = np.asarray(frame.ids)
+        for part in frame.parts:
+            if part.route is None or not part.route._parent_rows.keys.size:
+                continue
+            rows = part.route._parent_rows
+            ptr, par = rows.ptr.tolist(), ids[rows.cols - 1].tolist()
+            out[part.label] = {i: tuple(par[a:b]) for i, a, b in zip(
+                ids[rows.keys - 1].tolist(), ptr, ptr[1:])}
+    return out
 
 
 class _ParentSets:

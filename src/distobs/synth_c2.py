@@ -197,6 +197,11 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     """
     p = jsys.plant
     routes = sorted(class_weights.items())
+    # carry[i][c]: node i is a non-root of the c-th route
+    carry = np.zeros((p.n_nodes + 1, len(routes)), dtype=bool)
+    for c, (_, route) in enumerate(routes):
+        carry[route._weight_rows.keys, c] = True
+    carry = carry.tolist()
     records = []
     for i in range(1, p.n_nodes + 1):
         split = jsys.per_node[i - 1]
@@ -204,7 +209,7 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
             gains[i - 1], f"gain of node {i}",
             rows=split.det_dim + split.aug_dim, cols=p.C[i - 1].shape[0],
         )
-        carried = [k for k, route in routes if i in route.weights]
+        carried = [k for (k, _), c in zip(routes, carry[i]) if c]
         if carried != list(split.undetectable):
             raise ValueError(
                 f"node {i} cannot detect eigenvalue classes "
