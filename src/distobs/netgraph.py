@@ -64,7 +64,7 @@ def _edge_arrays(edges, n):
 def _distinct(x):
     """The distinct values of integer array ``x``, ascending."""
     x = np.sort(x)
-    return x[np.r_[True, x[1:] != x[:-1]]] if x.size else x
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def _check_route(roots, order, weights, parents=None):
     for rows in (parents, weights):
         if rows is None:
             continue
-        lens = np.diff(rows.ptr)
+        lens = rows.ptr[1:] - rows.ptr[:-1]
         kpos, cpos = positions(rows.keys), positions(rows.cols)
         krep = np.repeat(kpos, lens)
         kne = kpos[lens > 0]
@@ -515,7 +515,8 @@ def spanning_dag(g, roots, max_parents):
     child, parent = pv[by], pu[by]
     # sorted by child, an entry is among its child's first max_parents iff
     # the entry max_parents places earlier has another child
-    first = np.ones(child.size, dtype=bool)
+    first = np.empty(child.size, dtype=bool)
+    first[:max_parents] = True
     first[max_parents:] = child[max_parents:] != child[:-max_parents]
     child, parent = child[first], order[parent[first]]
     relay = order[roots.size:]
