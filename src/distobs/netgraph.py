@@ -7,10 +7,12 @@ hold a part of the state, with up to ``max_parents`` parents per node and
 consensus weights that are strictly lower triangular in topological order.
 
 Everything runs on arrays.  A :class:`Digraph` keeps its edges as two arrays
-sorted by source, then target, and its out-adjacency as int-indexed lists,
-built once at construction.  A :class:`SpanningStructure` keeps its parent
-sets and weight rows as CSR arrays in topological order and validates them
-in one vectorised pass; the dicts its fields show are built when read.
+sorted by source, then target, its out-adjacency as int-indexed lists and
+its in-adjacency in CSR form, built once at construction.  A
+:class:`SpanningStructure` keeps its parent sets and weight rows as CSR
+arrays in topological order; routes given by callers are validated in one
+vectorised pass, routes that :func:`spanning_dag` builds are valid by
+construction, and the dicts a route's fields show are built when read.
 
 All tie-breaking is deterministic (ascending node id), so repeated runs and
 golden tests see identical structures.  Node ids are 1-based.
@@ -77,8 +79,10 @@ class Digraph:
     information and the stored edge set stays loop-free.
 
     Construction also builds the edge arrays ``_src`` and ``_dst``, sorted
-    by source, then target, and the int-indexed out-adjacency ``_succ``:
-    ``_succ[v]`` holds node ``v``'s out-neighbors, ascending.
+    by source, then target, the int-indexed out-adjacency ``_succ``:
+    ``_succ[v]`` holds node ``v``'s out-neighbors, ascending, and the
+    in-adjacency as CSR lists: node ``v``'s in-neighbors are
+    ``_pred[_pred_ptr[v]:_pred_ptr[v + 1]]``, ascending.
     """
 
     n_nodes: int
@@ -86,6 +90,8 @@ class Digraph:
     _src: np.ndarray = field(init=False, repr=False, compare=False)
     _dst: np.ndarray = field(init=False, repr=False, compare=False)
     _succ: tuple = field(init=False, repr=False, compare=False)
+    _pred: list = field(init=False, repr=False, compare=False)
+    _pred_ptr: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 0:
@@ -104,11 +110,18 @@ class Digraph:
     def _index(self, src, dst):
         ptr = np.zeros(self.n_nodes + 2, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=self.n_nodes + 1), out=ptr[1:])
+        pred_ptr = np.zeros(self.n_nodes + 2, dtype=np.intp)
+        np.cumsum(np.bincount(dst, minlength=self.n_nodes + 1),
+                  out=pred_ptr[1:])
         out, ptr = dst.tolist(), ptr.tolist()
         for name, value in (("edges", frozenset(zip(src.tolist(), out))),
                             ("_src", src), ("_dst", dst),
                             ("_succ", tuple([tuple(out[a:b]) for a, b in
-                                             zip(ptr, ptr[1:])]))):
+                                             zip(ptr, ptr[1:])])),
+                            # sources grouped by target, ascending in each
+                            ("_pred", src[np.argsort(dst, kind="stable")]
+                             .tolist()),
+                            ("_pred_ptr", pred_ptr.tolist())):
             object.__setattr__(self, name, value)
 
     @property
@@ -117,7 +130,9 @@ class Digraph:
 
     def in_neighbors(self, i):
         """Nodes j with an edge j→i, ascending."""
-        return tuple(self._src[self._dst == i].tolist())
+        if not 1 <= i <= self.n_nodes:
+            return ()
+        return tuple(self._pred[self._pred_ptr[i]:self._pred_ptr[i + 1]])
 
     def out_neighbors(self, j):
         """Nodes i with an edge j→i, ascending."""
@@ -177,14 +192,16 @@ class SpanningStructure:
     weights=...)`` swaps in a caller's own.
 
     The parent sets and weight rows are kept as CSR arrays over the relay
-    nodes in topological order (``_parent_rows`` and ``_weight_rows``), which
-    the simulator reads; a route built from arrays builds the
-    ``parent_sets`` and ``weights`` dicts only when they are read.
-    Construction validates the structure (see :func:`_check_route`): a node
-    listed twice, a root off the route, a parent or weighted node off the
-    route, a parent that does not come earlier, a nonzero weight on a later
-    non-root, and a parent set or weight row on a root or off the route are
-    all rejected, so the weight block among non-roots is always nilpotent.
+    nodes in topological order (``_parent_rows`` and ``_weight_rows``);
+    :meth:`arcs` hands them out as flat arrays, which the simulator reads.
+    A route built by :func:`spanning_dag` builds the ``parent_sets`` and
+    ``weights`` dicts only when they are read.  Construction from given
+    parts validates them (see :func:`_check_route`): a node id that is not
+    an integer, a node listed twice, a root off the route, a parent or
+    weighted node off the route, a parent that does not come earlier, a
+    nonzero weight on a later non-root, and a parent set or weight row on
+    a root or off the route are all rejected, so the weight block among
+    non-roots is always nilpotent.
     """
 
     roots: tuple
@@ -193,6 +210,7 @@ class SpanningStructure:
     weights: dict
 
     def __init__(self, roots, parent_sets, topo_order, weights):
+        _check_ids(roots, topo_order, parent_sets, weights)
         _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True),
                      _Rows.of(parent_sets, False))
         root_set = set(roots)
@@ -204,11 +222,12 @@ class SpanningStructure:
 
     @classmethod
     def _from_rows(cls, roots, order, parents, weights):
-        """The route of node arrays ``roots`` and ``order`` (its topological
-        order) with these rows, already in that order."""
-        _check_route(roots, order, weights, parents)
+        """The route of ascending ``roots`` and node array ``order`` (its
+        topological order) with these rows, already in that order.  The
+        parts are taken as valid, not checked: :func:`spanning_dag` builds
+        them so."""
         route = object.__new__(cls)
-        route._set(roots=tuple(roots.tolist()), topo_order=tuple(order.tolist()),
+        route._set(roots=tuple(roots), topo_order=tuple(order.tolist()),
                    _parent_rows=parents, _weight_rows=weights)
         return route
 
@@ -232,32 +251,46 @@ class SpanningStructure:
         """The non-root nodes, in topological order."""
         return tuple(self._weight_rows.keys.tolist())
 
+    def arcs(self, parent_sets=False):
+        """The weight rows, or under ``parent_sets`` the parent sets, as flat
+        ``(child, parent, weight)`` arrays with one entry per arc: the
+        children are the non-roots in topological order, each row in its own
+        order.  ``weight`` is ``None`` for parent sets."""
+        rows = self._parent_rows if parent_sets else self._weight_rows
+        return (np.repeat(rows.keys, rows.ptr[1:] - rows.ptr[:-1]), rows.cols,
+                rows.vals)
+
 
 def _ids(nodes):
     """A node collection as an array."""
     return np.fromiter(nodes, np.intp, len(nodes))
 
 
+def _check_ids(roots, topo_order, *rows):
+    """Raise ``ValueError`` for the first node id of a route's roots, its
+    topological order, or its ``{node: row}`` maps that is not a Python or
+    numpy integer, before the ids are cast to arrays."""
+    for r in roots:
+        if not _is_id(r):
+            raise ValueError(f"root {r!r} is not an integer")
+    for v in chain(topo_order, *(chain(m, *m.values()) for m in rows)):
+        if not _is_id(v):
+            raise ValueError(f"node id {v!r} on the route from "
+                             f"{sorted(roots)} is not an integer")
+
+
 def _locator(order):
     """A function giving each node's position in ``order``, -1 for a node
     off it; ``None`` when ``order`` lists a node twice."""
-    L = order.size
-    if L and order.min() >= 1 and order.max() <= 4 * L + 64:  # dense ids
-        table = np.full(order.max() + 2, -1, dtype=np.intp)
-        table[order] = np.arange(L)
-        if (table[order] != np.arange(L)).any():
-            return None
-        # ids outside the table read its first or last entry, both -1
-        return lambda x: table.take(x, mode="clip")
     s = np.argsort(order, kind="stable")
     ranked = order[s]
     if (ranked[1:] == ranked[:-1]).any():
         return None
 
     def positions(x):
-        if not L:
+        if not order.size:
             return np.full(x.shape, -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(ranked, x), L - 1)
+        at = np.minimum(np.searchsorted(ranked, x), order.size - 1)
         return np.where(ranked[at] == x, s[at], -1)
     return positions
 
@@ -366,6 +399,7 @@ def _offence(roots, order, weights, parents):
             "consensus weights are not strictly lower triangular under the "
             "topological order; the relay block would not be nilpotent"
         )
+    raise ValueError(f"{what} is not a valid relay route")
 
 
 def _no_stray_rows(rows, root_set, rank, what, on_root, off_route):
@@ -382,6 +416,7 @@ def _no_stray_rows(rows, root_set, rank, what, on_root, off_route):
 def _check_relay_weights(weights, roots, topo_order):
     """Validate relay weights ``{node: {parent: weight}}`` over a spanning
     order, raising ``ValueError`` as :func:`_check_route` does."""
+    _check_ids(roots, topo_order, weights)
     _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True))
 
 
@@ -474,35 +509,34 @@ def spanning_dag(g, roots, max_parents):
     first parent.  Raises :class:`NotSpanning` (carrying the unreachable
     set) if the roots do not reach every node.
     """
-    roots = _distinct(np.fromiter(roots, np.intp))
+    roots = sorted({int(r) for r in roots})
     n, succ = g.n_nodes, g._succ
-    if roots.size and not 1 <= roots[0] <= roots[-1] <= n:
+    if roots and not 1 <= roots[0] <= roots[-1] <= n:
         raise ValueError(f"root {roots[0] if roots[0] < 1 else roots[-1]} is "
                          f"outside 1..{n}")
-    if not roots.size and n:
+    if not roots and n:
         raise ValueError("at least one root is required")
     if max_parents < 1:
         raise ValueError(f"max_parents must be >= 1, got {max_parents}")
     # Multi-source BFS layering: layer = shortest edge distance from the roots.
-    layer = np.full(n + 1, -1, dtype=np.intp)
-    layer[roots] = 0
-    layer = layer.tolist()
-    queue = roots.tolist()
+    layer = [-1] * (n + 1)
+    for r in roots:
+        layer[r] = 0
+    queue = roots[:]
     for v in queue:  # the queue grows while it is read
         d = layer[v] + 1
         for w in succ[v]:
             if layer[w] < 0:
                 layer[w] = d
                 queue.append(w)
-    layer = np.array(layer[1:], dtype=np.intp)
     if len(queue) < n:
-        unreachable = (np.flatnonzero(layer < 0) + 1).tolist()
+        unreachable = [v for v in range(1, n + 1) if layer[v] < 0]
         raise NotSpanning(
-            f"nodes {unreachable} are unreachable from roots "
-            f"{roots.tolist()}",
+            f"nodes {unreachable} are unreachable from roots {roots}",
             unreachable=unreachable,
         )
-    order = np.argsort(layer, kind="stable") + 1  # by (layer, id)
+    k = len(roots)
+    order = np.argsort(np.array(layer), kind="stable")[1:]  # by (layer, id)
     pos = np.empty(n + 1, dtype=np.intp)
     pos[order] = np.arange(n)
     # Parent candidates: in-neighbors strictly earlier in the (layer, id)
@@ -510,24 +544,21 @@ def spanning_dag(g, roots, max_parents):
     # same-layer lower-id neighbors add redundancy for multi-parent DAGs while
     # keeping the relation acyclic.  The roots fill the first positions.
     pu, pv = pos[g._src], pos[g._dst]
-    cand = np.flatnonzero((pu < pv) & (pv >= roots.size))
-    by = cand[np.lexsort((pu[cand], pv[cand]))]
-    child, parent = pv[by], pu[by]
+    cand = (pu < pv) & (pv >= k)
+    by = np.lexsort((pu[cand], pv[cand]))
+    child, parent = pv[cand][by], pu[cand][by]
     # sorted by child, an entry is among its child's first max_parents iff
     # the entry max_parents places earlier has another child
-    first = np.empty(child.size, dtype=bool)
-    first[:max_parents] = True
-    first[max_parents:] = child[max_parents:] != child[:-max_parents]
-    child, parent = child[first], order[parent[first]]
-    relay = order[roots.size:]
-    pptr = np.zeros(relay.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(child - roots.size, minlength=relay.size),
-              out=pptr[1:])
+    first = child[max_parents:] != child[:-max_parents]
+    child = np.concatenate((child[:max_parents], child[max_parents:][first]))
+    parent = order[np.concatenate((parent[:max_parents],
+                                   parent[max_parents:][first]))]
+    pptr = np.searchsorted(child, np.arange(k, n + 1))
+    relay = order[k:]
     return SpanningStructure._from_rows(
-        roots, order,
-        _Rows(relay, pptr, parent),
-        _Rows(relay, np.arange(relay.size + 1), parent[pptr[:-1]],
-              np.ones(relay.size)))
+        roots, order, _Rows(relay, pptr, parent),
+        _Rows(relay, np.arange(n - k + 1), parent[pptr[:-1]],
+              np.ones(n - k)))
 
 
 def subgraph(g, keep):

@@ -429,21 +429,24 @@ def _entries(frames, switched, skip):
     # off[part] + v indexes the global id of the part's route node v
     off = np.repeat(np.cumsum([0] + [len(f.ids) for f in frames])[:-1] - 1,
                     [len(f.parts) for f in frames])
-    rows = [None if part.route is None else part.route._parent_rows
-            if switched else part.route._weight_rows for part in parts]
-    kids = np.array([0 if r is None else r.keys.size for r in rows],
-                    dtype=np.intp)
-    kid_part = np.repeat(np.arange(len(rows)), kids)
-    rows = [r for r in rows if r is not None]
+    arcs = [None if part.route is None else part.route.arcs(switched)
+            for part in parts]
+    part = np.repeat(np.arange(len(parts)), [0 if a is None else a[0].size
+                                             for a in arcs])
+    arcs = [a for a in arcs if a is not None]
     cat = np.concatenate
     none = np.zeros(0, dtype=np.intp)
-    count = cat([np.diff(r.ptr) for r in rows] + [none])
-    kid = ids[off[kid_part] + cat([r.keys for r in rows] + [none])]
-    part = np.repeat(kid_part, count)
-    parent = ids[off[part] + cat([r.cols for r in rows] + [none])]
+    child = ids[off[part] + cat([a[0] for a in arcs] + [none])]
+    parent = ids[off[part] + cat([a[1] for a in arcs] + [none])]
     weight = np.zeros(part.size) if switched else cat(
-        [r.vals for r in rows] + [np.zeros(0)])
-    slot = np.arange(part.size) - np.repeat(np.cumsum(count) - count, count)
+        [a[2] for a in arcs] + [np.zeros(0)])
+    # a group (one child's row in one part) starts where either changes
+    starts = np.ones(part.size, dtype=bool)
+    starts[1:] = (child[1:] != child[:-1]) | (part[1:] != part[:-1])
+    first = np.flatnonzero(starts)
+    count = np.diff(np.append(first, part.size))
+    kid, kid_part = child[first], part[first]
+    slot = np.arange(part.size) - np.repeat(first, count)
     own_part = np.repeat(np.arange(len(parts)), [len(p.own) for p in parts])
     own = ids[off[own_part] + np.fromiter(
         chain.from_iterable(p.own for p in parts), dtype=np.intp,
@@ -452,12 +455,12 @@ def _entries(frames, switched, skip):
     own, own_part = own[keep], own_part[keep]
     fall = kid if switched else kid[:0]
     last = np.array([p.last for p in parts], dtype=bool)
-    return (cat([np.repeat(kid, count), fall, own]) - 1,
+    return (cat([child, fall, own]) - 1,
             cat([parent, fall, own]) - 1,
             cat([slot, count[:fall.size], -last[own_part].astype(np.intp)]),
             cat([weight, np.ones(fall.size + own.size)]),
             cat([part, kid_part[:fall.size], own_part]),
-            np.repeat(np.arange(kid.size), count), part.size)
+            np.cumsum(starts) - 1, part.size)
 
 
 def _compile(p, design, est0, switched):
@@ -688,12 +691,14 @@ def dag_parent_map(design):
     for frame in _frames(design):
         ids = np.asarray(frame.ids)
         for part in frame.parts:
-            if part.route is None or not part.route._parent_rows.keys.size:
+            if part.route is None:
                 continue
-            rows = part.route._parent_rows
-            ptr, par = rows.ptr.tolist(), ids[rows.cols - 1].tolist()
-            out[part.label] = {i: tuple(par[a:b]) for i, a, b in zip(
-                ids[rows.keys - 1].tolist(), ptr, ptr[1:])}
+            child, parent, _ = part.route.arcs(parent_sets=True)
+            if not child.size:
+                continue
+            sets = out[part.label] = {}
+            for i, l in zip(ids[child - 1].tolist(), ids[parent - 1].tolist()):
+                sets[i] = sets.get(i, ()) + (l,)
     return out
 
 

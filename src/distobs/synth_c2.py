@@ -200,7 +200,7 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     # carry[i][c]: node i is a non-root of the c-th route
     carry = np.zeros((p.n_nodes + 1, len(routes)), dtype=bool)
     for c, (_, route) in enumerate(routes):
-        carry[route._weight_rows.keys, c] = True
+        carry[list(route.relay_nodes), c] = True
     carry = carry.tolist()
     records = []
     for i in range(1, p.n_nodes + 1):

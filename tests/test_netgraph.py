@@ -235,6 +235,15 @@ ROUTE_FROM_1 = "the route from [1]"
      f"node 2 has no parents on {ROUTE_FROM_1}"),
     (((3,), {2: (1,)}, (1, 2), {2: {1: 1.0}}),
      "root 3 is not on the route from [3]"),
+    # node ids that are not integers are not cast to ones that are
+    (((1,), {2: (1,)}, (1, 2), {2: {1.2: 1.0}}),
+     f"node id 1.2 on {ROUTE_FROM_1} is not an integer"),
+    (((1,), {2: (1.0,)}, (1, 2), {2: {1: 1.0}}),
+     f"node id 1.0 on {ROUTE_FROM_1} is not an integer"),
+    (((1,), {2: (1,)}, (1, True), {2: {1: 1.0}}),
+     f"node id True on {ROUTE_FROM_1} is not an integer"),
+    (((1.5,), {2: (1,)}, (1, 2), {2: {1: 1.0}}),
+     "root 1.5 is not an integer"),
 ])
 def test_spanning_structure_rejects_broken_invariants(args, message):
     with pytest.raises(ValueError) as exc:
@@ -248,8 +257,11 @@ def test_spanning_structure_keeps_given_dicts_and_orders_its_rows():
     route = SpanningStructure((1,), parents, (1, 2, 3), weights)
     assert route.parent_sets is parents and route.weights is weights
     assert route.relay_nodes == (2, 3)
-    assert route._weight_rows.keys.tolist() == [2, 3]
-    assert route._weight_rows.vals.tolist() == [1.0, 0.5, 0.5]
+    child, parent, weight = route.arcs()
+    assert (child.tolist(), parent.tolist(), weight.tolist()) == \
+        ([2, 3, 3], [1, 1, 2], [1.0, 0.5, 0.5])
+    child, parent, weight = route.arcs(parent_sets=True)
+    assert (child.tolist(), parent.tolist(), weight) == ([2, 3], [1, 2], None)
 
 
 def test_spanning_dag_builds_its_dicts_when_read():
@@ -314,21 +326,27 @@ def test_graph_kernels_match_the_dict_reference(seed, spanning):
 
 def test_designs_and_runs_read_route_rows_only(monkeypatch):
     # a 400-node network: no dict view of any route is built, and no route
-    # is validated row by row, while both schemes design and simulate,
-    # static and switched
+    # is validated, while both schemes design and simulate, static and
+    # switched; the routes spanning_dag builds are valid by construction
     p, g = relay_instance(1, n_nodes=400, n_relay=40, extra=200)
-    counts = {"dict rows": 0, "offence": 0}
-    of, offence = netgraph._Rows.of.__func__, netgraph._offence
+    counts = {"dict rows": 0, "check": 0, "offence": 0}
+    of, check = netgraph._Rows.of.__func__, netgraph._check_route
+    offence = netgraph._offence
 
     def counted_of(cls, rows, weighted):
         counts["dict rows"] += 1
         return of(cls, rows, weighted)
+
+    def counted_check(*args):
+        counts["check"] += 1
+        return check(*args)
 
     def counted_offence(*args):
         counts["offence"] += 1
         return offence(*args)
 
     monkeypatch.setattr(netgraph._Rows, "of", classmethod(counted_of))
+    monkeypatch.setattr(netgraph, "_check_route", counted_check)
     monkeypatch.setattr(netgraph, "_offence", counted_offence)
     x0 = np.random.default_rng(0).standard_normal(p.n)
     routes = []
@@ -344,7 +362,7 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
                 design, "class_weights") else [design.relay] + [
                 r for c in design.components for r in c.bank.weights.values()]
     assert len(routes) > 4
-    assert counts == {"dict rows": 0, "offence": 0}
+    assert counts == {"dict rows": 0, "check": 0, "offence": 0}
     for route in routes:
         assert not {"parent_sets", "weights"} & vars(route).keys()
 
@@ -427,11 +445,9 @@ def test_route_validation_matches_the_row_by_row_reference(seed):
     route = SpanningStructure(*args)
     relay = [v for v in order if v not in roots]
     assert route.relay_nodes == tuple(relay)
-    rows = route._weight_rows
-    assert rows.keys.tolist() == relay
-    assert [dict(zip(rows.cols[a:b].tolist(), rows.vals[a:b].tolist()))
-            for a, b in zip(rows.ptr[:-1], rows.ptr[1:])] == \
-        [weights[v] for v in relay]
-    assert [tuple(route._parent_rows.cols[a:b].tolist()) for a, b in zip(
-        route._parent_rows.ptr[:-1], route._parent_rows.ptr[1:])] == \
-        [parents[v] for v in relay]
+    child, parent, weight = route.arcs()
+    assert list(zip(child.tolist(), parent.tolist(), weight.tolist())) == [
+        (v, l, w) for v in relay for l, w in weights[v].items()]
+    child, parent, _ = route.arcs(parent_sets=True)
+    assert list(zip(child.tolist(), parent.tolist())) == [
+        (v, l) for v in relay for l in parents[v]]
