@@ -15,6 +15,10 @@ coordinate from its parents on the coordinate's relay route, or keeps its
 own, so a step of either scheme, static or switched, is one gather and one
 batched product; local-observer innovations are formed only at the nodes
 with a gain.  Both schemes share the frame, weight and parent-map code.
+
+A run allocates the trace it returns and, besides it, one block buffer of a
+few steps in which the error norms are formed; no other array it makes is
+of the size of the estimate record.
 """
 
 import hashlib
@@ -123,11 +127,11 @@ class SimulationTrace:
 
 def _scenario_hash(p, x0, est0, K, signal, scheme):
     h = hashlib.sha256()
-    h.update(np.asarray(p.A, dtype=float).tobytes())
+    h.update(p.A.tobytes())
     # each output matrix then its shape text, in one update: the same bytes
-    # as one update apiece
-    h.update(b"".join(np.asarray(Ci, dtype=float).tobytes()
-                      + str(Ci.shape).encode() for Ci in p.C))
+    # as one update apiece; a Plant holds float arrays
+    shape_text = {s: str(s).encode() for s in {Ci.shape for Ci in p.C}}
+    h.update(b"".join(Ci.tobytes() + shape_text[Ci.shape] for Ci in p.C))
     h.update(np.asarray(x0, dtype=float).tobytes())
     h.update(est0.tobytes())
     h.update(str(K).encode())
@@ -173,6 +177,9 @@ def _check_signal(signal, g, K):
 
 # Each chunk of the batched products costs about as much as this many rows.
 _CHUNK_COST = 16
+# Entries of the buffer the error norms are formed in: as many whole steps
+# of the estimate record as fit, and at least one.
+_NORM_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,6 +597,26 @@ def _run(op, A, x0, s0, xh0, K, signal):
     return x, rec.transpose(1, 0, 2)
 
 
+def _norm_steps(N, n):
+    """Steps of the estimate record per block of the error norms."""
+    return max(1, _NORM_ENTRIES // (N * n))
+
+
+def _error_norms(x, xhat):
+    """``‖x̂_i[k] − x[k]‖`` as an ``(N, K + 1)`` view of a ``(K + 1, N)``
+    array.  The differences are formed a block of steps at a time in one
+    reused buffer, never for the whole record at once."""
+    rec = xhat.transpose(1, 0, 2)
+    B = _norm_steps(*rec.shape[1:])
+    sq = np.empty(rec.shape[:2])
+    buf = np.empty((min(B, len(rec)), *rec.shape[1:]))
+    for k in range(0, len(rec), B):
+        d = np.subtract(rec[k:k + B], x[k:k + B, None],
+                        out=buf[:len(rec) - k])
+        np.einsum("kni,kni->kn", d, d, out=sq[k:k + B])
+    return np.sqrt(sq, out=sq).T
+
+
 def simulate(p, bank, x0, est0=None, K=50, signal=None):
     """Run the plant and all observers for ``K`` steps.
 
@@ -597,6 +624,12 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     each step advances every node at once.  ``metadata["operator_gap"]`` is
     the largest relative gap ``‖T (D + A1) T⁻¹ − A‖ / ‖A‖`` between a
     frame's compiled dynamics and the plant map.
+
+    Memory: besides its outputs ``x``, ``xhat``, ``err`` and ``rel_err``,
+    a call holds the compiled operator, one step's work arrays and one
+    ``(B, N, n)`` buffer in which the error norms are formed ``B`` steps at
+    a time, ``B`` as many steps as fit in ``_NORM_ENTRIES`` entries and at
+    least one; it makes no second array of the size of the estimate record.
 
     Parameters
     ----------
@@ -650,8 +683,7 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     _check_signal(signal, bank.graph, K)
     with np.errstate(over="ignore", invalid="ignore"):
         x_arr, xh_arr = _run(op, p.A, x0, s0, est0, K, signal)
-        diff = xh_arr - x_arr
-        err = np.sqrt(np.einsum("nki,nki->nk", diff, diff))
+        err = _error_norms(x_arr, xh_arr)
         x_norm = np.linalg.norm(x_arr, axis=1)
     # a finite error norm at every node implies a finite state and estimates
     finite = np.isfinite(err).all(axis=0) & np.isfinite(x_norm)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from distobs import (
     validate_assumption2,
 )
 from distobs.errors import InvalidSignal, NumericalError, ShapeError
+from distobs.simkit import _norm_steps
 from conftest import (
     bundled_c1_design,
     random_orthogonal,
@@ -386,6 +388,63 @@ def test_overflow_step_under_switching():
     assert any(len(mode) < 3 for mode in sig.modes)
     with pytest.raises(NumericalError, match=r"at step 876 of 2000"):
         simulate(p, bank, [1.0], K=2000, signal=sig)
+
+
+def _dense_norms(tr):
+    """The error norms formed on the whole record at once."""
+    d = tr.xhat - tr.x
+    err = np.sqrt(np.einsum("nki,nki->nk", d, d))
+    return err, err / (1.0 + np.linalg.norm(tr.x, axis=1))[None, :]
+
+
+@lru_cache(maxsize=None)
+def _norm_case():
+    """A 400-node network, whose error norms take blocks of a few steps,
+    and its designs under both schemes."""
+    p, g = relay_instance(8, n_nodes=400, n_relay=40)
+    return p, g, (design_condition1(p, g, max_parents=2),
+                  design_condition2(p, g, max_parents=2))
+
+
+@pytest.mark.parametrize("blocks, extra",
+                         [(0, 1), (1, -1), (1, 0), (1, 1), (0, 100)])
+def test_blockwise_error_norms_equal_the_dense_formula(blocks, extra):
+    # the norms are formed a block of B steps at a time: horizons 1, B - 1,
+    # B, B + 1 and 100, static and switched, under both schemes
+    p, g, designs = _norm_case()
+    B = _norm_steps(p.n_nodes, p.n)
+    assert 2 <= B < 100
+    K = blocks * B + extra
+    rng = np.random.default_rng(8)
+    x0 = rng.standard_normal(p.n)
+    est0 = rng.standard_normal((p.n_nodes, p.n))
+    for design in designs:
+        sig = make_assumption2_signal(dag_parent_map(design), g, 3, K, 0.5, 8)
+        for signal in (None, sig):
+            tr = simulate(p, design, x0, est0=est0, K=K, signal=signal)
+            err, rel = _dense_norms(tr)
+            assert tr.err.shape == (p.n_nodes, K + 1)
+            assert np.array_equal(tr.err, err)
+            assert np.array_equal(tr.rel_err, rel)
+
+
+def test_simulate_holds_little_beyond_its_outputs():
+    # a 400-node Scheme-1 run at K = 100: besides the trace (3.2 MB here)
+    # only the compiled operator, one step's arrays and one block buffer
+    # are alive, never a second trace-sized array
+    p, g = relay_instance(2, n_nodes=400, n_relay=40)
+    design = design_condition1(p, g)
+    x0 = np.ones(p.n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = simulate(p, design, x0, K=100)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = tr.x.nbytes + tr.xhat.nbytes + tr.err.nbytes + tr.rel_err.nbytes
+    assert outputs > 3e6
+    assert peak <= outputs + 1e6
 
 
 def test_switched_third_weights_match_reference():
