@@ -73,6 +73,8 @@ class Plant:
 
     def __post_init__(self):
         A = nk.as_square(self.A, "A")
+        if not A.shape[0]:
+            raise ShapeError("a plant needs at least one state")
         if not self.C:
             raise ShapeError("a plant needs at least one output matrix")
         Cs = tuple(

@@ -10,8 +10,8 @@ Everything runs on arrays.  A :class:`Digraph` keeps its edges as two arrays
 sorted by source, then target, its out-adjacency as int-indexed lists and
 its in-adjacency in CSR form, built once at construction.  A
 :class:`SpanningStructure` keeps its parent sets and weight rows as CSR
-arrays in topological order; routes given by callers are validated in one
-vectorised pass, routes that :func:`spanning_dag` builds are valid by
+arrays in topological order; routes given by callers are validated row by
+row on the given dicts, routes that :func:`spanning_dag` builds are valid by
 construction, and the dicts a route's fields show are built when read.
 
 All tie-breaking is deterministic (ascending node id), so repeated runs and
@@ -196,12 +196,13 @@ class SpanningStructure:
     :meth:`arcs` hands them out as flat arrays, which the simulator reads.
     A route built by :func:`spanning_dag` builds the ``parent_sets`` and
     ``weights`` dicts only when they are read.  Construction from given
-    parts validates them (see :func:`_check_route`): a node id that is not
-    an integer, a node listed twice, a root off the route, a parent or
-    weighted node off the route, a parent that does not come earlier, a
-    nonzero weight on a later non-root, and a parent set or weight row on
-    a root or off the route are all rejected, so the weight block among
-    non-roots is always nilpotent.
+    parts validates them row by row (see :func:`_check_route`) and then
+    builds the CSR rows once per field.  A node id that is not an integer,
+    a node listed twice, a root off the route, a parent or weighted node
+    off the route, a parent that does not come earlier, a nonzero weight on
+    a later non-root, and a parent set or weight row on a root or off the
+    route are all rejected, so the weight block among non-roots is always
+    nilpotent.
     """
 
     roots: tuple
@@ -210,9 +211,7 @@ class SpanningStructure:
     weights: dict
 
     def __init__(self, roots, parent_sets, topo_order, weights):
-        _check_ids(roots, topo_order, parent_sets, weights)
-        _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True),
-                     _Rows.of(parent_sets, False))
+        _check_route(roots, topo_order, weights, parent_sets)
         root_set = set(roots)
         relay = [v for v in topo_order if v not in root_set]
         self._set(roots=roots, parent_sets=parent_sets, topo_order=topo_order,
@@ -261,124 +260,61 @@ class SpanningStructure:
                 rows.vals)
 
 
-def _ids(nodes):
-    """A node collection as an array."""
-    return np.fromiter(nodes, np.intp, len(nodes))
+def _check_route(roots, topo_order, weights, parent_sets=None):
+    """Raise ``ValueError`` for the first offence of a route's parts, found
+    row by row on the given dicts; return when there is none.
 
-
-def _check_ids(roots, topo_order, *rows):
-    """Raise ``ValueError`` for the first node id of a route's roots, its
-    topological order, or its ``{node: row}`` maps that is not a Python or
-    numpy integer, before the ids are cast to arrays."""
+    ``weights`` maps nodes to ``{parent: weight}`` rows and
+    ``parent_sets``, checked when given, to parent tuples.  In turn: a
+    root, then any other node id, that is not a Python or numpy integer; a
+    node listed twice in ``topo_order``, a root off it; then the parent
+    sets and the weight rows, each node by node in topological order (a
+    non-root's missing row, its offending entries in order, then its sum:
+    parents come earlier, weights are finite, nonnegative, on the route
+    and sum to one), then a nonempty row on a root and one off the route;
+    last a nonzero weight on a non-root that does not come earlier, so the
+    weights among non-roots are strictly lower triangular, hence
+    nilpotent.  Messages name the route by its sorted roots as plain ints.
+    """
     for r in roots:
         if not _is_id(r):
             raise ValueError(f"root {r!r} is not an integer")
+    roots = [int(r) for r in roots]
+    what = f"the route from {sorted(roots)}"
+    rows = (weights,) if parent_sets is None else (parent_sets, weights)
     for v in chain(topo_order, *(chain(m, *m.values()) for m in rows)):
         if not _is_id(v):
-            raise ValueError(f"node id {v!r} on the route from "
-                             f"{sorted(roots)} is not an integer")
-
-
-def _locator(order):
-    """A function giving each node's position in ``order``, -1 for a node
-    off it; ``None`` when ``order`` lists a node twice."""
-    s = np.argsort(order, kind="stable")
-    ranked = order[s]
-    if (ranked[1:] == ranked[:-1]).any():
-        return None
-
-    def positions(x):
-        if not order.size:
-            return np.full(x.shape, -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(ranked, x), order.size - 1)
-        return np.where(ranked[at] == x, s[at], -1)
-    return positions
-
-
-def _check_route(roots, order, weights, parents=None):
-    """Validate a route's rows in a handful of whole-array tests, raising
-    ``ValueError`` (see :func:`_offence`) when one fails.
-
-    ``roots`` and ``order``, the topological order, are node arrays.
-    ``order`` lists each node once and holds every root.  Every other
-    node of it needs a parent set on nodes strictly before it, and a row of
-    finite, nonnegative weights summing to one on covering nodes (nodes of
-    ``order``); a nonzero weight on a non-root must come strictly before
-    the node too, so the weights among non-roots are strictly lower
-    triangular in that order, hence nilpotent.  Roots and nodes off the
-    route carry neither.
-    """
-    positions = _locator(order)
-    rpos = None if positions is None else positions(roots)
-    if rpos is None or (rpos < 0).any():
-        _offence(roots, order, weights, parents)
-    # relay[p]: position p holds a non-root; the last entry stands for -1
-    relay = np.ones(order.size + 1, dtype=bool)
-    relay[rpos] = relay[-1] = False
-    n_relay = int(relay.sum())
-    for rows in (parents, weights):
-        if rows is None:
-            continue
-        lens = rows.ptr[1:] - rows.ptr[:-1]
-        kpos, cpos = positions(rows.keys), positions(rows.cols)
-        krep = np.repeat(kpos, lens)
-        kne = kpos[lens > 0]
-        if rows.vals is None:
-            ok = ((cpos >= 0) & (cpos < krep)).all()
-        else:
-            v = rows.vals
-            total = np.bincount(np.repeat(np.arange(lens.size), lens), v,
-                                minlength=lens.size)[lens > 0]
-            ok = ((v >= 0) & (v < np.inf) & (cpos >= 0)
-                  & (~relay[cpos] | (cpos < krep) | (v == 0))).all() and (
-                np.abs(total - 1.0) <= 1e-12).all()
-        if not (ok and kne.size == n_relay and relay[kne].all()):
-            _offence(roots, order, weights, parents)
-
-
-def _offence(roots, order, weights, parents):
-    """Raise ``ValueError`` for the first offence of a route that
-    :func:`_check_route` turned down, found row by row.
-
-    In turn: a node listed twice, a root off the route; then the parent
-    sets, if given, and the weight rows, each node by node in topological
-    order (a non-root's missing row, its offending entries in order, then
-    its sum), then a nonempty row on a root and one off the route; last a
-    nonzero weight on a non-root that does not come earlier.  Messages name
-    the route by its sorted ``roots``.
-    """
-    what = f"the route from {sorted(roots.tolist())}"
+            raise ValueError(f"node id {v!r} on {what} is not an integer")
     rank = {}
-    for k, v in enumerate(order.tolist()):
+    for k, v in enumerate(map(int, topo_order)):
         if v in rank:
             raise ValueError(
                 f"node {v} appears twice in the topological order of {what}")
         rank[v] = k
-    for r in roots.tolist():
+    for r in roots:
         if r not in rank:
             raise ValueError(f"root {r} is not on {what}")
-    root_set = set(roots.tolist())
+    root_set = set(roots)
     relay = [v for v in rank if v not in root_set]
-    if parents is not None:
-        ps = parents.view()
+    if parent_sets is not None:
         for i in relay:
-            if not ps.get(i):
+            if not parent_sets.get(i):
                 raise ValueError(f"node {i} has no parents on {what}")
-            for l in ps[i]:
+            for l in parent_sets[i]:
                 if l not in rank:
                     raise ValueError(f"node {i} has parent {l}, which covers "
                                      f"nothing for {what}")
                 if rank[l] >= rank[i]:
                     raise ValueError(f"node {i} has parent {l}, which does "
                                      f"not come before it on {what}")
-        _no_stray_rows(ps, root_set, rank, what, "must not have parents on it",
-                       "has parents")
-    ws = weights.view()
+        _no_stray_rows(parent_sets, root_set, rank, what,
+                       "must not have parents on it", "has parents")
     cyclic = False
     for i in relay:
-        row = ws.get(i)
+        row = weights.get(i)
         if not row:
             raise ValueError(f"node {i} has no consensus weights for {what}")
+        row = {l: float(w) for l, w in row.items()}
         for l, w in row.items():
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w} on edge {l}->{i}")
@@ -391,7 +327,7 @@ def _offence(roots, order, weights, parents):
         total = sum(row.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights of node {i} sum to {total}, not 1")
-    _no_stray_rows(ws, root_set, rank, what,
+    _no_stray_rows(weights, root_set, rank, what,
                    "must not carry consensus weights for it",
                    "carries consensus weights")
     if cyclic:
@@ -399,7 +335,6 @@ def _offence(roots, order, weights, parents):
             "consensus weights are not strictly lower triangular under the "
             "topological order; the relay block would not be nilpotent"
         )
-    raise ValueError(f"{what} is not a valid relay route")
 
 
 def _no_stray_rows(rows, root_set, rank, what, on_root, off_route):
@@ -411,13 +346,6 @@ def _no_stray_rows(rows, root_set, rank, what, on_root, off_route):
     for i, row in rows.items():
         if row and i not in rank:
             raise ValueError(f"node {i} {off_route} on {what} but is not on it")
-
-
-def _check_relay_weights(weights, roots, topo_order):
-    """Validate relay weights ``{node: {parent: weight}}`` over a spanning
-    order, raising ``ValueError`` as :func:`_check_route` does."""
-    _check_ids(roots, topo_order, weights)
-    _check_route(_ids(roots), _ids(topo_order), _Rows.of(weights, True))
 
 
 def _tarjan(g):

@@ -51,7 +51,7 @@ from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
 from .netgraph import (
     Digraph,
     SpanningStructure,
-    _check_relay_weights,
+    _check_route,
     spanning_dag,
     subgraph,
 )
@@ -418,8 +418,8 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                                 "in-neighbor of it in its component"
                             )
                 # checked in global ids, so a rejection names the given nodes
-                _check_relay_weights(rows, (src_global,),
-                                     [ids[v - 1] for v in route.topo_order])
+                _check_route((src_global,),
+                             [ids[v - 1] for v in route.topo_order], rows)
                 route = replace(route, weights={
                     glob2loc[v]: {glob2loc[l]: w for l, w in row.items()}
                     for v, row in rows.items()

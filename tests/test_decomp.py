@@ -44,6 +44,8 @@ def test_plant_validation():
         Plant(np.zeros((2, 3)), (np.zeros((1, 2)),))
     with pytest.raises(ShapeError):
         Plant(np.eye(2), (np.zeros((1, 3)),))
+    with pytest.raises(ShapeError, match="a plant needs at least one state"):
+        Plant(np.zeros((0, 0)), (np.zeros((0, 0)),))
     p = Plant(np.eye(2), (np.zeros((0, 2)), np.eye(2)))
     assert p.n == 2 and p.n_nodes == 2
 

@@ -244,6 +244,9 @@ ROUTE_FROM_1 = "the route from [1]"
      f"node id True on {ROUTE_FROM_1} is not an integer"),
     (((1.5,), {2: (1,)}, (1, 2), {2: {1: 1.0}}),
      "root 1.5 is not an integer"),
+    # numpy ids name the route in plain ints
+    (((np.int64(1),), {2: (np.int64(3),)}, (1, 2), {2: {1: 1.0}}),
+     f"node 2 has parent 3, which covers nothing for {ROUTE_FROM_1}"),
 ])
 def test_spanning_structure_rejects_broken_invariants(args, message):
     with pytest.raises(ValueError) as exc:
@@ -329,9 +332,8 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
     # is validated, while both schemes design and simulate, static and
     # switched; the routes spanning_dag builds are valid by construction
     p, g = relay_instance(1, n_nodes=400, n_relay=40, extra=200)
-    counts = {"dict rows": 0, "check": 0, "offence": 0}
+    counts = {"dict rows": 0, "check": 0}
     of, check = netgraph._Rows.of.__func__, netgraph._check_route
-    offence = netgraph._offence
 
     def counted_of(cls, rows, weighted):
         counts["dict rows"] += 1
@@ -341,13 +343,10 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
         counts["check"] += 1
         return check(*args)
 
-    def counted_offence(*args):
-        counts["offence"] += 1
-        return offence(*args)
-
     monkeypatch.setattr(netgraph._Rows, "of", classmethod(counted_of))
     monkeypatch.setattr(netgraph, "_check_route", counted_check)
-    monkeypatch.setattr(netgraph, "_offence", counted_offence)
+    # synth_c1 holds its own reference for Scheme-1 user weights
+    monkeypatch.setattr("distobs.synth_c1._check_route", counted_check)
     x0 = np.random.default_rng(0).standard_normal(p.n)
     routes = []
     for max_parents in (1, 2):
@@ -362,7 +361,7 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
                 design, "class_weights") else [design.relay] + [
                 r for c in design.components for r in c.bank.weights.values()]
     assert len(routes) > 4
-    assert counts == {"dict rows": 0, "check": 0, "offence": 0}
+    assert counts == {"dict rows": 0, "check": 0}
     for route in routes:
         assert not {"parent_sets", "weights"} & vars(route).keys()
 
