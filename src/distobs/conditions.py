@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .errors import IllConditionedJordan, NumericalError
+from .errors import IllConditionedJordan, NumericalError, ShapeError
 from .netgraph import source_components
 
 __all__ = [
@@ -219,12 +219,21 @@ class _RankTable:
         return self.verdict(comps, roots, roots)
 
 
+def _same_nodes(p, g):
+    """Raise ``ShapeError`` unless ``g`` has a node for each of ``p``'s
+    output matrices and no other."""
+    if g.n_nodes != p.n_nodes:
+        raise ShapeError(f"the plant has {p.n_nodes} nodes but the graph has "
+                         f"{g.n_nodes}")
+
+
 def check_condition1(p, g, tol=None):
     """Collective detectability of every source component.
 
     For each source component, stacks the outputs of all member nodes and
     decides each class on or near the unit circle as :func:`detectable_set`.
     """
+    _same_nodes(p, g)
     comps = tuple(source_components(g))
     return _RankTable(p.A, tol or nk.DEFAULT_TOL).condition1(p, comps)
 
@@ -236,6 +245,7 @@ def check_condition2(p, g, tol=None):
     outputs alone (:func:`detectable_set`); ``roots`` records who does, which
     is exactly what the per-eigenvalue synthesis needs.
     """
+    _same_nodes(p, g)
     comps = tuple(source_components(g))
     t = _RankTable(p.A, tol or nk.DEFAULT_TOL)
     _, roots = t.root_sets(p, [i for c in comps for i in c])
@@ -269,8 +279,10 @@ def feasibility_report(p, g, tol=None):
     The per-eigenvalue condition implies the collective one; if the two
     verdicts ever disagree in that direction the rank decisions are
     inconsistent at the working tolerance, which is reported as an error
-    rather than returned silently.
+    rather than returned silently.  A graph without exactly one node per
+    output matrix of ``p`` raises ``ShapeError``, here and in both checks.
     """
+    _same_nodes(p, g)
     t = _RankTable(p.A, tol or nk.DEFAULT_TOL)
     comps = tuple(source_components(g))
     local, root_sets = t.root_sets(p, range(1, p.n_nodes + 1))

@@ -392,7 +392,7 @@ def _c2_local(p, bank, est0):
     the output of its relayed classes' directions outside ``s_g``.
     """
     n, jsys = p.n, bank.jsys
-    recs = [rec for rec in bank.nodes if rec.gain.any()]
+    recs = [rec for rec in bank.nodes if rec.gain.size and rec.gain.any()]
     gain = np.array([rec.node - 1 for rec in recs], dtype=np.intp)
     width = max([r.split.det_dim + r.split.aug_dim for r in recs], default=0)
     r_max = max(Ci.shape[0] for Ci in p.C)

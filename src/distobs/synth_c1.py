@@ -333,7 +333,8 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     the route's construction validates the rows against the same
     stochasticity and acyclicity requirements the static weights satisfy.
     ``gains`` or ``weights`` keyed by a node that sources no nonempty
-    sub-state raise ``ValueError`` naming that node.
+    sub-state raise ``ValueError`` naming that node, and a graph without
+    one node per output matrix of ``p`` raises ``ShapeError``.
     """
     tol = tol or nk.DEFAULT_TOL
     verdict = check_condition1(p, g, tol)

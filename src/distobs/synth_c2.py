@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .conditions import feasibility_report
+from .conditions import _same_nodes, feasibility_report
 from .decomp import jordan_system
 from .errors import (
     Condition2Infeasible,
     NotDetectable,
     NotSpanning,
+    ShapeError,
 )
 from .netgraph import spanning_dag
 
@@ -141,7 +142,9 @@ class C2NodeObserver:
     of its undetectable classes; ``state_dim`` is their total.  ``relayed``
     lists ``(class_index, z_slice)`` pairs in the order the relayed
     coordinates are stacked, where ``z_slice`` selects that class's rows of
-    the transformed coordinates.
+    the transformed coordinates.  Nodes with identical outputs share
+    ``relayed`` and, when given the same gain object, its validated array
+    (see :func:`assemble_c2_bank`).
     """
 
     node: int
@@ -149,6 +152,17 @@ class C2NodeObserver:
     gain: np.ndarray
     relayed: tuple
     state_dim: int
+
+    def _twin(self, node, split, gain):
+        """This record for node ``node`` of the same output group, with its
+        own split and gain: a shallow copy sharing ``relayed``, made without
+        running ``__init__`` (as :meth:`NodeSplit.renumbered` copies a
+        split)."""
+        twin = object.__new__(type(self))
+        fields = twin.__dict__
+        fields.update(self.__dict__)
+        fields["node"], fields["split"], fields["gain"] = node, split, gain
+        return twin
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,16 +192,28 @@ class C2ObserverBank:
 def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     """Assemble the executable per-eigenvalue bank from its parts.
 
+    The work is done once per output group, the nodes with identical
+    ``C_i`` that :func:`~distobs.decomp.jordan_system` gives one shared
+    split.  Each group's relayed classes and state dimension are formed
+    once, and each distinct gain object is validated once per group.  Every
+    node's record is a copy of its group's that changes only ``node``,
+    ``split`` and ``gain``, so nodes with identical outputs share
+    ``relayed``, and those given the same gain object share its validated
+    array.  An invalid input raises what a node-by-node check would, at the
+    same first node: its gain's shape first, then its routes.
+
     Parameters
     ----------
     jsys : JordanSystem
     gains : sequence of ndarray
-        Entry ``i - 1`` is node ``i``'s local gain.
+        Entry ``i - 1`` is node ``i``'s local gain; one per node, else
+        ``ShapeError``.
     class_weights : dict
         Maps eigenvalue-class index to its relay route (see
         :func:`eig_consensus_weights`).  The non-roots of a class's route
         must be exactly the nodes that cannot detect it, else
-        ``ValueError``.
+        ``ValueError``; a route node outside ``1..N`` raises
+        ``ShapeError``.
     g : Digraph
     report : FeasibilityReport, optional
 
@@ -196,20 +222,65 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     C2ObserverBank
     """
     p = jsys.plant
+    N = p.n_nodes
+    gains = list(gains)  # holds each entry, so its id names it throughout
+    if len(gains) != N:
+        raise ShapeError(f"need {N} gains, got {len(gains)}")
     routes = sorted(class_weights.items())
-    # carry[i][c]: node i is a non-root of the c-th route
-    carry = np.zeros((p.n_nodes + 1, len(routes)), dtype=bool)
-    for c, (_, route) in enumerate(routes):
-        carry[list(route.relay_nodes), c] = True
-    carry = carry.tolist()
-    records = []
-    for i in range(1, p.n_nodes + 1):
+    # carry[i - 1, c]: node i is a non-root of the c-th route; no node
+    # carries the last column
+    carry = np.zeros((N, len(routes) + 1), dtype=bool)
+    for c, (k, route) in enumerate(routes):
+        order = route.topo_order
+        if order and not (1 <= min(order) and max(order) <= N):
+            v = next(v for v in order if not 1 <= v <= N)
+            raise ShapeError(f"the route of eigenvalue class {k} names node "
+                             f"{v}, outside the plant's nodes 1..{N}")
+        carry[np.asarray(route.relay_nodes, dtype=np.intp) - 1, c] = True
+    col = {k: c for c, (k, _) in enumerate(routes)}
+    reps = p._output_rep
+    # want[r]: the carry row of the group of first node r, its undetectable
+    # classes; its last column flags classes no route set matches: one
+    # without a route, or the classes out of ascending order.  broken[r]:
+    # the group's state dimension breaks its invariant, which fails at r
+    want = np.zeros((N + 1, len(routes) + 1), dtype=bool)
+    broken = np.zeros(N + 1, dtype=bool)
+    records = {}  # first node of a group -> its record with node and gain
+    for r in dict.fromkeys(reps):
+        split = jsys.per_node[r - 1]
+        und = list(split.undetectable)
+        want[r, [col.get(k, -1) for k in und]] = True
+        want[r, -1] |= und != sorted(set(und))
+        if want[r, -1]:
+            continue
+        relayed = tuple((k, jsys.class_slice(k)) for k in und)
+        state_dim = split.det_dim + split.aug_dim + sum(
+            [sl.stop - sl.start for _, sl in relayed])
+        # Detectable and relayed classes partition the spectrum, so the
+        # internal dimension always equals n plus the locally observable
+        # residual the node keeps of classes it cannot fully detect.
+        broken[r] = state_dim != p.n + split.aug_dim
+        records[r] = C2NodeObserver(node=r, split=split, gain=None,
+                                    relayed=relayed, state_dim=state_dim)
+    bad = (carry != want[np.asarray(reps)]).any(axis=1) | broken[1:]
+    first_bad = int(bad.argmax()) + 1 if bad.any() else N + 1
+    # each distinct (gain object, group) pair at its first node: the
+    # reversed pairs put each first node last, so it is the value kept
+    keys = list(zip(map(id, gains), reps))
+    first = dict(zip(reversed(keys), range(N, 0, -1)))
+    checked = {}
+    for key, i in sorted(first.items(), key=lambda item: item[1]):
+        if i > first_bad:
+            break
         split = jsys.per_node[i - 1]
-        L = nk.as_matrix(
+        checked[key] = nk.as_matrix(
             gains[i - 1], f"gain of node {i}",
             rows=split.det_dim + split.aug_dim, cols=p.C[i - 1].shape[0],
         )
-        carried = [k for (k, _), c in zip(routes, carry[i]) if c]
+    if first_bad <= N:
+        i = first_bad
+        split = jsys.per_node[i - 1]
+        carried = [k for (k, _), c in zip(routes, carry[i - 1]) if c]
         if carried != list(split.undetectable):
             raise ValueError(
                 f"node {i} cannot detect eigenvalue classes "
@@ -217,19 +288,16 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
                 f"{carried}: a class's route must have exactly the nodes "
                 "that cannot detect it as non-roots"
             )
-        relayed = [(k, jsys.class_slice(k)) for k in carried]
-        state_dim = split.det_dim + split.aug_dim + sum(
-            [sl.stop - sl.start for _, sl in relayed])
-        # Detectable and relayed classes partition the spectrum, so the
-        # internal dimension always equals n plus the locally observable
-        # residual the node keeps of classes it cannot fully detect.
-        assert state_dim == p.n + split.aug_dim
-        records.append(C2NodeObserver(
-            node=i, split=split, gain=L, relayed=tuple(relayed),
-            state_dim=state_dim,
-        ))
+        raise ShapeError(
+            f"node {i} has {records[i].state_dim} observer states, not "
+            f"n + aug_dim = {p.n + split.aug_dim}: its detectable and "
+            "relayed classes must partition the spectrum"
+        )
+    nodes = tuple(map(C2NodeObserver._twin, map(records.__getitem__, reps),
+                      range(1, N + 1), jsys.per_node,
+                      map(checked.__getitem__, keys)))
     return C2ObserverBank(
-        jsys=jsys, graph=g, nodes=tuple(records),
+        jsys=jsys, graph=g, nodes=nodes,
         class_weights=dict(class_weights), report=report,
     )
 
@@ -264,6 +332,8 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
 
     Raises
     ------
+    ShapeError
+        If ``g`` does not have one node per output matrix of ``p``.
     Condition2Infeasible
         If some unstable eigenvalue class has no detecting node in some
         source component.
@@ -271,6 +341,7 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
         If the eigenbasis cannot be certified.
     """
     tol = tol or nk.DEFAULT_TOL
+    _same_nodes(p, g)
     if report is None:
         report = feasibility_report(p, g, tol)
     if not report.cond2.ok:
@@ -284,20 +355,29 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
         )
     jsys = jordan_system(p, tol, report)
     gains = dict(gains or {})
-    gain_list = []
-    made = {}
-    for i, split in enumerate(jsys.per_node, 1):
-        given = gains.pop(i, None)
-        if given is not None:
-            gain_list.append(local_observer(split, given=given, tol=tol))
-            continue
-        r = p._output_rep[i - 1]
-        if r not in made:
-            made[r] = local_observer(split, tol=tol)
-        gain_list.append(made[r])
+    given = {i: L for i in range(1, p.n_nodes + 1)
+             if (L := gains.pop(i, None)) is not None}
+    # each output group's gain is synthesized at its first node without a
+    # given one, if any, and each given gain is checked at its node, in
+    # node order
+    free = {r: r if r not in given else next(
+                (i for i in range(r, p.n_nodes + 1)
+                 if p._output_rep[i - 1] == r and i not in given), None)
+            for r in dict.fromkeys(p._output_rep)}
+    made, checked = {}, {}
+    for i in sorted([*given, *filter(None, free.values())]):
+        split = jsys.per_node[i - 1]
+        if i in given:
+            checked[i] = local_observer(split, given=given[i], tol=tol)
+        else:
+            made[p._output_rep[i - 1]] = local_observer(split, tol=tol)
     if gains:
         raise ValueError(f"gains given for unknown nodes {sorted(gains)}")
-    needed = sorted({k for s in jsys.per_node for k in s.undetectable})
+    gain_list = list(map(made.get, p._output_rep))
+    for i, L in checked.items():
+        gain_list[i - 1] = L
+    needed = sorted({k for r in free
+                     for k in jsys.per_node[r - 1].undetectable})
     class_weights = {
         k: eig_consensus_weights(g, report.root_sets.get(k, ()),
                                  jsys.classes[k].rep, max_parents)

@@ -1,8 +1,9 @@
 """Every public name resolves: the package's and each submodule's
 ``__all__``, and every function the benchmark tracer wraps.  Deleting or
 renaming a public name fails here rather than first in a traced benchmark
-run."""
+run.  The package also holds no ``assert`` statement."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -16,6 +17,7 @@ MODULES = ["distobs"] + [
     f"distobs.{m.name}" for m in pkgutil.iter_modules(distobs.__path__)
 ]
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(distobs.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,3 +44,12 @@ def test_tracer_targets_resolve():
         if not ok:
             missing.append((mod, attr))
     assert missing == []
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips them, so the package checks by explicit raises
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -9,6 +9,8 @@ from distobs import (
     Plant,
     assemble_c2_bank,
     check_condition1,
+    check_condition2,
+    design_condition1,
     design_condition2,
     detectable_set,
     eig_consensus_weights,
@@ -22,6 +24,7 @@ from distobs import (
     spanning_dag,
 )
 from distobs import conditions, decomp, synth_c2
+from distobs.synth_c2 import C2NodeObserver
 from distobs import numkit as nk
 from distobs.conditions import (
     ComponentCheck,
@@ -31,13 +34,15 @@ from distobs.conditions import (
 )
 from distobs.errors import (
     Condition2Infeasible,
+    DistobsError,
     IllConditionedJordan,
     NotDetectable,
     NumericalError,
     ShapeError,
 )
 from distobs.netgraph import SpanningStructure
-from conftest import random_strong_graph, structured_plant
+from conftest import random_strong_graph, relay_instance, structured_plant
+import reference_bank
 
 SCALAR_PLANT = Plant(
     np.array([[1.5]]),
@@ -427,6 +432,213 @@ def test_shared_output_given_gain_stays_with_its_node():
     with pytest.raises(NotDetectable, match="^node 2: local error"):
         design_condition2(SHARED_PLANT, SHARED_GRAPH,
                           gains={2: np.array([[0.0], [0.0]])})
+
+
+# ---------------------------------------------------------------------------
+# the bank is assembled once per output group
+
+
+def _sensed_network(n_nodes, seed):
+    """Three unstable modes, each seen by one sensing node, every other node
+    blind, on a strongly connected graph: four output groups, as in the
+    benchmark's Scheme-2 instances."""
+    rng = np.random.default_rng(seed)
+    C = [np.zeros((0, 4))] * n_nodes
+    for k, i in enumerate(rng.choice(n_nodes, 3, replace=False)):
+        C[i] = np.eye(4)[[k]]
+    g = random_strong_graph(rng, n_nodes, extra=n_nodes)
+    return Plant(np.diag([1.5, 1.2, -1.1, 0.5]), tuple(C)), g
+
+
+BANK_CASES = pytest.mark.parametrize("make", [
+    lambda: relay_instance(1),
+    lambda: relay_instance(3),
+    lambda: relay_instance(2, n_nodes=400, n_relay=40),
+    lambda: _sensed_network(400, 0),
+], ids=["relay-1", "relay-3", "relay-400", "sensed-400"])
+
+
+@BANK_CASES
+@pytest.mark.parametrize("own", [False, True], ids=["shared", "per-node"])
+def test_grouped_assembly_matches_per_node_reference(make, own):
+    p, g = make()
+    bank = design_condition2(p, g, max_parents=2)
+    gains = [rec.gain for rec in bank.nodes]
+    if own:
+        # one gain object per node, every other one a nested list to convert
+        gains = [L.tolist() if i % 2 and L.size else L.copy()
+                 for i, L in enumerate(gains)]
+    got = assemble_c2_bank(bank.jsys, gains, bank.class_weights, g).nodes
+    want = reference_bank.assemble_c2_records(bank.jsys, gains,
+                                              bank.class_weights)
+    assert len(got) == len(want) == p.n_nodes
+    for a, b in zip(got, want):
+        assert type(a) is C2NodeObserver
+        assert (a.node, a.relayed, a.state_dim) == (b.node, b.relayed,
+                                                    b.state_dim)
+        assert a.split is b.split
+        assert _same_bits(a.gain, b.gain)
+    assert [rec.node for rec in bank.nodes] == list(range(1, p.n_nodes + 1))
+
+
+def _first_error(assemble):
+    with pytest.raises((DistobsError, ValueError)) as exc:
+        assemble()
+    return type(exc.value), str(exc.value)
+
+
+# (node with a bad gain, node whose routes miss a class) as positions among
+# the blind nodes; -1 puts the bad gain on the first sensing node instead
+@pytest.mark.parametrize("bad_gain, bad_route", [
+    (3, 7), (7, 3), (5, 5), (-1, 2), (2, None), (None, 4),
+])
+def test_grouped_assembly_raises_the_per_node_first_error(bad_gain,
+                                                          bad_route):
+    p, g = _sensed_network(40, 1)
+    bank = design_condition2(p, g)
+    blind = [i for i in range(1, 41) if not p.C[i - 1].shape[0]]
+    sensing = [i for i in range(1, 41) if p.C[i - 1].shape[0]]
+    gains = [rec.gain for rec in bank.nodes]
+    routes = dict(bank.class_weights)
+    bad = []
+    if bad_gain is not None:
+        i = sensing[0] if bad_gain < 0 else blind[bad_gain]
+        gains[i - 1] = np.zeros((gains[i - 1].shape[0] + 1, 1))
+        bad.append(i)
+    if bad_route is not None:
+        # making a blind node a root of a class takes it off that route
+        k, route = next(iter(routes.items()))
+        routes[k] = spanning_dag(g, set(route.roots) | {blind[bad_route]}, 1)
+        bad.append(blind[bad_route])
+    got = _first_error(
+        lambda: assemble_c2_bank(bank.jsys, gains, routes, g))
+    want = _first_error(lambda: reference_bank.assemble_c2_records(
+        bank.jsys, gains, routes))
+    assert got == want
+    assert got[1].startswith((f"gain of node {min(bad)} ",
+                              f"node {min(bad)} "))
+
+
+def test_classes_out_of_order_match_no_routes():
+    # node 2's routes carry classes 0 and 1, which its split lists as 1, 0
+    p = Plant(np.diag([1.5, 1.2]),
+              (np.eye(2), np.zeros((0, 2)), np.zeros((0, 2))))
+    bank = design_condition2(p, SCALAR_GRAPH)
+    split = bank.jsys.per_node[1]
+    assert split.undetectable == (0, 1)
+    jsys = replace(bank.jsys, per_node=(
+        bank.jsys.per_node[0], replace(split, undetectable=(1, 0)),
+        bank.jsys.per_node[2]))
+    gains = [rec.gain for rec in bank.nodes]
+    got = _first_error(lambda: assemble_c2_bank(
+        jsys, gains, bank.class_weights, SCALAR_GRAPH))
+    assert got == _first_error(lambda: reference_bank.assemble_c2_records(
+        jsys, gains, bank.class_weights))
+    assert got[1].startswith("node 2 cannot detect eigenvalue classes [1, 0] "
+                             "but its relay routes carry [0, 1]")
+
+
+def test_state_dimension_invariant_is_an_explicit_raise():
+    # a split that claims node 1 detects nothing yet relays nothing leaves
+    # the scalar plant's state unaccounted for
+    jsys = jordan_system(SCALAR_PLANT)
+    broken = replace(jsys.per_node[0], det_dim=0)
+    jsys = replace(jsys, per_node=(broken,) + jsys.per_node[1:])
+    cw = eig_consensus_weights(SCALAR_GRAPH, (1,), 1.5)
+    gains = [np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, 0))]
+    with pytest.raises(ShapeError, match=r"^node 1 has 0 observer states, "
+                       r"not n \+ aug_dim = 1"):
+        assemble_c2_bank(jsys, gains, {0: cw}, SCALAR_GRAPH)
+    with pytest.raises(AssertionError):
+        reference_bank.assemble_c2_records(jsys, gains, {0: cw})
+
+
+def test_gains_are_validated_once_per_gain_and_group(monkeypatch):
+    p, g = _sensed_network(400, 2)
+    bank = design_condition2(p, g)
+    assert len(set(p._output_rep)) == 4
+    names = []
+
+    def counted(M, name="matrix", *args, _orig=nk.as_matrix, **kwargs):
+        names.append(name)
+        return _orig(M, name, *args, **kwargs)
+
+    monkeypatch.setattr(nk, "as_matrix", counted)
+    shared = [rec.gain for rec in bank.nodes]
+    assemble_c2_bank(bank.jsys, shared, bank.class_weights, g)
+    first = sorted(dict.fromkeys(p._output_rep))
+    assert names == [f"gain of node {i}" for i in first]
+    names.clear()
+    assemble_c2_bank(bank.jsys, [L.copy() for L in shared],
+                     bank.class_weights, g)
+    assert len(names) == 400
+
+
+def test_assemble_c2_bank_refuses_wrong_counts_and_foreign_nodes():
+    jsys = jordan_system(SCALAR_PLANT)
+    cw = eig_consensus_weights(SCALAR_GRAPH, (1,), 1.5)
+    gains = [np.array([[1.5]]), np.zeros((0, 0)), np.zeros((0, 0))]
+    for wrong in (gains[:2], gains + gains[:1]):
+        with pytest.raises(ShapeError,
+                           match=f"^need 3 gains, got {len(wrong)}$"):
+            assemble_c2_bank(jsys, wrong, {0: cw}, SCALAR_GRAPH)
+    # routes of a larger network name nodes the plant does not have
+    big = Digraph(4, {(1, 2), (1, 3), (2, 1), (3, 4), (4, 1)})
+    zero = SpanningStructure((0,), {v: (0,) for v in (1, 2, 3)}, (0, 1, 2, 3),
+                             {v: {0: 1.0} for v in (1, 2, 3)})
+    for route, v in ((eig_consensus_weights(big, (1,), 1.5), 4),
+                     (eig_consensus_weights(big, (4,), 1.5), 4), (zero, 0)):
+        with pytest.raises(ShapeError, match=f"^the route of eigenvalue "
+                           f"class 0 names node {v}, outside the plant's "
+                           r"nodes 1\.\.3$"):
+            assemble_c2_bank(jsys, gains, {0: route}, SCALAR_GRAPH)
+
+
+@pytest.mark.parametrize("n_graph", [2, 4])
+def test_plant_and_graph_must_have_the_same_nodes(n_graph):
+    p = Plant(np.diag([1.5, 0.5, 1.2]),
+              (np.eye(3), np.zeros((0, 3)), np.zeros((0, 3))))
+    g = Digraph(n_graph, {(v, v + 1) for v in range(1, n_graph)})
+    match = f"^the plant has 3 nodes but the graph has {n_graph}$"
+    for run in (feasibility_report, check_condition1, check_condition2,
+                design_condition1, design_condition2):
+        with pytest.raises(ShapeError, match=match):
+            run(p, g)
+    # nor does a report made on a graph of the right size let it through
+    rep = feasibility_report(p, Digraph(3, {(1, 2), (2, 3)}))
+    with pytest.raises(ShapeError, match=match):
+        design_condition2(p, g, report=rep)
+
+
+@pytest.mark.parametrize("given", [
+    {}, {1: 0}, {2: 0}, {1: 0, 2: 0}, {4: 0, 12: 0},
+    {v: 0 for v in range(4, 13)}, {3: 0, 5: None},
+])
+def test_gain_loop_works_per_group_in_node_order(monkeypatch, given):
+    # nodes 1 and 2 share an output, node 3 has its own and nodes 4..12
+    # measure nothing
+    C = ((np.array([[1.0, 0.0, 0.0]]),) * 2 + (np.array([[0.0, 1.0, 0.0]]),)
+         + (np.zeros((0, 3)),) * 9)
+    p = Plant(np.diag([2.0, 1.5, 0.5]), C)
+    g = Digraph(12, {(v, v % 12 + 1) for v in range(1, 13)})
+    base = design_condition2(p, g)
+    # each given gain is a fresh copy of the one the design would make
+    gains = {i: None if v is None else base.nodes[i - 1].gain.copy()
+             for i, v in given.items()}
+    calls = []
+
+    def logged(split, given=None, tol=None, _orig=synth_c2.local_observer):
+        calls.append((split.node, given is not None))
+        return _orig(split, given=given, tol=tol)
+
+    monkeypatch.setattr(synth_c2, "local_observer", logged)
+    bank = design_condition2(p, g, gains=gains)
+    assert calls == reference_bank.gain_calls(p, gains)
+    for rec, ref in zip(bank.nodes, base.nodes):
+        assert _same_bits(rec.gain, ref.gain)
+        if gains.get(rec.node) is not None:
+            assert rec.gain is not ref.gain
+    assert len(bank.class_weights) == len(base.class_weights)
 
 
 # ---------------------------------------------------------------------------
