@@ -291,9 +291,8 @@ def _null_direction(M, x_dim, tol):
     _, s, Vt = np.linalg.svd(M)
     cutoff = tol.rank_tol * (float(s[0]) if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
-    Z = Vt[rank:].T  # columns span the null space
-    if Z.shape[1] == 0:
-        raise NotObservable("pair has no placement freedom at the origin")
+    # columns span the null space; M = [A | B] has more columns than rows
+    Z = Vt[rank:].T
     Zx = Z[:x_dim, :]
     U2, s2, Vt2 = np.linalg.svd(Zx)
     if s2.size == 0 or s2[0] <= 1e3 * _EPS:

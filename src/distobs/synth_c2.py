@@ -155,9 +155,11 @@ class C2NodeObserver:
 
     def _twin(self, node, split, gain):
         """This record for node ``node`` of the same output group, with its
-        own split and gain: a shallow copy sharing ``relayed``, made without
-        running ``__init__`` (as :meth:`NodeSplit.renumbered` copies a
-        split)."""
+        own split and gain.  :func:`assemble_c2_bank` makes one record per
+        group, at the group's first node, and gives every node of the group
+        such a copy as the node-order pass reaches it: a shallow copy
+        sharing ``relayed``, made without running ``__init__`` (as
+        :meth:`NodeSplit.renumbered` copies a split)."""
         twin = object.__new__(type(self))
         fields = twin.__dict__
         fields.update(self.__dict__)
@@ -192,15 +194,18 @@ class C2ObserverBank:
 def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     """Assemble the executable per-eigenvalue bank from its parts.
 
-    The work is done once per output group, the nodes with identical
-    ``C_i`` that :func:`~distobs.decomp.jordan_system` gives one shared
-    split.  Each group's relayed classes and state dimension are formed
-    once, and each distinct gain object is validated once per group.  Every
-    node's record is a copy of its group's that changes only ``node``,
-    ``split`` and ``gain``, so nodes with identical outputs share
-    ``relayed``, and those given the same gain object share its validated
-    array.  An invalid input raises what a node-by-node check would, at the
-    same first node: its gain's shape first, then its routes.
+    One pass over the nodes in order, memoized per output group (the nodes
+    with identical ``C_i``, which :func:`~distobs.decomp.jordan_system`
+    gives one shared split).  At each node the gain is validated against
+    the split the first time its (gain object, group) pair comes up, and
+    the node's undetectable classes are compared with the classes whose
+    routes have it as a non-root.  The group's record, its relayed classes
+    and state dimension, is built at the group's first node; every node
+    gets a copy of it that changes only ``node``, ``split`` and ``gain``,
+    so nodes with identical outputs share ``relayed``, and those given the
+    same gain object share its validated array.  An invalid input raises at
+    the first node that has one: its gain's shape first, then its routes,
+    then its group's state dimension.
 
     Parameters
     ----------
@@ -226,78 +231,52 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
     gains = list(gains)  # holds each entry, so its id names it throughout
     if len(gains) != N:
         raise ShapeError(f"need {N} gains, got {len(gains)}")
-    routes = sorted(class_weights.items())
-    # carry[i - 1, c]: node i is a non-root of the c-th route; no node
-    # carries the last column
-    carry = np.zeros((N, len(routes) + 1), dtype=bool)
-    for c, (k, route) in enumerate(routes):
-        order = route.topo_order
-        if order and not (1 <= min(order) and max(order) <= N):
-            v = next(v for v in order if not 1 <= v <= N)
+    # carried[i - 1]: the classes whose routes have node i as a non-root,
+    # ascending
+    carried = [[] for _ in range(N)]
+    for k, route in sorted(class_weights.items()):
+        foreign = [v for v in route.topo_order if not 1 <= v <= N]
+        if foreign:
             raise ShapeError(f"the route of eigenvalue class {k} names node "
-                             f"{v}, outside the plant's nodes 1..{N}")
-        carry[np.asarray(route.relay_nodes, dtype=np.intp) - 1, c] = True
-    col = {k: c for c, (k, _) in enumerate(routes)}
-    reps = p._output_rep
-    # want[r]: the carry row of the group of first node r, its undetectable
-    # classes; its last column flags classes no route set matches: one
-    # without a route, or the classes out of ascending order.  broken[r]:
-    # the group's state dimension breaks its invariant, which fails at r
-    want = np.zeros((N + 1, len(routes) + 1), dtype=bool)
-    broken = np.zeros(N + 1, dtype=bool)
-    records = {}  # first node of a group -> its record with node and gain
-    for r in dict.fromkeys(reps):
-        split = jsys.per_node[r - 1]
-        und = list(split.undetectable)
-        want[r, [col.get(k, -1) for k in und]] = True
-        want[r, -1] |= und != sorted(set(und))
-        if want[r, -1]:
-            continue
-        relayed = tuple((k, jsys.class_slice(k)) for k in und)
-        state_dim = split.det_dim + split.aug_dim + sum(
-            [sl.stop - sl.start for _, sl in relayed])
-        # Detectable and relayed classes partition the spectrum, so the
-        # internal dimension always equals n plus the locally observable
-        # residual the node keeps of classes it cannot fully detect.
-        broken[r] = state_dim != p.n + split.aug_dim
-        records[r] = C2NodeObserver(node=r, split=split, gain=None,
-                                    relayed=relayed, state_dim=state_dim)
-    bad = (carry != want[np.asarray(reps)]).any(axis=1) | broken[1:]
-    first_bad = int(bad.argmax()) + 1 if bad.any() else N + 1
-    # each distinct (gain object, group) pair at its first node: the
-    # reversed pairs put each first node last, so it is the value kept
-    keys = list(zip(map(id, gains), reps))
-    first = dict(zip(reversed(keys), range(N, 0, -1)))
-    checked = {}
-    for key, i in sorted(first.items(), key=lambda item: item[1]):
-        if i > first_bad:
-            break
-        split = jsys.per_node[i - 1]
-        checked[key] = nk.as_matrix(
-            gains[i - 1], f"gain of node {i}",
-            rows=split.det_dim + split.aug_dim, cols=p.C[i - 1].shape[0],
-        )
-    if first_bad <= N:
-        i = first_bad
-        split = jsys.per_node[i - 1]
-        carried = [k for (k, _), c in zip(routes, carry[i - 1]) if c]
-        if carried != list(split.undetectable):
-            raise ValueError(
-                f"node {i} cannot detect eigenvalue classes "
-                f"{list(split.undetectable)} but its relay routes carry "
-                f"{carried}: a class's route must have exactly the nodes "
-                "that cannot detect it as non-roots"
+                             f"{foreign[0]}, outside the plant's nodes 1..{N}")
+        for v in route.relay_nodes:
+            carried[v - 1].append(k)
+    validated = {}  # (gain object id, output group) -> validated gain
+    records = {}  # output group -> its record, made at its first node
+    nodes = []
+    for i, (split, r, L) in enumerate(zip(jsys.per_node, p._output_rep,
+                                          gains), 1):
+        key = (id(L), r)
+        if key not in validated:
+            validated[key] = nk.as_matrix(
+                L, f"gain of node {i}",
+                rows=split.det_dim + split.aug_dim, cols=p.C[i - 1].shape[0],
             )
-        raise ShapeError(
-            f"node {i} has {records[i].state_dim} observer states, not "
-            f"n + aug_dim = {p.n + split.aug_dim}: its detectable and "
-            "relayed classes must partition the spectrum"
-        )
-    nodes = tuple(map(C2NodeObserver._twin, map(records.__getitem__, reps),
-                      range(1, N + 1), jsys.per_node,
-                      map(checked.__getitem__, keys)))
+        und = list(split.undetectable)
+        if carried[i - 1] != und:
+            raise ValueError(
+                f"node {i} cannot detect eigenvalue classes {und} but its "
+                f"relay routes carry {carried[i - 1]}: a class's route must "
+                "have exactly the nodes that cannot detect it as non-roots"
+            )
+        if r not in records:
+            relayed = tuple((k, jsys.class_slice(k)) for k in und)
+            state_dim = split.det_dim + split.aug_dim + sum(
+                [sl.stop - sl.start for _, sl in relayed])
+            # Detectable and relayed classes partition the spectrum, so the
+            # internal dimension always equals n plus the locally observable
+            # residual the node keeps of classes it cannot fully detect.
+            if state_dim != p.n + split.aug_dim:
+                raise ShapeError(
+                    f"node {i} has {state_dim} observer states, not "
+                    f"n + aug_dim = {p.n + split.aug_dim}: its detectable "
+                    "and relayed classes must partition the spectrum"
+                )
+            records[r] = C2NodeObserver(node=i, split=split, gain=None,
+                                        relayed=relayed, state_dim=state_dim)
+        nodes.append(records[r]._twin(i, split, validated[key]))
     return C2ObserverBank(
-        jsys=jsys, graph=g, nodes=nodes,
+        jsys=jsys, graph=g, nodes=tuple(nodes),
         class_weights=dict(class_weights), report=report,
     )
 
@@ -310,6 +289,10 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
     per-node decisions, synthesizes deadbeat local gains, and routes each
     unstable class from the nodes that detect it to everyone else.  Nodes
     with identical output matrices share one split and one synthesized gain.
+    The gains are made in one pass over the nodes in order: a node given a
+    gain has it checked by :func:`local_observer`; any other node reuses
+    its output group's synthesized gain, or synthesizes it if it is the
+    group's first node without a given one.
 
     Parameters
     ----------
@@ -321,7 +304,8 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
         use the first parent).
     gains : dict, optional
         Maps node id to a user-supplied local gain, overriding synthesis
-        for that node.
+        for that node; a ``None`` entry is ignored.  A key outside the
+        nodes ``1..N`` raises ``ValueError`` once every node's gain is made.
     report : FeasibilityReport, optional
         ``feasibility_report(p, g, tol)`` when the caller already holds it;
         ``None`` computes it.
@@ -355,28 +339,20 @@ def design_condition2(p, g, tol=None, max_parents=1, gains=None, report=None):
         )
     jsys = jordan_system(p, tol, report)
     gains = dict(gains or {})
-    given = {i: L for i in range(1, p.n_nodes + 1)
-             if (L := gains.pop(i, None)) is not None}
-    # each output group's gain is synthesized at its first node without a
-    # given one, if any, and each given gain is checked at its node, in
-    # node order
-    free = {r: r if r not in given else next(
-                (i for i in range(r, p.n_nodes + 1)
-                 if p._output_rep[i - 1] == r and i not in given), None)
-            for r in dict.fromkeys(p._output_rep)}
-    made, checked = {}, {}
-    for i in sorted([*given, *filter(None, free.values())]):
-        split = jsys.per_node[i - 1]
-        if i in given:
-            checked[i] = local_observer(split, given=given[i], tol=tol)
+    made = {}  # output group -> its synthesized gain
+    gain_list = []
+    for i, (split, r) in enumerate(zip(jsys.per_node, p._output_rep), 1):
+        L = gains.pop(i, None)
+        if L is not None:
+            L = local_observer(split, given=L, tol=tol)
+        elif r in made:
+            L = made[r]
         else:
-            made[p._output_rep[i - 1]] = local_observer(split, tol=tol)
+            L = made[r] = local_observer(split, tol=tol)
+        gain_list.append(L)
     if gains:
         raise ValueError(f"gains given for unknown nodes {sorted(gains)}")
-    gain_list = list(map(made.get, p._output_rep))
-    for i, L in checked.items():
-        gain_list[i - 1] = L
-    needed = sorted({k for r in free
+    needed = sorted({k for r in set(p._output_rep)
                      for k in jsys.per_node[r - 1].undetectable})
     class_weights = {
         k: eig_consensus_weights(g, report.root_sets.get(k, ()),

@@ -1,11 +1,13 @@
 """Per-node reference for the Scheme-2 bank assembly tests.
 
-``distobs.synth_c2.assemble_c2_bank`` works once per output group: it
-checks every node's routes in one array comparison, validates each distinct
-(gain object, group) pair once, and copies one record per group.  This
-module keeps the node-by-node loop it replaced, so the equivalence tests
-compare the grouped assembly against an independent implementation rather
-than against itself:
+``distobs.synth_c2.assemble_c2_bank`` walks the nodes once, in order, and
+memoizes per output group: it validates each distinct (gain object, group)
+pair at the first node that has it, compares each node's undetectable
+classes with a per-node list of the classes whose routes have it as a
+non-root, and builds one record per group at the group's first node, which
+every node of the group copies.  This module keeps a loop with no memo and
+no shared record, so the equivalence tests compare the grouped assembly
+against an independent implementation rather than against itself:
 
 * each node's gain is validated against its own split;
 * each node's relayed classes are read off its own row of the routes'
@@ -59,8 +61,8 @@ def assemble_c2_records(jsys, gains, class_weights):
 
 
 def gain_calls(p, gains):
-    """The ``(node, given)`` calls of ``local_observer`` that the per-node
-    gain loop of ``design_condition2`` made, in order: each node with a
+    """The ``(node, given)`` calls of ``local_observer`` that the node-order
+    gain loop of ``design_condition2`` makes, in order: each node with a
     given gain, and each output group at its first node without one."""
     calls, made = [], set()
     for i in range(1, p.n_nodes + 1):

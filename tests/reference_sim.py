@@ -159,10 +159,10 @@ def _relay_step(relay, A, xh, mode_edges):
     return out
 
 
-def _simulate_c1(p, design, x0, est0, K, signal, form):
+def _simulate_c1(p, design, x0, est0, K, signal, form, dtype):
     N = p.n_nodes
-    xh = [np.asarray(e, dtype=float).reshape(p.n) for e in est0]
-    x = np.asarray(x0, dtype=float).reshape(p.n)
+    xh = [np.asarray(e, dtype=dtype).reshape(p.n) for e in est0]
+    x = np.asarray(x0, dtype=dtype).reshape(p.n)
     xs = [x.copy()]
     hats = [[v.copy() for v in xh]]
     for k in range(K):
@@ -204,13 +204,13 @@ def _c2_init_states(bank, est0):
     return states
 
 
-def _simulate_c2(p, bank, x0, est0, K, signal):
+def _simulate_c2(p, bank, x0, est0, K, signal, dtype):
     N = p.n_nodes
     jsys = bank.jsys
     T, Tinv = jsys.T, jsys.T_inv
-    xh = [np.asarray(e, dtype=float).reshape(p.n) for e in est0]
+    xh = [np.asarray(e, dtype=dtype).reshape(p.n) for e in est0]
     s = _c2_init_states(bank, xh)
-    x = np.asarray(x0, dtype=float).reshape(p.n)
+    x = np.asarray(x0, dtype=dtype).reshape(p.n)
     xs = [x.copy()]
     hats = [[v.copy() for v in xh]]
     for k in range(K):
@@ -237,7 +237,7 @@ def _simulate_c2(p, bank, x0, est0, K, signal):
                     parents = bank.class_weights[cls_idx].parents(i)
                     live = [l for l in parents if (l, i) in mode_edges]
                     row = _uniform(live) if live else {i: 1.0}
-                acc = np.zeros(sl.stop - sl.start)
+                acc = np.zeros(sl.stop - sl.start, dtype=dtype)
                 for l, w in row.items():
                     acc += w * z[l - 1][sl]
                 parts.append(jsys.classes[cls_idx].block @ acc)
@@ -251,16 +251,21 @@ def _simulate_c2(p, bank, x0, est0, K, signal):
 
 
 def reference_simulate(p, bank, x0, est0=None, K=50, signal=None,
-                       form="compact"):
+                       form="compact", dtype=float):
     """Node-by-node run of ``bank``; returns ``(x, xhat)`` arrays shaped like
-    the ``x`` and ``xhat`` fields of a ``SimulationTrace``."""
+    the ``x`` and ``xhat`` fields of a ``SimulationTrace``.
+
+    ``dtype`` is the precision the states and estimates are carried in.
+    The design's float64 matrices are used as they are, so under
+    ``np.longdouble`` every product promotes and the run is the same
+    recursion with less rounding: a yardstick for the float64 runs."""
     N = p.n_nodes
     if est0 is None:
         est0 = [np.zeros(p.n) for _ in range(N)]
     if isinstance(bank, Condition1Design):
-        xs, hats = _simulate_c1(p, bank, x0, est0, K, signal, form)
+        xs, hats = _simulate_c1(p, bank, x0, est0, K, signal, form, dtype)
     elif isinstance(bank, C2ObserverBank):
-        xs, hats = _simulate_c2(p, bank, x0, est0, K, signal)
+        xs, hats = _simulate_c2(p, bank, x0, est0, K, signal, dtype)
     else:
         raise TypeError(f"unsupported bank {type(bank).__name__}")
     x = np.array(xs)

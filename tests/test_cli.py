@@ -844,3 +844,37 @@ def test_check_reports_a_near_real_pair_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eigenvalue classes needing coverage: ['1.5']\n" in out
     assert "component {1, 2}: ok (roots: 1.5 <- [1, 2])\n" in out
+
+
+def test_check_prints_a_complex_pair_with_its_imaginary_part(tmp_path,
+                                                             capsys):
+    # eigenvalues 1.1 +- 0.5j, one unstable complex class
+    path = _write(tmp_path, "pair.json", {
+        "format_version": 1,
+        "plant": {"A": [[1.1, -0.5], [0.5, 1.1]], "C": [[[1.0, 0.0]],
+                                                       [[0.0, 1.0]]]},
+        "graph": {"n_nodes": 2, "edges": [[1, 2], [2, 1]]},
+    })
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "eigenvalue classes needing coverage: ['1.1+0.5j']\n" in out
+    assert "component {1, 2}: ok (roots: 1.1+0.5j <- [1, 2])\n" in out
+
+
+def test_scheme1_bank_keeps_only_gains_of_nonempty_substates(tmp_path,
+                                                             capsys):
+    # node 1 observes the whole state, so node 2's sub-state is empty
+    scenario = _write(tmp_path, "s.json", _minimal_scenario())
+    bank = tmp_path / "bank.json"
+    assert main(["design", scenario, "--scheme", "c1", "--out",
+                 str(bank)]) == 0
+    assert set(json.loads(bank.read_text())["gains"]) == {"1"}
+    design, scheme, _, _, _ = load_bank(str(bank))
+    assert scheme == "c1"
+    assert design.components[0].decomposition.o == (1, 0)
+    direct, loaded = tmp_path / "direct.csv", tmp_path / "loaded.csv"
+    assert main(["simulate", scenario, "--scheme", "c1", "--out",
+                 str(direct)]) == 0
+    assert main(["simulate", scenario, str(bank), "--out", str(loaded)]) == 0
+    capsys.readouterr()
+    assert direct.read_bytes() == loaded.read_bytes()

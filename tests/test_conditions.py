@@ -11,8 +11,9 @@ from distobs import (
     check_condition2,
     detectable_set,
     feasibility_report,
+    jordan_system,
 )
-from conftest import random_strong_graph, structured_plant
+from conftest import random_orthogonal, random_strong_graph, structured_plant
 
 SPLIT_PLANT = Plant(
     np.diag([2.0, 2.0]),
@@ -129,3 +130,27 @@ def test_feasibility_report_makes_each_rank_decision_once(monkeypatch):
                      "obs_canon_decomp": N * U + S * U, "pbh_rank_ok": 0}
     assert rep.cond1.ok and rep.cond2.ok
     assert rep.root_sets == {0: (1, 3, 4), 1: (2, 3, 4)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_defective_complex_pair_is_one_invariant_class(seed):
+    # a rotation block repeated with a Jordan coupling, under a random
+    # basis: one class of two conjugate pairs, whose lower members the
+    # factor loop skips
+    rng = np.random.default_rng(seed)
+    c, s = np.cos(0.7), np.sin(0.7)
+    R = 1.2 * np.array([[c, -s], [s, c]])
+    Q = random_orthogonal(rng, 4)
+    A = Q @ np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]]) @ Q.T
+    (cls,) = nk.eigen_info(A).classes
+    assert (cls.dim, cls.complex_pair) == (4, True)
+    assert sum(w.imag < 0 for w in cls.members) == 2
+    norm_A = np.linalg.norm(A, 2)
+    V, block = conditions._class_basis(A, cls, nk.DEFAULT_TOL, norm_A)
+    assert V.shape == (4, 4)
+    assert np.abs(V.T @ V - np.eye(4)).max() < 1e-12
+    assert np.linalg.norm(A @ V - V @ block) < 1e-13 * norm_A
+    jsys = jordan_system(Plant(A, (np.eye(4), np.zeros((0, 4)))))
+    assert [k.dim for k in jsys.classes] == [4]
+    assert np.linalg.norm(A @ jsys.T - jsys.T @ jsys.classes[0].block) \
+        < 1e-13 * norm_A

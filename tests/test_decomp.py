@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,9 @@ def test_plant_validation():
         Plant(np.eye(2), (np.zeros((1, 3)),))
     with pytest.raises(ShapeError, match="a plant needs at least one state"):
         Plant(np.zeros((0, 0)), (np.zeros((0, 0)),))
+    with pytest.raises(ShapeError,
+                       match="^a plant needs at least one output matrix$"):
+        Plant(np.eye(2), ())
     p = Plant(np.eye(2), (np.zeros((0, 2)), np.eye(2)))
     assert p.n == 2 and p.n_nodes == 2
 
@@ -392,3 +397,26 @@ def test_decomposition_planted_oracle(seed):
             key=lambda z: (z.real, z.imag))
         for a, b in zip(got, oracle["unobs_spectrum"]):
             assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("order", [(1, 1, 2), (1, 2), (0, 1, 2),
+                                   (1, 2, 3, 4)])
+def test_decompose_refuses_an_order_that_is_not_a_permutation(order):
+    with pytest.raises(ShapeError, match=r"^order must be a permutation of "
+                       rf"1\.\.3, got {re.escape(str(order))}$"):
+        multisensor_decompose(Plant(STAIR_A, STAIR_C), order=order)
+
+
+def test_given_transform_of_the_wrong_order_is_refused():
+    p = Plant(STAIR_A, STAIR_C)
+    for run in (lambda T: apply_given_transformation(p, T),
+                lambda T: decomposition_from_transform(p, T, (1, 1, 1))):
+        with pytest.raises(ShapeError, match=r"^T must be 4x4, got 3x3$"):
+            run(np.eye(3))
+
+
+def test_transform_block_dimensions_must_be_nonnegative():
+    with pytest.raises(ShapeError,
+                       match="^sub-state dimensions must be nonnegative$"):
+        decomposition_from_transform(Plant(STAIR_A, STAIR_C), np.eye(4),
+                                     (3, -1, 2))

@@ -450,3 +450,23 @@ def test_route_validation_matches_the_row_by_row_reference(seed):
     child, parent, _ = route.arcs(parent_sets=True)
     assert list(zip(child.tolist(), parent.tolist())) == [
         (v, l) for v in relay for l in parents[v]]
+
+
+CYCLE3 = Digraph(3, {(1, 2), (2, 3), (3, 1)})
+
+
+@pytest.mark.parametrize("roots, max_parents, match", [
+    ({0, 2}, 1, r"^root 0 is outside 1\.\.3$"),
+    ({2, 4}, 1, r"^root 4 is outside 1\.\.3$"),
+    ((), 1, "^at least one root is required$"),
+    ((1,), 0, "^max_parents must be >= 1, got 0$"),
+])
+def test_spanning_dag_refuses_bad_arguments(roots, max_parents, match):
+    with pytest.raises(ValueError, match=match):
+        spanning_dag(CYCLE3, roots, max_parents)
+
+
+@pytest.mark.parametrize("v", [0, 4])
+def test_subgraph_refuses_nodes_outside_the_graph(v):
+    with pytest.raises(ValueError, match=rf"^node {v} is outside 1\.\.3$"):
+        subgraph(CYCLE3, {1, v})

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distobs import (
     Digraph,
@@ -54,6 +54,11 @@ def test_simulate_validates_inputs():
     design = _design()
     with pytest.raises(ValueError):
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=0)
+    with pytest.raises(ShapeError, match="^first argument must be a Plant$"):
+        simulate(WORKED_PLANT.A, design, [0.5, -0.5, 1.0], K=5)
+    with pytest.raises(ShapeError, match="^design must be a Condition1Design "
+                       "or a C2ObserverBank, got dict$"):
+        simulate(WORKED_PLANT, {}, [0.5, -0.5, 1.0], K=5)
     with pytest.raises(ShapeError):
         simulate(WORKED_PLANT, design, [0.5, -0.5], K=5)
     with pytest.raises(ShapeError):
@@ -173,6 +178,15 @@ def test_assumption2_violation_located():
     assert chk2.violation[0] == 1
 
 
+@pytest.mark.parametrize("T", [0, -4])
+def test_validate_assumption2_needs_a_positive_window(T):
+    live = SwitchingSignal(modes=(frozenset(WORKED_GRAPH.edges),),
+                           schedule=(0,) * 8, window_T=4)
+    with pytest.raises(ValueError, match=f"^window must be at least 1, "
+                       f"got {T}$"):
+        validate_assumption2(live, dag_parent_map(_design()), T=T)
+
+
 def test_switched_run_converges_with_repair():
     design = _design()
     pm = dag_parent_map(design)
@@ -274,9 +288,13 @@ def test_form_equivalence_random(seed):
         assert np.max(np.abs(tr.xhat - xhat)) < 1e-9
 
 
+def _distance(xhat, other, x):
+    return float((np.linalg.norm(xhat - other, axis=2)
+                  / (1.0 + np.linalg.norm(x, axis=1))).max())
+
+
 def _normalized_dev(tr, xhat):
-    return (np.linalg.norm(tr.xhat - xhat, axis=2)
-            / (1.0 + np.linalg.norm(tr.x, axis=1))).max()
+    return _distance(tr.xhat, xhat, tr.x)
 
 
 def test_switched_runs_match_reference_both_schemes():
@@ -741,10 +759,25 @@ def _fractional_weights(rng, design):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+# simulate's distance to a long-double run of the reference recursion may be
+# at most ROUNDING_FACTOR times the float64 reference's own distance, plus
+# ROUNDING_FLOOR.  Over 3,000 draws of this test's domain the ratio reached
+# 5.9 where the reference's distance exceeds 1e-13, and the floor needed
+# beside a factor of 10 was 1.1e-13.
+ROUNDING_FACTOR = 10.0
+ROUNDING_FLOOR = 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 4),
        max_parents=st.integers(1, 2), scheme=st.sampled_from(["c1", "c2"]),
        switched=st.booleans(), user_weights=st.booleans())
+# a transient of 2.1e3 and a local gain norm of 980 put both float64 runs
+# about 1e-9 from the long-double one (simulate 1.8e-9, the reference 6.6e-10)
+@example(seed=47976, n_comp=2, max_parents=1, scheme="c2", switched=False,
+         user_weights=False)
 def test_simulate_matches_reference_at_scale(seed, n_comp, max_parents,
                                              scheme, switched, user_weights):
     # networks of up to 40 nodes and 12 states with up to four source
@@ -767,11 +800,12 @@ def test_simulate_matches_reference_at_scale(seed, n_comp, max_parents,
         signal = make_assumption2_signal(dag_parent_map(design), g, 3, 30,
                                          0.5, seed)
     tr = simulate(p, design, x0, est0=est0, K=30, signal=signal)
-    # a transient that lifts the normalized error above 1e4 amplifies
-    # rounding past what a 1e-9 comparison resolves (one draw in 600 of
-    # this generator, a Scheme-2 design with a local gain of 1.6e4)
-    assume(tr.rel_err.max() < 1e4)
-    x, xhat = reference_simulate(p, design, x0, est0=est0, K=30,
-                                 signal=signal, form="blocks")
+    runs = [reference_simulate(p, design, x0, est0=est0, K=30, signal=signal,
+                               form="blocks", dtype=dtype)
+            for dtype in (float, np.longdouble)]
+    (x, xhat), (_, exact) = runs
     assert np.array_equal(tr.x, x)
-    assert _normalized_dev(tr, xhat) < 1e-9
+    # rounding grows with the transient and the gains, so simulate is graded
+    # against the float64 reference's own distance to the long-double run
+    own = _distance(xhat, exact, tr.x)
+    assert _normalized_dev(tr, exact) <= ROUNDING_FACTOR * own + ROUNDING_FLOOR

@@ -437,3 +437,27 @@ def test_compact_gains_equal_the_full_product(seed):
         ref = d.T[:, d.block_slice(pos)] @ bank.gains[pos - 1]
         assert bank.TH[i - 1].shape == ref.shape
         assert bank.TH[i - 1].tobytes() == ref.tobytes()
+
+
+def test_assemble_compact_bank_needs_one_gain_per_node():
+    p, g = _two_node_design()
+    bank = design_condition1(p, g).components[0].bank
+    for wrong in (bank.gains[:1], bank.gains + bank.gains[:1]):
+        with pytest.raises(ShapeError,
+                           match=f"^need 2 gains, got {len(wrong)}$"):
+            assemble_compact_bank(bank.decomposition, wrong, bank.weights, g)
+
+
+def test_given_transform_needs_one_component_and_its_block_sizes():
+    # two nodes that hear no one are two source components
+    p = Plant(np.array([[2.0]]), (np.eye(1), np.eye(1)))
+    with pytest.raises(ShapeError, match="^a given transform requires "
+                       "exactly one source component, found 2$"):
+        design_condition1(p, Digraph(2), transform=np.eye(1),
+                          transform_o=(1, 0))
+    p, g = _two_node_design()
+    for transform_o in (None, (3,), (2, 1, 0)):
+        with pytest.raises(ShapeError, match="^a given transform needs one "
+                           "block dimension per component node$"):
+            design_condition1(p, g, transform=np.eye(3),
+                              transform_o=transform_o)

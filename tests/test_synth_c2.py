@@ -641,6 +641,19 @@ def test_gain_loop_works_per_group_in_node_order(monkeypatch, given):
     assert len(bank.class_weights) == len(base.class_weights)
 
 
+@pytest.mark.parametrize("unknown", [0, 4])
+def test_gains_for_unknown_nodes_are_refused(unknown):
+    own = np.array([[1.9], [0.0]])
+    with pytest.raises(ValueError, match=r"^gains given for unknown nodes "
+                       rf"\[{unknown}\]$"):
+        design_condition2(SHARED_PLANT, SHARED_GRAPH,
+                          gains={unknown: own, 2: own})
+    # a given gain of the wrong shape is refused first, at its node
+    with pytest.raises(ShapeError, match="^given gain must have 2 rows, got 1$"):
+        design_condition2(SHARED_PLANT, SHARED_GRAPH,
+                          gains={unknown: own, 3: np.zeros((1, 1))})
+
+
 # ---------------------------------------------------------------------------
 # the splits and the relay routes rest on one rank decision
 
