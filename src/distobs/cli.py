@@ -216,10 +216,7 @@ def _parse_plant(obj):
         _num_matrix(ci, f"plant.C[{i}]", cols=n)
         for i, ci in enumerate(obj["C"], 1)
     )
-    try:
-        return Plant(A, C)
-    except (InvalidMatrix, ShapeError) as exc:
-        raise ScenarioError(f"plant: {exc}") from None
+    return Plant(A, C)
 
 
 def _parse_graph(obj, n_nodes):
@@ -793,14 +790,8 @@ def _print_design(design, scheme):
         print(f"per-node observer dimensions: {list(dims)}")
         for k, route in sorted(design.class_weights.items()):
             eig = _fmt_eig(design.jsys.classes[k].rep)
-            print(
-                f"eigenvalue {eig}: detected by {list(route.roots)}"
-                + (
-                    f", relayed to {sorted(route.relay_nodes)}"
-                    if route.relay_nodes
-                    else " (everywhere)"
-                )
-            )
+            print(f"eigenvalue {eig}: detected by {list(route.roots)}, "
+                  f"relayed to {sorted(route.relay_nodes)}")
 
 
 def _certified(design, scheme):

@@ -175,6 +175,14 @@ class MultiSensorDecomposition:
         """Node whose sensor step produced sub-state ``j``."""
         return self.order[j - 1]
 
+    @cached_property
+    def A_diag(self):
+        """Block-diagonal part of ``Abar``: the sub-state blocks and the
+        unobservable tail, built on first read."""
+        # most slots of a large network are empty and add nothing
+        return _block_diag(*(self.Abar[sl, sl] for sl in self.slots
+                             if sl.start < sl.stop))
+
     def A_sub(self, j, l=None):
         """Block ``Abar[sub-state j, sub-state l]`` (default diagonal, l=j)."""
         l = j if l is None else l
@@ -199,10 +207,7 @@ def _zero_structural(p, T, o, u_dim, order, structure_tol, exc):
     are set to exactly zero so downstream block algebra sees clean structure.
     A violation names the block holding the largest offending entry.
     """
-    try:
-        Tinv = np.linalg.inv(T)
-    except np.linalg.LinAlgError:
-        raise InvalidTransform("transform is singular") from None
+    Tinv = np.linalg.inv(T)
     Abar = Tinv @ p.A @ T
     Cbar = [Ci @ T for Ci in p.C]
     dims = (*o, u_dim)
@@ -374,18 +379,19 @@ def jordan_grouped(A, tol=None):
     raise :class:`IllConditionedJordan` rather than returning a dubious form.
     """
     A = nk.as_square(A, "A")
-    T, _, _, classes = _jordan_basis(_RankTable(A, tol or nk.DEFAULT_TOL))
+    T, _, _, classes, _ = _jordan_basis(_RankTable(A, tol or nk.DEFAULT_TOL))
     return T, classes
 
 
 def _jordan_basis(t):
-    """``(T, T_inv, cond_T, classes)`` of :func:`jordan_grouped` from the
-    class bases of the rank table ``t``: ``classes`` are its eigenvalue
-    classes, in their order, with each class's real block ``V.T @ A @ V``
-    attached.  ``T`` is inverted and conditioned once, here."""
+    """``(T, T_inv, cond_T, classes, A_diag)`` of :func:`jordan_grouped`
+    from the class bases of the rank table ``t``: ``classes`` are its
+    eigenvalue classes, in their order, with each class's real block
+    ``V.T @ A @ V`` attached, and ``A_diag`` is their block diagonal.
+    ``T`` is inverted and conditioned once, here."""
     A = t.A
     if A.shape[0] == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0)), 1.0, ()
+        return np.zeros((0, 0)), np.zeros((0, 0)), 1.0, (), np.zeros((0, 0))
     bases = [t.basis(k) for k in range(len(t.info.classes))]
     classes = tuple(replace(cls, block=block)
                     for cls, (_, block) in zip(t.info.classes, bases))
@@ -398,15 +404,28 @@ def _jordan_basis(t):
             "decomposition route does not need the eigenstructure."
         )
     T_inv = np.linalg.inv(T)
-    J = _block_diag(*(c.block for c in classes))
-    residual = np.linalg.norm(T @ J @ T_inv - A, 2)
+    A_diag = _block_diag(*(c.block for c in classes))
+    residual = np.linalg.norm(T @ A_diag @ T_inv - A, 2)
     if residual > 1e-7 * max(1.0, np.linalg.norm(A, 2)):
         raise IllConditionedJordan(
             "class basis reconstruction residual exceeds 1e-7 relative to the "
             "plant; the sequential multi-sensor decomposition route does not "
             "need the eigenstructure."
         )
-    return T, T_inv, cond, classes
+    return T, T_inv, cond, classes, A_diag
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _copy_with(obj, **changes):
+    """A shallow copy of frozen dataclass ``obj`` with ``changes`` applied,
+    sharing every other field value, made without running ``__init__``:
+    one per node of a large design, where ``dataclasses.replace`` would
+    cost several times as much."""
+    twin = _new(obj.__class__)
+    _set(twin, "__dict__", obj.__dict__ | changes)
+    return twin
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,14 +457,6 @@ class NodeSplit:
     obs_basis: np.ndarray
     obs_dim: int
     relayed_output: np.ndarray
-
-    def renumbered(self, node):
-        """This split for node ``node``, a node with the same outputs: a
-        shallow copy sharing every array, made without running
-        ``__init__``."""
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, node=node)
-        return twin
 
 
 def _observable_first(splits):
@@ -518,6 +529,8 @@ class JordanSystem:
     T_inv : (n, n) ndarray
         Precomputed inverse of ``T`` (inverted once, with the basis; the
         runtime recursions reuse it every step).
+    A_diag : (n, n) ndarray
+        ``inv(T) @ A @ T`` as the block diagonal of the class blocks.
     classes : tuple of EigenClass
         Eigenvalue classes in the column order of ``T``, the feasibility
         table's own (:func:`numkit.eigen_info`) with their blocks attached.
@@ -530,6 +543,7 @@ class JordanSystem:
     plant: Plant
     T: np.ndarray
     T_inv: np.ndarray
+    A_diag: np.ndarray
     classes: tuple
     per_node: tuple
     cond_T: float
@@ -553,8 +567,8 @@ def jordan_system(p, tol=None, report=None):
     root sets; its tolerances win over ``tol``.  Without it, one table is
     built here.  :func:`node_local_split` runs once per distinct
     output matrix, for the lowest node id that has it; nodes with identical
-    outputs receive a copy of that split renumbered to their own id
-    (:meth:`NodeSplit.renumbered`), sharing its arrays.
+    outputs receive a shallow copy of that split with their own id,
+    sharing its arrays.
 
     Parameters
     ----------
@@ -573,18 +587,18 @@ def jordan_system(p, tol=None, report=None):
     """
     t = (_RankTable(p.A, tol or nk.DEFAULT_TOL) if report is None
          else report.table)
-    T, T_inv, cond_T, classes = _jordan_basis(t)
+    T, T_inv, cond_T, classes, A_diag = _jordan_basis(t)
     ks = range(len(classes))
     per_node = []
     for i, (C_i, r) in enumerate(zip(p.C, p._output_rep), 1):
         if r != i:
-            per_node.append(per_node[r - 1].renumbered(i))
+            per_node.append(_copy_with(per_node[r - 1], node=i))
             continue
         detectable = (t.detects(i, C_i) if report is None
                       else report.per_node_detectable[i - 1])
         per_node.append(node_local_split(T, classes, i, C_i, detectable,
                                          t.splits(i, C_i, ks)))
     return JordanSystem(
-        plant=p, T=T, T_inv=T_inv, classes=classes,
+        plant=p, T=T, T_inv=T_inv, A_diag=A_diag, classes=classes,
         per_node=tuple(per_node), cond_T=cond_T,
     )

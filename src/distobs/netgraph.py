@@ -7,8 +7,8 @@ hold a part of the state, with up to ``max_parents`` parents per node and
 consensus weights that are strictly lower triangular in topological order.
 
 Everything runs on arrays.  A :class:`Digraph` keeps its edges as two arrays
-sorted by source, then target, its out-adjacency as int-indexed lists and
-its in-adjacency in CSR form, built once at construction.  A
+sorted by source, then target, and its out-adjacency as int-indexed lists,
+built once at construction.  A
 :class:`SpanningStructure` keeps its parent sets and weight rows as CSR
 arrays in topological order; routes given by callers are validated row by
 row on the given dicts, routes that :func:`spanning_dag` builds are valid by
@@ -79,10 +79,8 @@ class Digraph:
     information and the stored edge set stays loop-free.
 
     Construction also builds the edge arrays ``_src`` and ``_dst``, sorted
-    by source, then target, the int-indexed out-adjacency ``_succ``:
-    ``_succ[v]`` holds node ``v``'s out-neighbors, ascending, and the
-    in-adjacency as CSR lists: node ``v``'s in-neighbors are
-    ``_pred[_pred_ptr[v]:_pred_ptr[v + 1]]``, ascending.
+    by source, then target, and the int-indexed out-adjacency ``_succ``:
+    ``_succ[v]`` holds node ``v``'s out-neighbors, ascending.
     """
 
     n_nodes: int
@@ -90,10 +88,11 @@ class Digraph:
     _src: np.ndarray = field(init=False, repr=False, compare=False)
     _dst: np.ndarray = field(init=False, repr=False, compare=False)
     _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: list = field(init=False, repr=False, compare=False)
-    _pred_ptr: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_id(self.n_nodes):
+            raise ValueError(
+                f"n_nodes must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 0:
             raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
         self._index(*_edge_arrays(self.edges, self.n_nodes))
@@ -110,18 +109,11 @@ class Digraph:
     def _index(self, src, dst):
         ptr = np.zeros(self.n_nodes + 2, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=self.n_nodes + 1), out=ptr[1:])
-        pred_ptr = np.zeros(self.n_nodes + 2, dtype=np.intp)
-        np.cumsum(np.bincount(dst, minlength=self.n_nodes + 1),
-                  out=pred_ptr[1:])
         out, ptr = dst.tolist(), ptr.tolist()
         for name, value in (("edges", frozenset(zip(src.tolist(), out))),
                             ("_src", src), ("_dst", dst),
                             ("_succ", tuple([tuple(out[a:b]) for a, b in
-                                             zip(ptr, ptr[1:])])),
-                            # sources grouped by target, ascending in each
-                            ("_pred", src[np.argsort(dst, kind="stable")]
-                             .tolist()),
-                            ("_pred_ptr", pred_ptr.tolist())):
+                                             zip(ptr, ptr[1:])]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -130,9 +122,8 @@ class Digraph:
 
     def in_neighbors(self, i):
         """Nodes j with an edge j→i, ascending."""
-        if not 1 <= i <= self.n_nodes:
-            return ()
-        return tuple(self._pred[self._pred_ptr[i]:self._pred_ptr[i + 1]])
+        # the edges are sorted by source, so these sources ascend
+        return tuple(self._src[self._dst == i].tolist())
 
     def out_neighbors(self, j):
         """Nodes i with an edge j→i, ascending."""
@@ -444,6 +435,9 @@ def spanning_dag(g, roots, max_parents):
                          f"outside 1..{n}")
     if not roots and n:
         raise ValueError("at least one root is required")
+    if not _is_id(max_parents):
+        raise ValueError(
+            f"max_parents must be an integer, got {max_parents!r}")
     if max_parents < 1:
         raise ValueError(f"max_parents must be >= 1, got {max_parents}")
     # Multi-source BFS layering: layer = shortest edge distance from the roots.

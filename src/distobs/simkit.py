@@ -31,7 +31,8 @@ import numpy as np
 
 from .decomp import MultiSensorDecomposition, Plant
 from .errors import InvalidSignal, NumericalError, ShapeError
-from .synth_c1 import Condition1Design, _blockdiag_part
+from .netgraph import _is_id
+from .synth_c1 import Condition1Design
 from .synth_c2 import C2ObserverBank
 
 __all__ = [
@@ -346,13 +347,10 @@ def _maps(basis, A):
     absent couplings."""
     if basis is None:
         return None, None, A, None
-    if isinstance(basis, MultiSensorDecomposition):
-        A2 = _blockdiag_part(basis)
-        return basis.T, basis.T_inv, A2, basis.Abar - A2
-    D = np.zeros_like(A)
-    for sl, cls in zip(basis.slots, basis.classes):
-        D[sl, sl] = cls.block
-    return basis.T, basis.T_inv, D, None
+    D = basis.A_diag
+    A1 = (basis.Abar - D if isinstance(basis, MultiSensorDecomposition)
+          else None)
+    return basis.T, basis.T_inv, D, A1
 
 
 def _chunk_rows(sizes):
@@ -662,6 +660,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     """
     if not isinstance(p, Plant):
         raise ShapeError("first argument must be a Plant")
+    if not _is_id(K):
+        raise ValueError(f"horizon K must be an integer, got {K!r}")
     if K < 1:
         raise ValueError(f"horizon must be at least 1, got {K}")
     N = p.n_nodes

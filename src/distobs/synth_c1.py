@@ -167,18 +167,6 @@ class CompactObserverBank:
         return tuple(G)
 
 
-def _blockdiag_part(d):
-    """The block-diagonal part of ``Abar`` (sub-state blocks plus the tail)."""
-    A2 = np.zeros_like(d.Abar)
-    for j, oj in enumerate(d.o, 1):
-        if oj:
-            sl = d.block_slice(j)
-            A2[sl, sl] = d.A_sub(j)
-    slu = d.unobs_slice
-    A2[slu, slu] = d.A_unobs
-    return A2
-
-
 def assemble_compact_bank(d, gains, weights, g):
     """Build the compact per-node update matrices from the design pieces.
 
@@ -191,9 +179,7 @@ def assemble_compact_bank(d, gains, weights, g):
     if len(gains) != N:
         raise ShapeError(f"need {N} gains, got {len(gains)}")
     T, Tinv = d.T, d.T_inv
-    A2 = _blockdiag_part(d)
-    A1 = d.Abar - A2
-    N_mat = T @ A1 @ Tinv
+    N_mat = T @ (d.Abar - d.A_diag) @ Tinv
     TH = []
     for i in g.nodes:
         pos = d.step_of_node[i]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numkit as nk
 from .conditions import _same_nodes, feasibility_report
-from .decomp import jordan_system
+from .decomp import _copy_with, jordan_system
 from .errors import (
     Condition2Infeasible,
     NotDetectable,
@@ -153,19 +153,6 @@ class C2NodeObserver:
     relayed: tuple
     state_dim: int
 
-    def _twin(self, node, split, gain):
-        """This record for node ``node`` of the same output group, with its
-        own split and gain.  :func:`assemble_c2_bank` makes one record per
-        group, at the group's first node, and gives every node of the group
-        such a copy as the node-order pass reaches it: a shallow copy
-        sharing ``relayed``, made without running ``__init__`` (as
-        :meth:`NodeSplit.renumbered` copies a split)."""
-        twin = object.__new__(type(self))
-        fields = twin.__dict__
-        fields.update(self.__dict__)
-        fields["node"], fields["split"], fields["gain"] = node, split, gain
-        return twin
-
 
 @dataclass(frozen=True, eq=False)
 class C2ObserverBank:
@@ -274,7 +261,8 @@ def assemble_c2_bank(jsys, gains, class_weights, g, report=None):
                 )
             records[r] = C2NodeObserver(node=i, split=split, gain=None,
                                         relayed=relayed, state_dim=state_dim)
-        nodes.append(records[r]._twin(i, split, validated[key]))
+        nodes.append(_copy_with(records[r], node=i, split=split,
+                                gain=validated[key]))
     return C2ObserverBank(
         jsys=jsys, graph=g, nodes=tuple(nodes),
         class_weights=dict(class_weights), report=report,

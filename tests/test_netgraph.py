@@ -38,6 +38,10 @@ def test_digraph_rejects_out_of_range():
         Digraph(2, {(1, 3)})
     with pytest.raises(ValueError):
         Digraph(-1)
+    for n in (3.0, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_nodes must be an integer, got {n!r}")):
+            Digraph(n, set())
 
 
 @pytest.mark.parametrize("edge", [
@@ -51,9 +55,10 @@ def test_digraph_rejects_non_integer_ids(edge):
 
 
 def test_digraph_accepts_numpy_integer_ids():
-    g = Digraph(3, {(np.int64(1), np.int32(2)), (np.uint8(3), 1)})
+    g = Digraph(np.int64(3), {(np.int64(1), np.int32(2)), (np.uint8(3), 1)})
     assert g.edges == {(1, 2), (3, 1)}
     assert all(type(v) is int for e in g.edges for v in e)
+    assert spanning_dag(g, {3}, np.int64(1)).relay_nodes == (1, 2)
     with pytest.raises(ValueError, match=re.escape(
             "edge (1, 2, 3) is not an ordered pair")):
         Digraph(3, [(1, 2, 3)])
@@ -328,12 +333,14 @@ def test_graph_kernels_match_the_dict_reference(seed, spanning):
 
 
 def test_designs_and_runs_read_route_rows_only(monkeypatch):
-    # a 400-node network: no dict view of any route is built, and no route
-    # is validated, while both schemes design and simulate, static and
-    # switched; the routes spanning_dag builds are valid by construction
+    # a 400-node network: no dict view of any route is built, no route is
+    # validated and no node's in-neighbors are read, while both schemes
+    # design and simulate, static and switched; the routes spanning_dag
+    # builds are valid by construction
     p, g = relay_instance(1, n_nodes=400, n_relay=40, extra=200)
-    counts = {"dict rows": 0, "check": 0}
+    counts = {"dict rows": 0, "check": 0, "in_neighbors": 0}
     of, check = netgraph._Rows.of.__func__, netgraph._check_route
+    in_neighbors = Digraph.in_neighbors
 
     def counted_of(cls, rows, weighted):
         counts["dict rows"] += 1
@@ -343,8 +350,13 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
         counts["check"] += 1
         return check(*args)
 
+    def counted_in_neighbors(g, i):
+        counts["in_neighbors"] += 1
+        return in_neighbors(g, i)
+
     monkeypatch.setattr(netgraph._Rows, "of", classmethod(counted_of))
     monkeypatch.setattr(netgraph, "_check_route", counted_check)
+    monkeypatch.setattr(Digraph, "in_neighbors", counted_in_neighbors)
     # synth_c1 holds its own reference for Scheme-1 user weights
     monkeypatch.setattr("distobs.synth_c1._check_route", counted_check)
     x0 = np.random.default_rng(0).standard_normal(p.n)
@@ -361,7 +373,7 @@ def test_designs_and_runs_read_route_rows_only(monkeypatch):
                 design, "class_weights") else [design.relay] + [
                 r for c in design.components for r in c.bank.weights.values()]
     assert len(routes) > 4
-    assert counts == {"dict rows": 0, "check": 0}
+    assert counts == {"dict rows": 0, "check": 0, "in_neighbors": 0}
     for route in routes:
         assert not {"parent_sets", "weights"} & vars(route).keys()
 
@@ -460,6 +472,8 @@ CYCLE3 = Digraph(3, {(1, 2), (2, 3), (3, 1)})
     ({2, 4}, 1, r"^root 4 is outside 1\.\.3$"),
     ((), 1, "^at least one root is required$"),
     ((1,), 0, "^max_parents must be >= 1, got 0$"),
+    ((1,), 1.5, "^max_parents must be an integer, got 1.5$"),
+    ((1,), True, "^max_parents must be an integer, got True$"),
 ])
 def test_spanning_dag_refuses_bad_arguments(roots, max_parents, match):
     with pytest.raises(ValueError, match=match):

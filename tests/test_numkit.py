@@ -26,6 +26,10 @@ def test_as_matrix_rejects_bad_shapes():
         nk.as_matrix(np.zeros((2, 3)), "M", cols=2)
     with pytest.raises(InvalidMatrix):
         nk.as_matrix(np.array([[np.nan, 0.0]]), "M")
+    with pytest.raises(InvalidMatrix, match="^M is not a real matrix: "):
+        nk.as_matrix("abc", "M")
+    with pytest.raises(InvalidMatrix, match="^M must be 2-D, got ndim=3$"):
+        nk.as_matrix(np.zeros((2, 2, 2)), "M")
     with pytest.raises(ShapeError):
         nk.as_square(np.zeros((2, 3)), "M")
 
@@ -261,6 +265,8 @@ def test_place_observer_gain_rejects_unobservable():
     C = np.array([[1.0, 0.0]])
     with pytest.raises(NotObservable):
         nk.place_observer_gain(A, C)
+    with pytest.raises(NotObservable, match="with no outputs"):
+        nk.place_observer_gain(A, np.zeros((0, 2)))
 
 
 def test_place_observer_gain_refuses_a_gain_off_the_origin(monkeypatch):

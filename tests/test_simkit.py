@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -54,6 +55,12 @@ def test_simulate_validates_inputs():
     design = _design()
     with pytest.raises(ValueError):
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=0)
+    for K in (3.0, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"horizon K must be an integer, got {K!r}")):
+            simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=K)
+    assert simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0],
+                    K=np.int64(2)).x.shape == (3, 3)
     with pytest.raises(ShapeError, match="^first argument must be a Plant$"):
         simulate(WORKED_PLANT.A, design, [0.5, -0.5, 1.0], K=5)
     with pytest.raises(ShapeError, match="^design must be a Condition1Design "
@@ -154,6 +161,17 @@ def test_assumption2_signal_roundtrip():
         make_assumption2_signal(pm, WORKED_GRAPH, 4, 12, 1.0, 5)
     with pytest.raises(ValueError):
         make_assumption2_signal(pm, WORKED_GRAPH, 0, 12, 0.5, 5)
+
+
+def test_dag_parent_map_leaves_out_routes_without_relay_nodes():
+    # node 1 alone is the source component and sources the only nonempty
+    # sub-state, whose route is node 1 alone; nodes 2 and 3 are relayed
+    p = Plant(np.diag([1.2, 0.5]),
+              (np.array([[1.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2))))
+    design = design_condition1(p, Digraph(3, {(1, 2), (2, 3)}))
+    (comp,) = design.components
+    assert comp.nodes == (1,) and list(comp.bank.weights) == [1]
+    assert dag_parent_map(design) == {"relay": {2: (1,), 3: (2,)}}
 
 
 def test_assumption2_violation_located():

@@ -65,6 +65,17 @@ def test_design_gains_given_must_stabilize():
     assert "spectral radius" in str(exc.value)
 
 
+def test_design_names_the_component_of_a_failed_gain_placement(monkeypatch):
+    def fail(A, C, tol=None):
+        raise NumericalError("pole assignment failed")
+
+    monkeypatch.setattr(nk, "place_observer_gain", fail)
+    with pytest.raises(NumericalError, match=r"^component \{1, 2\}: gain "
+                       r"synthesis for sub-state 1 failed: pole assignment "
+                       r"failed$"):
+        design_condition1(WORKED_PLANT, WORKED_GRAPH)
+
+
 def _substate_routes(d, g):
     """Each nonempty sub-state's relay route with its static weights."""
     return {
