@@ -34,7 +34,7 @@ from .errors import (
     ScenarioError,
     ShapeError,
 )
-from .netgraph import Digraph
+from .netgraph import Digraph, _is_id
 from .simkit import (
     SwitchingSignal,
     convergence_metrics,
@@ -91,11 +91,6 @@ def _schema(cond, msg):
         raise ScenarioError(msg)
 
 
-def _is_int(v):
-    """A JSON integer; ``true`` and ``false`` are not integers here."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_num(v):
     """A finite JSON number.  Booleans are not numbers, and neither are the
     ``NaN`` and ``Infinity`` literals that ``json.load`` accepts, nor
@@ -112,7 +107,7 @@ def _weight(v, where):
 
 
 def _pos_int(v, where):
-    _schema(_is_int(v) and v >= 1, f"{where} must be a positive int")
+    _schema(_is_id(v) and v >= 1, f"{where} must be a positive int")
     return v
 
 
@@ -124,7 +119,7 @@ def _positive(v, where):
 def _edge(e, where, n_nodes):
     """A ``[from, to]`` pair of node ids in ``1..n_nodes``, as a tuple."""
     _schema(
-        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e),
+        isinstance(e, list) and len(e) == 2 and all(_is_id(v) for v in e),
         f"{where} must be a [from, to] pair of node ids",
     )
     _schema(all(1 <= v <= n_nodes for v in e), f"{where}: node id out of range")
@@ -134,7 +129,7 @@ def _edge(e, where, n_nodes):
 def _node_order(v, where, g):
     """A permutation of the node ids of ``g``, as a tuple."""
     _schema(
-        isinstance(v, list) and all(_is_int(i) for i in v),
+        isinstance(v, list) and all(_is_id(i) for i in v),
         f"{where} must be a list of node ids",
     )
     _schema(
@@ -223,7 +218,7 @@ def _parse_graph(obj, n_nodes):
     _check_keys(obj, "graph", allowed=("n_nodes", "edges"),
                 required=("n_nodes", "edges"))
     _schema(
-        _is_int(obj["n_nodes"]) and obj["n_nodes"] == n_nodes,
+        _is_id(obj["n_nodes"]) and obj["n_nodes"] == n_nodes,
         f"graph.n_nodes must equal the number of output maps ({n_nodes})",
     )
     _schema(isinstance(obj["edges"], list), "graph.edges must be a list")
@@ -282,7 +277,7 @@ def _parse_options(obj, p, g, where="options"):
     if obj.get("transform_o") is not None:
         _schema(
             isinstance(obj["transform_o"], list)
-            and all(_is_int(v) and v >= 0 for v in obj["transform_o"]),
+            and all(_is_id(v) and v >= 0 for v in obj["transform_o"]),
             f"{where}.transform_o must be a list of nonnegative ints",
         )
         out["transform_o"] = tuple(obj["transform_o"])
@@ -351,7 +346,7 @@ def _parse_switching(obj, n_nodes):
             ))
         _schema(
             isinstance(obj["schedule"], list)
-            and all(_is_int(v) for v in obj["schedule"]),
+            and all(_is_id(v) for v in obj["schedule"]),
             "switching.schedule must be a list of mode indices",
         )
         return {
@@ -369,7 +364,7 @@ def _parse_switching(obj, n_nodes):
     dp = obj["drop_prob"]
     _schema(_is_num(dp) and 0 <= dp < 1, "switching.drop_prob must be in [0, 1)")
     seed = obj.get("seed")
-    _schema(seed is None or _is_int(seed), "switching.seed must be an int")
+    _schema(seed is None or _is_id(seed), "switching.seed must be an int")
     return {"kind": "generated", "T": T, "drop_prob": float(dp), "seed": seed}
 
 
@@ -410,7 +405,7 @@ def load_scenario(path):
         required=("format_version", "plant", "graph"),
     )
     _schema(
-        _is_int(raw["format_version"])
+        _is_id(raw["format_version"])
         and raw["format_version"] == SCENARIO_FORMAT,
         f"unsupported scenario format_version {raw['format_version']!r}",
     )
@@ -520,11 +515,7 @@ def bank_payload(design, scheme, tol, options, order):
         "scheme": scheme,
         "plant": _plant_payload(p),
         "graph": _graph_payload(g),
-        "tolerances": {
-            "rank_tol": tol.rank_tol,
-            "eig_cluster_tol": tol.eig_cluster_tol,
-            "schur_margin": tol.schur_margin,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "max_parents": options["max_parents"],
         "order": list(order) if order else None,
         "gains": {
@@ -579,7 +570,7 @@ def load_bank(path):
         + _OPTION_KEYS, required=("format_version", "scheme", "plant", "graph"),
     )
     _schema(
-        _is_int(raw["format_version"])
+        _is_id(raw["format_version"])
         and raw["format_version"] == BANK_FORMAT,
         f"unsupported bank format_version {raw['format_version']!r}",
     )

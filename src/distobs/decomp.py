@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
+from .netgraph import _all_ids
 
 __all__ = [
     "Plant",
@@ -253,10 +254,12 @@ def _zero_structural(p, T, o, u_dim, order, structure_tol, exc):
 
 
 def _check_order(order, N):
-    order = tuple(int(v) for v in order)
-    if sorted(order) != list(range(1, N + 1)):
-        raise ShapeError(f"order must be a permutation of 1..{N}, got {order}")
-    return order
+    order = tuple(order)
+    if _all_ids(order):
+        order = tuple(map(int, order))
+        if sorted(order) == list(range(1, N + 1)):
+            return order
+    raise ShapeError(f"order must be a permutation of 1..{N}, got {order}")
 
 
 def multisensor_decompose(p, order=None, tol=None):
@@ -561,14 +564,14 @@ class JordanSystem:
 def jordan_system(p, tol=None, report=None):
     """Compute eigenvalue-class coordinates of ``p`` and split them per node.
 
-    ``report``, a ``feasibility_report(p, g, tol)``, supplies each node's
-    detectable set and the table of class bases and staircases it was read
-    from, so no decision is made twice and the splits follow the report's
-    root sets; its tolerances win over ``tol``.  Without it, one table is
-    built here.  :func:`node_local_split` runs once per distinct
-    output matrix, for the lowest node id that has it; nodes with identical
-    outputs receive a shallow copy of that split with their own id,
-    sharing its arrays.
+    ``report``, a ``feasibility_report(p, g, tol)``, supplies the table of
+    class bases and staircases its verdicts were read from; each node's
+    detectable set and split are read from that table, so no decision is
+    made twice and the splits follow the report's root sets; its
+    tolerances win over ``tol``.  Without it, one table is built here.
+    :func:`node_local_split` runs once per distinct output matrix, for the
+    lowest node id that has it; nodes with identical outputs receive a
+    shallow copy of that split with their own id, sharing its arrays.
 
     Parameters
     ----------
@@ -594,9 +597,8 @@ def jordan_system(p, tol=None, report=None):
         if r != i:
             per_node.append(_copy_with(per_node[r - 1], node=i))
             continue
-        detectable = (t.detects(i, C_i) if report is None
-                      else report.per_node_detectable[i - 1])
-        per_node.append(node_local_split(T, classes, i, C_i, detectable,
+        per_node.append(node_local_split(T, classes, i, C_i,
+                                         t.detects(i, C_i),
                                          t.splits(i, C_i, ks)))
     return JordanSystem(
         plant=p, T=T, T_inv=T_inv, A_diag=A_diag, classes=classes,

@@ -6,6 +6,21 @@ mirrors how a design session actually fails: bad inputs, infeasible network
 structure, or numerics that refuse to certify.
 """
 
+__all__ = [
+    "DistobsError",
+    "InvalidMatrix",
+    "ShapeError",
+    "NotObservable",
+    "NotDetectable",
+    "NumericalError",
+    "NotSpanning",
+    "InvalidTransform",
+    "IllConditionedJordan",
+    "Condition2Infeasible",
+    "InvalidSignal",
+    "ScenarioError",
+]
+
 
 class DistobsError(Exception):
     """Base class for all toolkit errors."""

@@ -44,6 +44,24 @@ def _is_id(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _all_ids(values):
+    """Whether every one of ``values`` passes :func:`_is_id`; values that
+    are all Python ints are passed without a call per value."""
+    return set(map(type, values)) <= {int} or all(map(_is_id, values))
+
+
+def _sorted_ids(values, what):
+    """The distinct ``values`` as sorted Python ints; the first that fails
+    :func:`_is_id` raises ``ValueError`` naming it as ``what``.  Each value
+    is checked before duplicates are dropped, so ``1.0`` beside ``1`` is
+    refused too."""
+    values = tuple(values)
+    if not _all_ids(values):
+        bad = next(v for v in values if not _is_id(v))
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return sorted(set(map(int, values)))
+
+
 def _edge_arrays(edges, n):
     """``(src, dst)`` of an edge collection: validated, without self-loops
     or repeats, sorted by source, then target."""
@@ -426,9 +444,11 @@ def spanning_dag(g, roots, max_parents):
     first parent alone gives a BFS forest, and extra parents give a node
     alternative sources when links fail.  The static weights put 1 on the
     first parent.  Raises :class:`NotSpanning` (carrying the unreachable
-    set) if the roots do not reach every node.
+    set) if the roots do not reach every node, and ``ValueError`` for a
+    root that is not an integer in ``1..N`` or a ``max_parents`` that is
+    not a positive integer.
     """
-    roots = sorted({int(r) for r in roots})
+    roots = _sorted_ids(roots, "root")
     n, succ = g.n_nodes, g._succ
     if roots and not 1 <= roots[0] <= roots[-1] <= n:
         raise ValueError(f"root {roots[0] if roots[0] < 1 else roots[-1]} is "
@@ -487,9 +507,10 @@ def subgraph(g, keep):
     """Restriction of ``g`` to ``keep``, relabeled to ``1..len(keep)``.
 
     Returns ``(h, original_ids)`` where ``original_ids[k-1]`` is the node of
-    ``g`` that became node ``k`` of ``h``.
+    ``g`` that became node ``k`` of ``h``; a node that is not an integer in
+    ``1..N`` raises ``ValueError``.
     """
-    ids = tuple(sorted({int(v) for v in keep}))
+    ids = tuple(_sorted_ids(keep, "node"))
     for v in ids:
         if not (1 <= v <= g.n_nodes):
             raise ValueError(f"node {v} is outside 1..{g.n_nodes}")

@@ -54,13 +54,17 @@ class SwitchingSignal:
 
     ``modes[schedule[k]]`` is the set of edges alive while the step-``k``
     estimates are exchanged.  ``window_T`` is the declared dwell window the
-    repair guarantee refers to.
+    repair guarantee refers to; one that is not an integer of at least 1
+    raises ``ValueError``.
     """
 
     modes: tuple
     schedule: tuple
     window_T: int
     seed: object = None
+
+    def __post_init__(self):
+        _check_count(self.window_T, "window_T", "window", 1)
 
     @cached_property
     def _edge_table(self):
@@ -88,7 +92,10 @@ class SwitchingSignal:
         return out
 
     def edges_at(self, k):
-        """Edge set alive at step ``k``."""
+        """Edge set alive at step ``k``; a ``k`` that is not a nonnegative
+        integer, or one beyond the schedule, raises ``InvalidSignal``."""
+        if not (_is_id(k) and k >= 0):
+            raise InvalidSignal(f"step {k!r} is not a nonnegative integer")
         if k >= len(self.schedule):
             raise InvalidSignal(
                 f"step {k} beyond the schedule ({len(self.schedule)} steps)"
@@ -124,6 +131,15 @@ class SimulationTrace:
     @property
     def n_nodes(self):
         return self.xhat.shape[0]
+
+
+def _check_count(v, name, what, least):
+    """Raise ``ValueError`` unless ``v`` is a Python or numpy integer of at
+    least ``least``; ``name`` is the argument, ``what`` its quantity."""
+    if not _is_id(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{what} must be at least {least}, got {v}")
 
 
 def _scenario_hash(p, x0, est0, K, signal, scheme):
@@ -660,10 +676,7 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     """
     if not isinstance(p, Plant):
         raise ShapeError("first argument must be a Plant")
-    if not _is_id(K):
-        raise ValueError(f"horizon K must be an integer, got {K!r}")
-    if K < 1:
-        raise ValueError(f"horizon must be at least 1, got {K}")
+    _check_count(K, "horizon K", "horizon", 1)
     N = p.n_nodes
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (p.n,):
@@ -785,7 +798,7 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     T : int
         Window length, at least 1.
     K : int
-        Number of steps to schedule.
+        Number of steps to schedule, at least 0.
     drop_prob : float
         Per-edge per-step drop probability in ``[0, 1)``.
     seed : int or None
@@ -793,11 +806,17 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     Returns
     -------
     SwitchingSignal
+
+    Raises
+    ------
+    ValueError
+        When ``T`` or ``K`` is not an integer (booleans are not) or is
+        below its least value, or ``drop_prob`` is outside ``[0, 1)``.
     """
     if not 0 <= drop_prob < 1:
         raise ValueError(f"drop probability must be in [0, 1), got {drop_prob}")
-    if T < 1:
-        raise ValueError(f"window must be at least 1, got {T}")
+    _check_count(T, "window T", "window", 1)
+    _check_count(K, "step count K", "step count", 0)
     rng = np.random.default_rng(seed)
     edges = sorted(set(baseline.edges))
     sets = _ParentSets(
@@ -855,11 +874,11 @@ def validate_assumption2(signal, dag_parents, T=None):
     window) and reports the first ``(window, node, label)`` for which no
     step in the window keeps an edge from any designed parent.  A mode index
     out of range raises :class:`InvalidSignal` unless an earlier window
-    already fails.
+    already fails, and a ``T`` that is not an integer of at least 1 raises
+    ``ValueError``.
     """
     T = signal.window_T if T is None else T
-    if T < 1:
-        raise ValueError(f"window must be at least 1, got {T}")
+    _check_count(T, "window T", "window", 1)
     sched = np.asarray(signal.schedule, dtype=np.intp).reshape(-1)
     bad = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
     K = int(bad[0]) // T * T if bad.size else sched.size

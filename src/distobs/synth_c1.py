@@ -51,6 +51,7 @@ from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
 from .netgraph import (
     Digraph,
     SpanningStructure,
+    _all_ids,
     _check_route,
     spanning_dag,
     subgraph,
@@ -340,8 +341,11 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     gains = gains or {}
     user_weights = weights or {}
     if order is not None:
-        order = tuple(int(v) for v in order)
-        if sorted(order) != list(g.nodes):
+        order = tuple(order)
+        well_typed = _all_ids(order)
+        if well_typed:
+            order = tuple(map(int, order))
+        if not well_typed or sorted(order) != list(g.nodes):
             raise ValueError(
                 "order must list every node id exactly once, got "
                 f"{order}"

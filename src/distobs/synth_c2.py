@@ -115,6 +115,8 @@ def eig_consensus_weights(g, roots, rep, max_parents=1):
     Condition2Infeasible
         If no node detects the class or the roots do not reach every node,
         naming the offending eigenvalue.
+    ValueError
+        If a root is not an integer in ``1..N`` (see :func:`spanning_dag`).
     """
     root_set = frozenset(roots)
     if not root_set:

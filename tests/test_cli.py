@@ -12,6 +12,7 @@ import pytest
 
 import distobs
 from distobs import (
+    Assumption2Check,
     Digraph,
     Plant,
     dag_parent_map,
@@ -273,6 +274,17 @@ def test_overflowing_simulation_exits_4(tmp_path, capsys):
     assert rc == 4
     assert "numerical failure:" in capsys.readouterr().err
     assert not summary.exists() or "NaN" not in summary.read_text()
+
+
+def test_generated_signal_failing_its_window_guarantee_exits_4(
+        capsys, monkeypatch):
+    monkeypatch.setattr(distobs.cli, "validate_assumption2",
+                        lambda sig, pm: Assumption2Check(False, (0, 2, 1)))
+    rc = main(["simulate", bundled_scenario_path("sec8_switching.json")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: generated switching signal fails its own window "
+        "guarantee at (0, 2, 1)\n")
 
 
 def test_design_rejects_non_finite_weight_exits_3(tmp_path, capsys):

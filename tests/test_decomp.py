@@ -23,6 +23,7 @@ from distobs.errors import (
     IllConditionedJordan,
     InvalidTransform,
     NotDetectable,
+    NumericalError,
     ShapeError,
 )
 from distobs.netgraph import Digraph
@@ -274,6 +275,22 @@ def test_jordan_grouped_uncertifiable():
     np.testing.assert_allclose(T.T @ T, np.eye(3), atol=1e-14)
 
 
+def test_jordan_grouped_of_an_empty_matrix_is_empty():
+    T, classes = jordan_grouped(np.zeros((0, 0)))
+    assert T.shape == (0, 0)
+    assert classes == ()
+
+
+def test_jordan_grouped_refuses_an_ill_conditioned_class_basis():
+    # each class basis is certified alone, but the two eigenvectors are
+    # nearly parallel, so the assembled basis is not
+    with pytest.raises(IllConditionedJordan, match=(
+            r"^class basis condition number 2e\+11 exceeds 1e\+10; the "
+            "sequential multi-sensor decomposition route")) as exc:
+        jordan_grouped([[1.0, 1e5], [0.0, 1.0 + 1e-6]])
+    assert exc.value.eigenvalue is None
+
+
 def _planted_classes(rng):
     """``(A, planted)``: a real ``n x n`` matrix, n in 8..16, under a random
     basis, with a repeated diagonalizable eigenvalue, a 2x2 defective block,
@@ -400,11 +417,21 @@ def test_decomposition_planted_oracle(seed):
 
 
 @pytest.mark.parametrize("order", [(1, 1, 2), (1, 2), (0, 1, 2),
-                                   (1, 2, 3, 4)])
+                                   (1, 2, 3, 4), (1.5, 2, 3)])
 def test_decompose_refuses_an_order_that_is_not_a_permutation(order):
     with pytest.raises(ShapeError, match=r"^order must be a permutation of "
                        rf"1\.\.3, got {re.escape(str(order))}$"):
         multisensor_decompose(Plant(STAIR_A, STAIR_C), order=order)
+
+
+def test_decompose_reports_a_failed_step_as_numerical(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(nk, "obs_canon_decomp", fail)
+    with pytest.raises(NumericalError, match=r"^decomposition step 1 \(node 1\) "
+                       "failed: SVD did not converge$"):
+        multisensor_decompose(Plant(STAIR_A, STAIR_C))
 
 
 def test_given_transform_of_the_wrong_order_is_refused():

@@ -474,13 +474,16 @@ CYCLE3 = Digraph(3, {(1, 2), (2, 3), (3, 1)})
     ((1,), 0, "^max_parents must be >= 1, got 0$"),
     ((1,), 1.5, "^max_parents must be an integer, got 1.5$"),
     ((1,), True, "^max_parents must be an integer, got True$"),
+    ({1.7}, 1, r"^root 1\.7 is not an integer$"),
+    ([1, 1.0], 1, r"^root 1\.0 is not an integer$"),
 ])
 def test_spanning_dag_refuses_bad_arguments(roots, max_parents, match):
     with pytest.raises(ValueError, match=match):
         spanning_dag(CYCLE3, roots, max_parents)
 
 
-@pytest.mark.parametrize("v", [0, 4])
+@pytest.mark.parametrize("v", [0, 4, 1.9])
 def test_subgraph_refuses_nodes_outside_the_graph(v):
-    with pytest.raises(ValueError, match=rf"^node {v} is outside 1\.\.3$"):
+    what = r"is outside 1\.\.3" if isinstance(v, int) else "is not an integer"
+    with pytest.raises(ValueError, match=rf"^node {re.escape(str(v))} {what}$"):
         subgraph(CYCLE3, {1, v})

@@ -43,6 +43,12 @@ def test_matrix_rank_literal():
     assert nk.matrix_rank(1e-12 * np.eye(2)) == 2
 
 
+def test_matrix_rank_edge_shapes():
+    with pytest.raises(InvalidMatrix, match="^rank input must be 2-D, got ndim=3$"):
+        nk.matrix_rank(np.zeros((2, 2, 2)))
+    assert nk.matrix_rank(np.zeros((0, 3))) == 0
+
+
 def test_observability_matrix_literal():
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     C = np.array([[1.0, 0.0]])
@@ -258,6 +264,11 @@ def test_place_observer_gain_deadbeat():
     L = nk.place_observer_gain(A, C)
     assert L.shape == (2, 1)
     assert nk.spectral_radius(A - L @ C) < 1e-7
+
+
+def test_place_observer_gain_of_an_empty_state():
+    L = nk.place_observer_gain(np.zeros((0, 0)), np.zeros((1, 0)))
+    assert L.shape == (0, 1)
 
 
 def test_place_observer_gain_rejects_unobservable():

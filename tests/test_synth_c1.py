@@ -280,6 +280,9 @@ def test_design_condition1_order_override():
         design_condition1(WORKED_PLANT, WORKED_GRAPH, order=(1, 2))
     with pytest.raises(ValueError):
         design_condition1(WORKED_PLANT, WORKED_GRAPH, order=(1, 2, 2))
+    with pytest.raises(ValueError, match=r"^order must list every node id "
+                       r"exactly once, got \(1\.5, 2, 3\)$"):
+        design_condition1(WORKED_PLANT, WORKED_GRAPH, order=(1.5, 2, 3))
 
 
 def test_design_condition1_weights_override():
