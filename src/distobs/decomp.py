@@ -39,7 +39,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .netgraph import _all_ids
+from .netgraph import _is_id
 
 __all__ = [
     "Plant",
@@ -253,13 +253,22 @@ def _zero_structural(p, T, o, u_dim, order, structure_tol, exc):
     )
 
 
+def _as_order(order, N):
+    """The tuple ``order`` as Python ints if it holds integers that permute
+    ``1..N``, else ``None``."""
+    if all(map(_is_id, order)):
+        ints = tuple(map(int, order))
+        if sorted(ints) == list(range(1, N + 1)):
+            return ints
+    return None
+
+
 def _check_order(order, N):
     order = tuple(order)
-    if _all_ids(order):
-        order = tuple(map(int, order))
-        if sorted(order) == list(range(1, N + 1)):
-            return order
-    raise ShapeError(f"order must be a permutation of 1..{N}, got {order}")
+    ints = _as_order(order, N)
+    if ints is None:
+        raise ShapeError(f"order must be a permutation of 1..{N}, got {order}")
+    return ints
 
 
 def multisensor_decompose(p, order=None, tol=None):

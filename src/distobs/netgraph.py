@@ -44,21 +44,15 @@ def _is_id(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _all_ids(values):
-    """Whether every one of ``values`` passes :func:`_is_id`; values that
-    are all Python ints are passed without a call per value."""
-    return set(map(type, values)) <= {int} or all(map(_is_id, values))
-
-
 def _sorted_ids(values, what):
     """The distinct ``values`` as sorted Python ints; the first that fails
     :func:`_is_id` raises ``ValueError`` naming it as ``what``.  Each value
     is checked before duplicates are dropped, so ``1.0`` beside ``1`` is
     refused too."""
     values = tuple(values)
-    if not _all_ids(values):
-        bad = next(v for v in values if not _is_id(v))
-        raise ValueError(f"{what} {bad!r} is not an integer")
+    for v in values:
+        if not _is_id(v):
+            raise ValueError(f"{what} {v!r} is not an integer")
     return sorted(set(map(int, values)))
 
 

@@ -55,7 +55,9 @@ class SwitchingSignal:
     ``modes[schedule[k]]`` is the set of edges alive while the step-``k``
     estimates are exchanged.  ``window_T`` is the declared dwell window the
     repair guarantee refers to; one that is not an integer of at least 1
-    raises ``ValueError``.
+    raises ``ValueError``, and a schedule entry that is not an integer
+    raises ``InvalidSignal``.  A mode index out of range is only refused
+    where it is read.
     """
 
     modes: tuple
@@ -65,6 +67,12 @@ class SwitchingSignal:
 
     def __post_init__(self):
         _check_count(self.window_T, "window_T", "window", 1)
+        for k, m in enumerate(self.schedule):
+            if not _is_id(m):
+                raise InvalidSignal(
+                    "the schedule must hold integer mode indices, got "
+                    f"{m!r} at step {k}"
+                )
 
     @cached_property
     def _edge_table(self):
@@ -183,8 +191,6 @@ def _check_signal(signal, g, K):
             f"schedule covers {len(signal.schedule)} steps, horizon is {K}"
         )
     sched = np.asarray(signal.schedule[:K])
-    if sched.dtype.kind not in "iu":
-        raise InvalidSignal("the schedule must hold integer mode indices")
     out = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
     if out.size:
         k = int(out[0])
@@ -665,9 +671,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     Raises
     ------
     InvalidSignal
-        On a schedule shorter than the horizon, a mode index that is not an
-        integer or is out of range, or mode edges outside the baseline
-        graph.
+        On a schedule shorter than the horizon, a mode index out of range,
+        or mode edges outside the baseline graph.
     ShapeError
         On inconsistent dimensions or a bank of neither scheme.
     NumericalError

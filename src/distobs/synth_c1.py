@@ -44,6 +44,7 @@ from .conditions import check_condition1
 from .decomp import (
     MultiSensorDecomposition,
     Plant,
+    _as_order,
     decomposition_from_transform,
     multisensor_decompose,
 )
@@ -51,7 +52,6 @@ from .errors import DistobsError, NotDetectable, NumericalError, ShapeError
 from .netgraph import (
     Digraph,
     SpanningStructure,
-    _all_ids,
     _check_route,
     spanning_dag,
     subgraph,
@@ -342,14 +342,13 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     user_weights = weights or {}
     if order is not None:
         order = tuple(order)
-        well_typed = _all_ids(order)
-        if well_typed:
-            order = tuple(map(int, order))
-        if not well_typed or sorted(order) != list(g.nodes):
+        ints = _as_order(order, g.n_nodes)
+        if ints is None:
             raise ValueError(
                 "order must list every node id exactly once, got "
                 f"{order}"
             )
+        order = ints
     designs = []
     sources = set()  # global ids of the nodes sourcing a nonempty sub-state
     for comp in comps:

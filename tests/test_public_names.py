@@ -124,6 +124,8 @@ INTEGER_ARGUMENTS = {
     "SwitchingSignal(window_T)": (
         lambda v: SwitchingSignal(SIGNAL.modes, SIGNAL.schedule, v),
         ValueError),
+    "SwitchingSignal(schedule)": (
+        lambda v: SwitchingSignal(SIGNAL.modes, (0, v), 2), InvalidSignal),
     "SwitchingSignal.edges_at(k)": (lambda v: SIGNAL.edges_at(v),
                                     InvalidSignal),
 }

@@ -138,11 +138,10 @@ def test_switching_signal_validation():
     with pytest.raises(InvalidSignal, match=r"^mode 1 contains edges "
                        r"\[\(3, 1\), \(3, 2\)\] absent from the baseline"):
         simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=5, signal=alien)
-    # a fractional index is not truncated to a mode
-    frac = SwitchingSignal(
-        modes=(frozenset(), frozenset()), schedule=(0, 0.5, 1), window_T=1)
+    # a fractional index is not truncated to a mode: the signal refuses it
     with pytest.raises(InvalidSignal, match="integer mode indices"):
-        simulate(WORKED_PLANT, design, [0.5, -0.5, 1.0], K=3, signal=frac)
+        SwitchingSignal(modes=(frozenset(), frozenset()),
+                        schedule=(0, 0.5, 1), window_T=1)
 
 
 def test_assumption2_signal_roundtrip():
