@@ -9,6 +9,12 @@ requested design is infeasible on this network (``NotDetectable``,
 missing file, ``ValueError``), 4 numerical failure (``NumericalError``,
 ``IllConditionedJordan``, ``NotObservable``, ``InvalidTransform``) and any
 other ``DistobsError``.
+
+Each subcommand loads only the modules it runs: ``check`` needs ``errors``,
+``numkit``, ``netgraph``, ``decomp`` and ``conditions``, imported here;
+``design`` imports the one synthesis module of its scheme where it designs,
+and ``simulate`` imports ``simkit`` where it simulates (as does parsing an
+explicit switching schedule), which keeps a cold start short.
 """
 
 import argparse
@@ -35,16 +41,6 @@ from .errors import (
     ShapeError,
 )
 from .netgraph import Digraph, _is_id
-from .simkit import (
-    SwitchingSignal,
-    convergence_metrics,
-    dag_parent_map,
-    make_assumption2_signal,
-    simulate,
-    validate_assumption2,
-)
-from .synth_c1 import design_condition1
-from .synth_c2 import design_condition2
 
 __all__ = [
     "Scenario",
@@ -328,6 +324,7 @@ def _parse_options(obj, p, g, where="options"):
 def _parse_switching(obj, n_nodes):
     _schema(isinstance(obj, dict), "simulation.switching must be an object")
     if "schedule" in obj:
+        from .simkit import SwitchingSignal
         _check_keys(
             obj, "simulation.switching", allowed=("modes", "schedule", "T"),
             required=("modes", "schedule", "T"),
@@ -463,12 +460,14 @@ def _design(p, g, options, scheme, tol, report=None):
                     "synthesized gains instead", options["scheme"], scheme)
         gains = None
     if scheme == "c1":
+        from .synth_c1 import design_condition1
         return design_condition1(
             p, g, tol=tol, max_parents=options["max_parents"], gains=gains,
             transform=options["transform"], transform_o=options["transform_o"],
             structure_tol=options["structure_tol"], order=options["order"],
-            weights=options["weights"] or None,
+            weights=options["weights"] or None, report=report,
         )
+    from .synth_c2 import design_condition2
     return design_condition2(p, g, tol, options["max_parents"], gains, report)
 
 
@@ -620,6 +619,7 @@ def write_trace_csv(path, trace):
 
 
 def write_summary(path, trace):
+    from .simkit import convergence_metrics
     metrics = convergence_metrics(trace)
     payload = {
         "format_version": SUMMARY_FORMAT,
@@ -815,6 +815,8 @@ def _signal_for(scn, design, args, K):
         return None
     if sw["kind"] == "explicit":
         return sw["signal"]
+    from .simkit import (dag_parent_map, make_assumption2_signal,
+                         validate_assumption2)
     seed = args.seed if getattr(args, "seed", None) is not None else sw["seed"]
     pm = dag_parent_map(design)
     sig = make_assumption2_signal(
@@ -830,6 +832,7 @@ def _signal_for(scn, design, args, K):
 
 
 def cmd_simulate(args):
+    from .simkit import convergence_metrics, simulate
     scn = load_scenario(args.scenario)
     if scn.simulation is None:
         raise ScenarioError(

@@ -296,7 +296,7 @@ class Condition1Design:
 
 def design_condition1(p, g, tol=None, max_parents=1, gains=None,
                       transform=None, transform_o=None, structure_tol=1e-6,
-                      order=None, weights=None):
+                      order=None, weights=None, report=None):
     """Design the full sub-state-consensus observer bank for a network.
 
     Verifies collective detectability of every source component (raising
@@ -322,9 +322,13 @@ def design_condition1(p, g, tol=None, max_parents=1, gains=None,
     ``gains`` or ``weights`` keyed by a node that sources no nonempty
     sub-state raise ``ValueError`` naming that node, and a graph without
     one node per output matrix of ``p`` raises ``ShapeError``.
+
+    ``report`` is ``feasibility_report(p, g, tol)`` when the caller already
+    holds it; its collective-detectability verdict is then used, and
+    ``None`` computes that verdict.
     """
     tol = tol or nk.DEFAULT_TOL
-    verdict = check_condition1(p, g, tol)
+    verdict = check_condition1(p, g, tol) if report is None else report.cond1
     if not verdict.ok:
         bad = verdict.failing_components()[0]
         eigs = ", ".join(f"{lam:.6g}" for lam in bad.failing)

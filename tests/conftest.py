@@ -1,10 +1,14 @@
-"""Shared generators for randomized suites.
+"""Shared generators for randomized suites, and a fresh-interpreter probe.
 
 Instances are built in a planted canonical form — per-node diagonal blocks
 with known spectra, block-triangular couplings, an unobservable tail — then
 conjugated by a random orthogonal basis change.  The planted data serves as
 the oracle for decomposition and synthesis properties.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,27 @@ def bundled_c1_design(name):
     tol = scn.options["tolerances"] or nk.DEFAULT_TOL
     return scn.plant, cli._design(scn.plant, scn.graph, scn.options, "c1",
                                   tol)
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def fresh_run(code):
+    """Standard output of ``code`` run by a fresh interpreter that has the
+    package's source on its path; a failing run raises."""
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n"
+         + code],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
+def loaded_after(code):
+    """Names of the ``distobs`` submodules a fresh interpreter has loaded
+    once it has run ``code``."""
+    out = fresh_run(code + "\nprint(*sorted(m for m in sys.modules "
+                    "if m.startswith('distobs.')))")
+    return {m.removeprefix("distobs.") for m in out.splitlines()[-1].split()}
 
 
 @pytest.fixture

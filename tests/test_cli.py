@@ -30,6 +30,7 @@ from distobs.cli import (
     write_trace_csv,
 )
 from distobs.errors import ScenarioError
+from conftest import loaded_after
 
 BUNDLED = (
     "illustrative.json",
@@ -278,7 +279,7 @@ def test_overflowing_simulation_exits_4(tmp_path, capsys):
 
 def test_generated_signal_failing_its_window_guarantee_exits_4(
         capsys, monkeypatch):
-    monkeypatch.setattr(distobs.cli, "validate_assumption2",
+    monkeypatch.setattr(distobs.simkit, "validate_assumption2",
                         lambda sig, pm: Assumption2Check(False, (0, 2, 1)))
     rc = main(["simulate", bundled_scenario_path("sec8_switching.json")])
     assert rc == 4
@@ -576,11 +577,14 @@ def test_design_auto_computes_feasibility_once(monkeypatch, capsys):
         calls.append(args)
         return _orig(*args, **kwargs)
     monkeypatch.setattr(nk, "eigen_info", counted)
-    assert main(["design", bundled_scenario_path("illustrative.json")]) == 0
-    capsys.readouterr()
-    # one feasibility report picks the scheme and feeds the Scheme-2 design,
-    # whose Jordan basis is built on the report's eigenvalue classes
-    assert len(calls) == 1
+    # one feasibility report picks the scheme and feeds the design: Scheme 2
+    # builds its Jordan basis on the report's eigenvalue classes, Scheme 1
+    # reads the report's collective-detectability verdict
+    for name, scheme in (("illustrative.json", "c2"), ("remark1.json", "c1")):
+        calls.clear()
+        assert main(["design", bundled_scenario_path(name)]) == 0
+        assert f"scheme: {scheme}" in capsys.readouterr().out
+        assert len(calls) == 1, name
 
 
 @pytest.mark.parametrize("scheme", ["c2", "auto"])
@@ -633,6 +637,28 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "collective detectability: PASS" in proc.stdout
+
+
+CHECK_MODULES = {"cli", "conditions", "decomp", "errors", "netgraph", "numkit"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "fig3.json"], CHECK_MODULES),
+    (["design", "fig3.json", "--scheme", "c1"], CHECK_MODULES | {"synth_c1"}),
+    (["design", "illustrative.json", "--scheme", "c2"],
+     CHECK_MODULES | {"synth_c2"}),
+    (["simulate", "fig3.json"],
+     CHECK_MODULES | {"simkit", "synth_c1", "synth_c2"}),
+])
+def test_cold_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    argv = [argv[0], bundled_scenario_path(argv[1]), *argv[2:]]
+    assert loaded_after(
+        "import contextlib, io\n"
+        "from distobs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "if rc:\n"
+        "    sys.exit(rc)") == loaded
 
 
 def test_log_env_variable(tmp_path):

@@ -1,9 +1,10 @@
 """Every public name resolves: the package's and each submodule's
 ``__all__``, and every function the benchmark tracer wraps.  Deleting or
 renaming a public name fails here rather than first in a traced benchmark
-run.  The package's names are its modules' ``__all__``, every public
-callable that takes a node id, an order, a count or a window refuses a
-boolean and a fraction, and the package holds no ``assert`` statement."""
+run.  The package's names are its modules' ``__all__``, loaded on first
+use; every public callable that takes a node id, an order, a count or a
+window refuses a boolean and a fraction, and the package holds no
+``assert`` statement."""
 
 import ast
 import importlib
@@ -32,6 +33,7 @@ from distobs import (
     subgraph,
     validate_assumption2,
 )
+from conftest import fresh_run, loaded_after
 
 MODULES = ["distobs"] + [
     f"distobs.{m.name}" for m in pkgutil.iter_modules(distobs.__path__)
@@ -61,6 +63,43 @@ def test_package_names_are_the_modules_names():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(distobs, name) is getattr(mod, name), name
+
+
+LIBRARY = {"conditions", "decomp", "errors", "netgraph", "numkit", "simkit",
+           "synth_c1", "synth_c2"}
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import distobs", set()),
+    # a submodule name loads that submodule and what it imports, no more
+    ("import distobs; distobs.numkit", {"numkit", "errors"}),
+    ("from distobs import netgraph", {"netgraph", "errors"}),
+    # any other public name loads every module
+    ("import distobs; distobs.Plant", LIBRARY),
+    ("import distobs; distobs.__all__", LIBRARY),
+])
+def test_package_loads_modules_on_first_use(code, loaded):
+    assert loaded_after(code) == loaded
+
+
+def test_cold_package_lists_and_star_imports_its_names():
+    out = fresh_run(
+        "import distobs\n"
+        "listed = dir(distobs)\n"
+        "star = {}\n"
+        "exec('from distobs import *', star)\n"
+        "del star['__builtins__']\n"
+        "print(set(distobs.__all__) <= set(listed),"
+        " sorted(star) == sorted(distobs.__all__),"
+        " all(star[k] is getattr(distobs, k) for k in star))")
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_package_refuses_unknown_names():
+    for name in ("no_such_name", "_private", "__wrapped__"):
+        assert not hasattr(distobs, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        distobs.no_such_name
 
 
 def test_tracer_targets_resolve():

@@ -11,10 +11,11 @@ from distobs import (
     certify_stability,
     design_condition1,
     design_gains,
+    feasibility_report,
     multisensor_decompose,
     simulate,
 )
-from distobs import netgraph
+from distobs import cli, netgraph
 from distobs import numkit as nk
 from distobs.errors import NotDetectable, NumericalError, ShapeError
 from distobs.netgraph import spanning_dag
@@ -269,6 +270,32 @@ def test_design_condition1_rejects_undetectable():
         design_condition1(p, g)
     assert "{1, 2}" in str(exc.value)
     assert "3" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["fig3.json", "remark1.json", "sec8.json",
+                                  "sec8_switching.json"])
+def test_design_condition1_with_a_given_report_is_unchanged(name):
+    # the Scheme-1 scenarios: reading the report's verdict instead of
+    # checking condition 1 again leaves gains and certificates bit-identical
+    scn = cli.load_scenario(cli.bundled_scenario_path(name))
+    tol = scn.options["tolerances"] or nk.DEFAULT_TOL
+    rep = feasibility_report(scn.plant, scn.graph, tol)
+    assert rep.cond1.ok
+    plain, given = (
+        cli._design(scn.plant, scn.graph, scn.options, "c1", tol, report)
+        for report in (None, rep))
+    assert len(plain.components) == len(given.components)
+    for a, b in zip(plain.components, given.components):
+        assert a.nodes == b.nodes
+        assert ([L.tobytes() for L in a.bank.gains]
+                == [L.tobytes() for L in b.bank.gains])
+        assert (a.stability.ok, a.stability.rho_unobs) == (
+            b.stability.ok, b.stability.rho_unobs)
+        assert len(a.stability.certificates) == len(b.stability.certificates)
+        for ca, cb in zip(a.stability.certificates, b.stability.certificates):
+            assert (ca.substate, ca.source, ca.rho) == (
+                cb.substate, cb.source, cb.rho)
+            assert ca.M.tobytes() == cb.M.tobytes()
 
 
 def test_design_condition1_order_override():
