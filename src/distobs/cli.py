@@ -394,6 +394,8 @@ def load_scenario(path):
     ------
     ScenarioError
         On any schema violation, with a message naming the offending field.
+    InvalidSignal
+        When an explicit switching schedule indexes no mode.
     """
     raw = _read_json(path)
     _check_keys(

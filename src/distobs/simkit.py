@@ -13,8 +13,10 @@ Scheme-1 component's decomposition, the plant basis for Scheme-1 relay
 nodes, or the Scheme-2 class basis.  In its frame a node copies each
 coordinate from its parents on the coordinate's relay route, or keeps its
 own, so a step of either scheme, static or switched, is one gather and one
-batched product; local-observer innovations are formed only at the nodes
-with a gain.  Both schemes share the frame, weight and parent-map code.
+batched product; a switched run reweighs the routed coordinates only at the
+steps where its mode changes, and local-observer innovations are formed only
+at the nodes with a gain.  Both schemes share the frame, weight and
+parent-map code.
 
 A run allocates the trace it returns and, besides it, one block buffer of a
 few steps in which the error norms are formed; no other array it makes is
@@ -55,9 +57,8 @@ class SwitchingSignal:
     ``modes[schedule[k]]`` is the set of edges alive while the step-``k``
     estimates are exchanged.  ``window_T`` is the declared dwell window the
     repair guarantee refers to; one that is not an integer of at least 1
-    raises ``ValueError``, and a schedule entry that is not an integer
-    raises ``InvalidSignal``.  A mode index out of range is only refused
-    where it is read.
+    raises ``ValueError``, and a schedule entry that is not an integer, or
+    that indexes no mode, raises ``InvalidSignal`` when the signal is built.
     """
 
     modes: tuple
@@ -73,6 +74,8 @@ class SwitchingSignal:
                     "the schedule must hold integer mode indices, got "
                     f"{m!r} at step {k}"
                 )
+            if not 0 <= m < len(self.modes):
+                raise InvalidSignal(f"mode index {m} out of range at step {k}")
 
     @cached_property
     def _edge_table(self):
@@ -108,10 +111,7 @@ class SwitchingSignal:
             raise InvalidSignal(
                 f"step {k} beyond the schedule ({len(self.schedule)} steps)"
             )
-        m = self.schedule[k]
-        if not 0 <= m < len(self.modes):
-            raise InvalidSignal(f"mode index {m} out of range at step {k}")
-        return self.modes[m]
+        return self.modes[self.schedule[k]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +190,6 @@ def _check_signal(signal, g, K):
         raise InvalidSignal(
             f"schedule covers {len(signal.schedule)} steps, horizon is {K}"
         )
-    sched = np.asarray(signal.schedule[:K])
-    out = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
-    if out.size:
-        k = int(out[0])
-        raise InvalidSignal(
-            f"mode index {signal.schedule[k]} out of range at step {k}")
 
 
 # Each chunk of the batched products costs about as much as this many rows.
@@ -245,11 +239,12 @@ class _NetworkOperator:
     Weight entries are every routed ``(child, parent, route)`` slot, then
     under switching one fallback slot per ``(child, route)`` group, then
     the own slots of weight 1, then the zero.  ``fixed`` holds their static
-    weights; a switching signal reweights the routed and fallback entries
-    (:meth:`weights`), ``edges`` listing the distinct routed links, 1-based
-    ``(parent, child)`` pairs, and ``entry_edge`` and ``group`` each routed
-    entry's link and group.  ``gap`` is the largest
-    ``‖T (D + A1) T⁻¹ − A‖ / ‖A‖`` over the frames.
+    weights.  Whenever a switched run changes mode (:func:`_run`), each
+    group splits its weight uniformly over the parents whose link is alive,
+    and a group with none gives weight 1 to its fallback; ``edges`` lists
+    the distinct routed links, 1-based ``(parent, child)`` pairs, and
+    ``entry_edge`` and ``group`` each routed entry's link and group.
+    ``gap`` is the largest ``‖T (D + A1) T⁻¹ − A‖ / ‖A‖`` over the frames.
     """
 
     gain: np.ndarray
@@ -269,29 +264,6 @@ class _NetworkOperator:
     entry_edge: np.ndarray
     group: np.ndarray
     gap: float
-
-    def weights(self, signal, K):
-        """``(W, step)``: the weights ``W[step[k]]`` of the routed and
-        fallback entries at step ``k``; the other entries keep ``fixed``.
-
-        A group splits its weight uniformly over the parents whose link is
-        alive; a group with none gives weight 1 to its fallback.  ``W``
-        holds one row per mode that the first ``K`` steps use, one row in
-        all for a static run.
-        """
-        if signal is None:
-            return (self.fixed[None, :self.entry_edge.size],
-                    np.zeros(K, dtype=np.intp))
-        used, step = np.unique(np.asarray(signal.schedule[:K], dtype=np.intp),
-                               return_inverse=True)
-        alive = signal._columns(self.edges)[used][:, self.entry_edge]
-        n_groups = int(self.group.max(initial=-1)) + 1
-        count = np.bincount(
-            (self.group + n_groups * np.arange(used.size)[:, None]).ravel(),
-            weights=alive.ravel(), minlength=used.size * n_groups,
-        ).reshape(used.size, n_groups)
-        return (np.concatenate([alive / np.maximum(count, 1)[:, self.group],
-                                count == 0], axis=1), step.reshape(-1))
 
 
 def _scheme(design):
@@ -583,7 +555,6 @@ def _run(op, A, x0, s0, xh0, K, signal):
     for k in range(K):  # the plant does not depend on the estimates
         x[k + 1] = A @ x[k]
     y = (x[:K] @ op.C.reshape(-1, n).T).reshape(K, *op.C.shape[:2], 1)
-    W, step = op.weights(signal, K)
     # the source vector [Z | x̂ | 0], the estimates in chunk-row order: each
     # step writes Z and x̂ in place and records x̂ in node order
     R = op.take.shape[1]
@@ -595,8 +566,21 @@ def _run(op, A, x0, s0, xh0, K, signal):
     rec[0] = xh0
     at = op.rows[op.gain]
     s = None if op.U is None else s0[..., None]
-    fixed, w, mode = op.fixed.copy(), np.empty(op.column.shape), -1
-    for k in range(K):
+    w = op.fixed.take(op.column)
+    if signal is None:
+        sched, mode = (None,) * K, None
+    else:
+        sched, mode = signal.schedule[:K], -1
+        links, fixed = signal._columns(op.edges), op.fixed.copy()
+        routed = op.entry_edge.size
+        groups = int(op.group.max(initial=-1)) + 1
+    for k, m in enumerate(sched):
+        if m != mode:  # a new mode: reweigh the routed and fallback entries
+            mode, alive = m, links[m][op.entry_edge]
+            count = np.bincount(op.group, weights=alive, minlength=groups)
+            fixed[:routed] = alive / np.maximum(count, 1)[op.group]
+            fixed[routed:routed + groups] = count == 0
+            fixed.take(op.column, out=w)
         if op.U is None:
             innov = y[k] - op.Cs @ xh.reshape(-1, n, 1)[at]
             local = op.H @ innov
@@ -605,10 +589,6 @@ def _run(op, A, x0, s0, xh0, K, signal):
             s = op.F @ s + op.H @ innov
             local = op.U @ s
         np.matmul(xh[:Z.shape[0]], op.Tinv, out=Z)
-        if step[k] != mode:
-            mode = step[k]
-            fixed[:W.shape[1]] = W[mode]
-            fixed.take(op.column, out=w)
         X = src.take(op.take)
         X *= w
         np.matmul(X, op.M, out=xh)
@@ -646,10 +626,12 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     frame's compiled dynamics and the plant map.
 
     Memory: besides its outputs ``x``, ``xhat``, ``err`` and ``rel_err``,
-    a call holds the compiled operator, one step's work arrays and one
-    ``(B, N, n)`` buffer in which the error norms are formed ``B`` steps at
-    a time, ``B`` as many steps as fit in ``_NORM_ENTRIES`` entries and at
-    least one; it makes no second array of the size of the estimate record.
+    a call holds the compiled operator, one step's work arrays (under a
+    signal also its modes' live routed links, one flag per mode and link,
+    and the weights of the current mode) and one ``(B, N, n)`` buffer in
+    which the error norms are formed ``B`` steps at a time, ``B`` as many
+    steps as fit in ``_NORM_ENTRIES`` entries and at least one; it makes no
+    second array of the size of the estimate record.
 
     Parameters
     ----------
@@ -671,8 +653,8 @@ def simulate(p, bank, x0, est0=None, K=50, signal=None):
     Raises
     ------
     InvalidSignal
-        On a schedule shorter than the horizon, a mode index out of range,
-        or mode edges outside the baseline graph.
+        On a schedule shorter than the horizon or mode edges outside the
+        baseline graph.
     ShapeError
         On inconsistent dimensions or a bank of neither scheme.
     NumericalError
@@ -877,29 +859,23 @@ def validate_assumption2(signal, dag_parents, T=None):
 
     Scans each window of ``T`` steps (default: the signal's own declared
     window) and reports the first ``(window, node, label)`` for which no
-    step in the window keeps an edge from any designed parent.  A mode index
-    out of range raises :class:`InvalidSignal` unless an earlier window
-    already fails, and a ``T`` that is not an integer of at least 1 raises
-    ``ValueError``.
+    step in the window keeps an edge from any designed parent.  A ``T``
+    that is not an integer of at least 1 raises ``ValueError``.
     """
     T = signal.window_T if T is None else T
     _check_count(T, "window T", "window", 1)
     sched = np.asarray(signal.schedule, dtype=np.intp).reshape(-1)
-    bad = np.flatnonzero((sched < 0) | (sched >= len(signal.modes)))
-    K = int(bad[0]) // T * T if bad.size else sched.size
     sets = _ParentSets(
         (label, i, parents) for label, pmap in sorted(dag_parents.items())
         for i, parents in sorted(pmap.items())
     )
-    if K and sets.entries:
+    if sched.size and sets.entries:
         by_mode = signal._columns(list(sets.col))
-        starved = np.nonzero(~sets.cover(by_mode[sched[:K]], T))
+        starved = np.nonzero(~sets.cover(by_mode[sched], T))
         if starved[0].size:
             w, q = int(starved[0][0]), int(starved[1][0])
             label, i, _ = sets.entries[q]
             return Assumption2Check(False, (w, i, label))
-    if bad.size:
-        signal.edges_at(int(bad[0]))
     return Assumption2Check(True, None)
 
 

@@ -47,6 +47,11 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+def _bundled(name):
+    with open(bundled_scenario_path(name)) as f:
+        return json.load(f)
+
+
 def _minimal_scenario():
     return {
         "format_version": 1,
@@ -259,7 +264,7 @@ def test_simulate_without_simulation_section_exits_3(tmp_path, capsys):
 
 
 def test_destabilizing_given_gain_exits_4(tmp_path, capsys):
-    raw = json.loads(open(bundled_scenario_path("sec8.json")).read())
+    raw = _bundled("sec8.json")
     raw["options"]["gains"]["1"] = [[0.0], [0.0]]
     rc = main(["design", _write(tmp_path, "s.json", raw)])
     assert rc == 4
@@ -267,7 +272,7 @@ def test_destabilizing_given_gain_exits_4(tmp_path, capsys):
 
 
 def test_overflowing_simulation_exits_4(tmp_path, capsys):
-    raw = json.loads(open(bundled_scenario_path("illustrative.json")).read())
+    raw = _bundled("illustrative.json")
     raw["simulation"]["K"] = 2000
     summary = tmp_path / "summary.json"
     rc = main(["simulate", _write(tmp_path, "s.json", raw),
@@ -289,7 +294,7 @@ def test_generated_signal_failing_its_window_guarantee_exits_4(
 
 
 def test_design_rejects_non_finite_weight_exits_3(tmp_path, capsys):
-    raw = json.loads(open(bundled_scenario_path("sec8.json")).read())
+    raw = _bundled("sec8.json")
     raw["options"]["weights"]["1"]["2"]["1"] = float("nan")
     bank = tmp_path / "bank.json"
     rc = main(["design", _write(tmp_path, "s.json", raw), "--out", str(bank)])
@@ -308,7 +313,7 @@ def test_design_rejects_non_finite_weight_exits_3(tmp_path, capsys):
 ], ids=["weights_out_of_range", "weights_non_source", "gains_non_source"])
 def test_design_rejects_overrides_that_match_nothing(tmp_path, capsys,
                                                      override, message):
-    raw = json.loads(open(bundled_scenario_path("sec8.json")).read())
+    raw = _bundled("sec8.json")
     raw["options"].update(override)
     bank = tmp_path / "bank.json"
     rc = main(["design", _write(tmp_path, "s.json", raw), "--out", str(bank)])

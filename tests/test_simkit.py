@@ -123,10 +123,10 @@ def test_switching_signal_validation():
     assert sig.edges_at(1) == frozenset()
     with pytest.raises(InvalidSignal):
         sig.edges_at(3)
-    bad_mode = SwitchingSignal(
-        modes=(frozenset(),), schedule=(0, 1), window_T=1)
-    with pytest.raises(InvalidSignal):
-        bad_mode.edges_at(1)
+    # an index outside the mode list is refused when the signal is built
+    with pytest.raises(InvalidSignal,
+                       match="mode index 1 out of range at step 1"):
+        SwitchingSignal(modes=(frozenset(),), schedule=(0, 1), window_T=1)
     design = _design()
     # schedule shorter than the run is rejected at simulation time
     with pytest.raises(InvalidSignal):
@@ -463,23 +463,35 @@ def test_blockwise_error_norms_equal_the_dense_formula(blocks, extra):
             assert np.array_equal(tr.rel_err, rel)
 
 
+def _peak_beyond_outputs(*args, **kwargs):
+    """``(peak, outputs)``: the bytes a ``simulate`` call holds at most and
+    the bytes of the trace arrays it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = simulate(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in (tr.x, tr.xhat, tr.err, tr.rel_err))
+
+
 def test_simulate_holds_little_beyond_its_outputs():
     # a 400-node Scheme-1 run at K = 100: besides the trace (3.2 MB here)
     # only the compiled operator, one step's arrays and one block buffer
     # are alive, never a second trace-sized array
     p, g = relay_instance(2, n_nodes=400, n_relay=40)
-    design = design_condition1(p, g)
     x0 = np.ones(p.n)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tr = simulate(p, design, x0, K=100)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    outputs = tr.x.nbytes + tr.xhat.nbytes + tr.err.nbytes + tr.rel_err.nbytes
+    peak, outputs = _peak_beyond_outputs(p, design_condition1(p, g), x0,
+                                         K=100)
     assert outputs > 3e6
     assert peak <= outputs + 1e6
+    # switched, the run weighs each mode when it reaches it: no table of
+    # weights per mode and entry
+    design = design_condition1(p, g, max_parents=2)
+    sig = make_assumption2_signal(dag_parent_map(design), g, 4, 100, 0.5, 3)
+    peak, outputs = _peak_beyond_outputs(p, design, x0, K=100, signal=sig)
+    assert peak <= outputs + 2e6
 
 
 def test_switched_third_weights_match_reference():
@@ -601,18 +613,17 @@ def test_signal_repair_serves_later_parent_sets():
     assert validate_assumption2(sig, pm)
 
 
-def test_validation_reports_violation_before_bad_mode():
+def test_signal_with_bad_mode_is_refused_when_built():
+    # a bad index is refused before any window can be validated, whether
+    # the windows before it starve a parent set or feed it
     g = Digraph(2, {(1, 2)})
-    pm = {"a": {2: (1,)}}
-    starved = SwitchingSignal(modes=(frozenset(),), schedule=(0, 0, 5),
-                              window_T=2)
-    assert validate_assumption2(starved, pm).violation == (0, 2, "a")
-    # the window holding the bad index raises even where its earlier steps
-    # starve the parent set
-    fed = SwitchingSignal(modes=(frozenset(g.edges), frozenset()),
-                          schedule=(0, 0, 1, 5), window_T=2)
-    with pytest.raises(InvalidSignal, match="out of range at step 3"):
-        validate_assumption2(fed, pm)
+    with pytest.raises(InvalidSignal,
+                       match="mode index 5 out of range at step 2"):
+        SwitchingSignal(modes=(frozenset(),), schedule=(0, 0, 5), window_T=2)
+    with pytest.raises(InvalidSignal,
+                       match="mode index 5 out of range at step 3"):
+        SwitchingSignal(modes=(frozenset(g.edges), frozenset()),
+                        schedule=(0, 0, 1, 5), window_T=2)
 
 
 def _two_class_relay_plant():
