@@ -11,10 +11,11 @@ missing file, ``ValueError``), 4 numerical failure (``NumericalError``,
 other ``DistobsError``.
 
 Each subcommand loads only the modules it runs: ``check`` needs ``errors``,
-``numkit``, ``netgraph``, ``decomp`` and ``conditions``, imported here;
-``design`` imports the one synthesis module of its scheme where it designs,
-and ``simulate`` imports ``simkit`` where it simulates (as does parsing an
-explicit switching schedule), which keeps a cold start short.
+``numkit`` (which holds ``Plant``), ``netgraph`` and ``conditions``, imported
+here; ``design`` imports the one synthesis module of its scheme where it
+designs, and with it ``decomp``, and ``simulate`` imports ``simkit`` where
+it simulates (as does parsing an explicit switching schedule), which keeps
+a cold start short.
 """
 
 import argparse
@@ -28,7 +29,6 @@ import numpy as np
 
 from . import numkit as nk
 from .conditions import feasibility_report
-from .decomp import Plant
 from .errors import (
     Condition2Infeasible,
     DistobsError,
@@ -41,6 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .netgraph import Digraph, _is_id
+from .numkit import Plant
 
 __all__ = [
     "Scenario",

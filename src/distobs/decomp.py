@@ -1,4 +1,4 @@
-"""Plant model and the two system-level transformations.
+"""The two system-level transformations of a plant.
 
 Two roads lead from a plant observed by many sensors to coordinates an
 observer can use:
@@ -22,6 +22,10 @@ observer can use:
 verbatim, and :func:`decomposition_from_transform` additionally validates and
 packages it with declared block sizes — useful for reproducing designs whose
 transform is given in print at limited precision.
+
+:class:`~distobs.numkit.Plant` lives in :mod:`distobs.numkit`, where a
+feasibility check can read it without this module; it is published here
+too.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .errors import (
     ShapeError,
 )
 from .netgraph import _is_id
+from .numkit import Plant
 
 __all__ = [
     "Plant",
@@ -56,57 +61,6 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _JORDAN_COND_LIMIT = 1e10
-
-
-@dataclass(frozen=True, eq=False)
-class Plant:
-    """Autonomous LTI plant ``x[k+1] = A x[k]`` with per-node outputs.
-
-    ``C[i-1]`` is node i's output matrix ``y_i = C_i x`` (row count may be 0
-    for a node that measures nothing).
-
-    Everything a node computes alone depends only on its ``C_i``, so nodes
-    are grouped by identical output matrix (see ``_output_rep``).
-    """
-
-    A: np.ndarray
-    C: tuple
-
-    def __post_init__(self):
-        A = nk.as_square(self.A, "A")
-        if not A.shape[0]:
-            raise ShapeError("a plant needs at least one state")
-        if not self.C:
-            raise ShapeError("a plant needs at least one output matrix")
-        Cs = tuple(
-            nk.as_matrix(Ci, f"C_{i}", cols=A.shape[0])
-            for i, Ci in enumerate(self.C, 1)
-        )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", Cs)
-
-    @cached_property
-    def _output_rep(self):
-        """``_output_rep[i-1]`` is the lowest node id whose ``C`` has node
-        i's shape and the same bytes.  The match is exact: matrices one ulp
-        apart, or ``-0.0`` against ``0.0``, stay apart."""
-        first = {}
-        return tuple(first.setdefault((Ci.shape, Ci.tobytes()), i)
-                     for i, Ci in enumerate(self.C, 1))
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def n_nodes(self):
-        return len(self.C)
-
-    def stacked_output(self, nodes=None):
-        """Row-stack of C_i over ``nodes`` (default: all), in ascending order."""
-        nodes = sorted(nodes) if nodes is not None else range(1, self.n_nodes + 1)
-        rows = [self.C[i - 1] for i in nodes]
-        return np.vstack(rows) if rows else np.zeros((0, self.n))
 
 
 def _block_diag(*blocks):

@@ -1,6 +1,8 @@
-"""Tolerance-aware numerical primitives shared by every other module.
+"""Tolerance-aware numerical primitives and the plant model shared by every
+other module.
 
-Everything here is deliberately small: SVD-based rank decisions, the
+:class:`Plant` holds the plant map and every node's output matrix.
+Everything else here is deliberately small: SVD-based rank decisions, the
 observability split behind all canonical decompositions (an orthogonal
 staircase), eigenvalue clustering on the conjugate-folded spectrum, and
 deadbeat observer gains by rank-one deflation on the dual pair.  All
@@ -11,6 +13,7 @@ rank, clustering, and stability-margin decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +80,57 @@ def as_square(M, name="matrix"):
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"{name} must be square, got {A.shape[0]}x{A.shape[1]}")
     return A
+
+
+@dataclass(frozen=True, eq=False)
+class Plant:
+    """Autonomous LTI plant ``x[k+1] = A x[k]`` with per-node outputs.
+
+    ``C[i-1]`` is node i's output matrix ``y_i = C_i x`` (row count may be 0
+    for a node that measures nothing).
+
+    Everything a node computes alone depends only on its ``C_i``, so nodes
+    are grouped by identical output matrix (see ``_output_rep``).
+    """
+
+    A: np.ndarray
+    C: tuple
+
+    def __post_init__(self):
+        A = as_square(self.A, "A")
+        if not A.shape[0]:
+            raise ShapeError("a plant needs at least one state")
+        if not self.C:
+            raise ShapeError("a plant needs at least one output matrix")
+        Cs = tuple(
+            as_matrix(Ci, f"C_{i}", cols=A.shape[0])
+            for i, Ci in enumerate(self.C, 1)
+        )
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "C", Cs)
+
+    @cached_property
+    def _output_rep(self):
+        """``_output_rep[i-1]`` is the lowest node id whose ``C`` has node
+        i's shape and the same bytes.  The match is exact: matrices one ulp
+        apart, or ``-0.0`` against ``0.0``, stay apart."""
+        first = {}
+        return tuple(first.setdefault((Ci.shape, Ci.tobytes()), i)
+                     for i, Ci in enumerate(self.C, 1))
+
+    @property
+    def n(self):
+        return self.A.shape[0]
+
+    @property
+    def n_nodes(self):
+        return len(self.C)
+
+    def stacked_output(self, nodes=None):
+        """Row-stack of C_i over ``nodes`` (default: all), in ascending order."""
+        nodes = sorted(nodes) if nodes is not None else range(1, self.n_nodes + 1)
+        rows = [self.C[i - 1] for i in nodes]
+        return np.vstack(rows) if rows else np.zeros((0, self.n))
 
 
 def matrix_rank(M, tol=None):

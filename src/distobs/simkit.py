@@ -31,11 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decomp import MultiSensorDecomposition, Plant
+from .decomp import MultiSensorDecomposition
 from .errors import InvalidSignal, NumericalError, ShapeError
 from .netgraph import _is_id
-from .synth_c1 import Condition1Design
-from .synth_c2 import C2ObserverBank
+from .numkit import Plant
 
 __all__ = [
     "SwitchingSignal",
@@ -164,11 +163,12 @@ def _scenario_hash(p, x0, est0, K, signal, scheme):
     if signal is not None:
         h.update(str(signal.window_T).encode())
         h.update(np.asarray(signal.schedule, dtype=np.int64).tobytes())
-        # each mode as the text of its sorted edge list, node ids as ints
+        # each mode as the text of its sorted edge list, node ids as ints,
+        # fed one mode at a time
         edges, live = signal._edge_table
-        strs = [repr((int(a), int(b))) for a, b in edges]
-        h.update("".join("[" + ", ".join(compress(strs, row)) + "]"
-                         for row in live.tolist()).encode())
+        strs = np.array([b"(%d, %d)" % e for e in edges], dtype=object)
+        for row in live:
+            h.update(b"[%b]" % b", ".join(strs[row].tolist()))
     return h.hexdigest()
 
 
@@ -267,10 +267,12 @@ class _NetworkOperator:
 
 
 def _scheme(design):
-    """``"c1"`` for a sub-state-consensus design, ``"c2"`` for a
-    per-eigenvalue bank; anything else raises :class:`ShapeError`."""
-    if isinstance(design, (Condition1Design, C2ObserverBank)):
-        return "c1" if isinstance(design, Condition1Design) else "c2"
+    """The design's ``scheme``: ``"c1"`` for a sub-state-consensus design,
+    ``"c2"`` for a per-eigenvalue bank; anything else raises
+    :class:`ShapeError`."""
+    scheme = getattr(design, "scheme", None)
+    if scheme in ("c1", "c2"):
+        return scheme
     raise ShapeError("design must be a Condition1Design or a C2ObserverBank, "
                      f"got {type(design).__name__}")
 
@@ -814,26 +816,30 @@ def make_assumption2_signal(dag_parents, baseline, T, K, drop_prob, seed):
     live = np.zeros((K, len(sets.col)), dtype=bool)
     live[:, :len(edges)] = rng.random((K, len(edges))) >= drop_prob
     if K and sets.entries:
-        restored = set()
-        for w, q in zip(*np.nonzero(~sets.cover(live, T))):
-            if any((w, c) in restored for c in sets.cols[q]):
-                continue
-            c = sets.cols[q][0]
-            restored.add((w, c))
-            live[min(w * T + T, K) - 1, c] = True
-    rows, first, inverse = np.unique(live, axis=0, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    rank = np.argsort(order)
+        # starved pairs come window by window: the columns restored so far
+        # in the current window
+        window, restored = -1, set()
+        for w, q in np.argwhere(~sets.cover(live, T)).tolist():
+            if w != window:
+                window, restored = w, set()
+            if restored.isdisjoint(sets.cols[q]):
+                c = sets.cols[q][0]
+                restored.add(c)
+                live[min(w * T + T, K) - 1, c] = True
+    # a mode per distinct packed row, numbered in order of first use, with
+    # the step where it is first used
+    index = {}
+    schedule = [index.setdefault(key, (len(index), k))[0]
+                for k, key in enumerate(map(bytes, np.packbits(live, axis=1)))]
+    rows = live[[k for _, k in index.values()]]
     cols = list(sets.col)
     sig = SwitchingSignal(
-        modes=tuple(frozenset(compress(cols, rows[u].tolist())) for u in order),
-        schedule=tuple(rank[inverse.reshape(-1)].tolist()),
-        window_T=T, seed=seed,
+        modes=tuple(frozenset(compress(cols, row.tolist())) for row in rows),
+        schedule=tuple(schedule), window_T=T, seed=seed,
     )
     # its edge table: these rows on the edges some mode holds, sorted
     held = sorted(np.flatnonzero(rows.any(0)).tolist(), key=cols.__getitem__)
-    table = rows[order][:, held]
+    table = rows[:, held]
     table.flags.writeable = False
     vars(sig)["_edge_table"] = [cols[c] for c in held], table
     return sig

@@ -279,8 +279,11 @@ class Condition1Design:
 
     ``relay`` is the route rooted at every component member that feeds the
     remaining nodes (``None`` when there are none); each relay node copies
-    its parents' estimates through ``plant.A``.
+    its parents' estimates through ``plant.A``.  ``scheme`` names the
+    scheme, ``"c1"``.
     """
+
+    scheme = "c1"
 
     plant: Plant
     graph: Digraph

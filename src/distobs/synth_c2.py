@@ -163,7 +163,10 @@ class C2ObserverBank:
     ``class_weights`` maps each eigenvalue-class index that some node must
     relay to its relay route: the static weights, and the (possibly
     multi-parent) parent sets the switching fallback redistributes over.
+    ``scheme`` names the scheme, ``"c2"``.
     """
+
+    scheme = "c2"
 
     jsys: object
     graph: object

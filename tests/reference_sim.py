@@ -15,8 +15,11 @@ independent implementation rather than against itself:
 
 It also keeps the step-by-step switching-signal generator and validator
 that ``make_assumption2_signal`` and ``validate_assumption2`` replaced with
-whole-array window tests.
+whole-array window tests, and the scenario hash over one joined text that
+``simulate`` now feeds a mode at a time.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -328,3 +331,22 @@ def reference_validate_assumption2(signal, dag_parents, T=None):
                 ):
                     return (w, i, label)
     return None
+
+
+def reference_scenario_hash(p, x0, est0, K, signal, scheme):
+    """sha256 of every hashed byte joined first: the plant map, each output
+    matrix then its shape text, the initial state and estimates, the horizon
+    and the scheme, then under a signal its window, its schedule and one
+    text of every mode's sorted edge list, node ids as ints."""
+    parts = [p.A.tobytes()]
+    for Ci in p.C:
+        parts += [Ci.tobytes(), str(Ci.shape).encode()]
+    parts += [np.asarray(x0, dtype=float).tobytes(),
+              np.asarray(est0, dtype=float).tobytes(),
+              str(K).encode(), scheme.encode()]
+    if signal is not None:
+        parts += [str(signal.window_T).encode(),
+                  np.asarray(signal.schedule, dtype=np.int64).tobytes(),
+                  "".join(repr(sorted((int(a), int(b)) for a, b in mode))
+                          for mode in signal.modes).encode()]
+    return hashlib.sha256(b"".join(parts)).hexdigest()

@@ -20,7 +20,7 @@ from distobs import (
     validate_assumption2,
 )
 from distobs.errors import InvalidSignal, NumericalError, ShapeError
-from distobs.simkit import _norm_steps
+from distobs.simkit import _norm_steps, _scenario_hash
 from conftest import (
     bundled_c1_design,
     random_orthogonal,
@@ -32,6 +32,7 @@ from conftest import (
 )
 from reference_sim import (
     reference_assumption2_signal,
+    reference_scenario_hash,
     reference_simulate,
     reference_validate_assumption2,
 )
@@ -491,7 +492,11 @@ def test_simulate_holds_little_beyond_its_outputs():
     design = design_condition1(p, g, max_parents=2)
     sig = make_assumption2_signal(dag_parent_map(design), g, 4, 100, 0.5, 3)
     peak, outputs = _peak_beyond_outputs(p, design, x0, K=100, signal=sig)
-    assert peak <= outputs + 2e6
+    assert peak <= outputs + 1e6
+    # nor any text of every mode at once: twice the modes, little more
+    sig = make_assumption2_signal(dag_parent_map(design), g, 4, 200, 0.5, 3)
+    peak, outputs = _peak_beyond_outputs(p, design, x0, K=200, signal=sig)
+    assert peak <= outputs + 1.5e6
 
 
 def test_switched_third_weights_match_reference():
@@ -596,6 +601,36 @@ def test_generated_edge_table_equals_the_rebuilt_one(seed, T, K, drop,
     assert edges == ref_edges
     assert live.dtype == ref_live.dtype and np.array_equal(live, ref_live)
     assert not live.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
+       K=st.integers(0, 40), drop=st.floats(0.0, 0.95),
+       scheme=st.sampled_from([0, 1]))
+def test_scenario_hash_matches_joined_text_reference(seed, T, K, drop, scheme):
+    # the hash is fed one mode at a time: the digest of the joined text
+    g, maps = _relay_parent_maps()
+    sig = make_assumption2_signal(maps[scheme], g, T, K, drop, seed)
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(3)
+    est0 = rng.standard_normal((3, 3))
+    name = ("c1", "c2")[scheme]
+    for signal in (sig, None):
+        assert (_scenario_hash(WORKED_PLANT, x0, est0, K, signal, name)
+                == reference_scenario_hash(WORKED_PLANT, x0, est0, K, signal,
+                                           name))
+
+
+def test_scenario_hash_of_empty_mode_matches_reference():
+    design = _design()
+    x0 = np.array([0.5, -0.5, 1.0])
+    sig = SwitchingSignal(
+        modes=(frozenset(), frozenset({(1, 2), (2, 1)}),
+               frozenset(WORKED_GRAPH.edges)),
+        schedule=(2, 0, 0, 1, 0, 2), window_T=3)
+    tr = simulate(WORKED_PLANT, design, x0, K=6, signal=sig)
+    assert tr.metadata["scenario_hash"] == reference_scenario_hash(
+        WORKED_PLANT, x0, np.zeros((3, 3)), 6, sig, "c1")
 
 
 def test_signal_repair_serves_later_parent_sets():
