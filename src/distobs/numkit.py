@@ -5,13 +5,15 @@ other module.
 Everything else here is deliberately small: SVD-based rank decisions, the
 observability split behind all canonical decompositions (an orthogonal
 staircase), eigenvalue clustering on the conjugate-folded spectrum, and
-deadbeat observer gains by rank-one deflation on the dual pair.  All
-tolerances flow through :class:`ToleranceConfig` so a single knob set governs
-rank, clustering, and stability-margin decisions.
+deadbeat observer gains: one Hessenberg recursion for a single output row,
+rank-one deflation on the dual pair for more.  All tolerances flow through
+:class:`ToleranceConfig` so a single knob set governs rank, clustering, and
+stability-margin decisions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -332,15 +334,21 @@ def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+# a null vector of [A | B] whose state part is this small pins no pole
+_NULL_FLOOR = 1e3 * _EPS
+_UNMOVABLE = "mode cannot be moved by output injection (pair not observable)"
+
+
 def _null_direction(M, x_dim, tol):
     """Pick the null-space element of ``M`` with the largest leading-block part.
 
     Returns ``(x, w)`` splitting the chosen null vector at ``x_dim``.  Raises
     ``NotObservable`` when every null vector has a leading block at rounding
-    level — that is exactly the uncontrollability certificate for the zero
-    pole being placed.  A weakly observed mode is placed: the observability
-    split made that rank decision, and the achieved spectrum is verified.
-    Its gain grows as the inverse of the freedom found here.
+    level (norm at most ``_NULL_FLOOR``) — that is exactly the
+    uncontrollability certificate for the zero pole being placed.  A weakly
+    observed mode is placed: the observability split made that rank
+    decision, and the achieved spectrum is verified.  Its gain grows as the
+    inverse of the freedom found here.
     """
     _, s, Vt = np.linalg.svd(M)
     cutoff = tol.rank_tol * (float(s[0]) if s.size else 0.0)
@@ -349,10 +357,8 @@ def _null_direction(M, x_dim, tol):
     Z = Vt[rank:].T
     Zx = Z[:x_dim, :]
     U2, s2, Vt2 = np.linalg.svd(Zx)
-    if s2.size == 0 or s2[0] <= 1e3 * _EPS:
-        raise NotObservable(
-            "mode cannot be moved by output injection (pair not observable)"
-        )
+    if s2.size == 0 or s2[0] <= _NULL_FLOOR:
+        raise NotObservable(_UNMOVABLE)
     z = Z @ Vt2.T[:, 0]
     return z[:x_dim], z[x_dim:]
 
@@ -363,7 +369,8 @@ def _deadbeat_feedback(A, B, tol):
     One zero pole at a time: a null direction of ``[A | B]`` gives a
     closed-loop eigenvector ``x`` at 0, the rank-one gain ``-w x^T / x^T x``
     pins it, an orthogonal basis rotates ``x`` out, and the deflated system
-    is placed the same way.  Works for any number of inputs ``B``.
+    is placed the same way.  :func:`place_observer_gain` uses it for pairs
+    with more than one input ``B``, whose deadbeat gain is not unique.
     """
     m = A.shape[0]
     r = B.shape[1]
@@ -379,16 +386,84 @@ def _deadbeat_feedback(A, B, tol):
     return K1 + np.hstack([np.zeros((r, 1)), K2]) @ Q.T
 
 
+def _single_output_gain(A, c):
+    """Column ``l`` with ``A - l c`` nilpotent, for one output row ``c``.
+
+    An Arnoldi pass on the dual pair ``(A.T, c.T)``, orthogonalizing twice,
+    builds an orthogonal ``Q`` with ``Q.T @ [c.T | A.T @ Q] = [beta e_1 |
+    H]``, ``H`` upper Hessenberg.  The controllability matrix of
+    ``(H, beta e_1)`` is upper triangular with last diagonal entry
+    ``beta * prod(h_{i+1,i})``, so Ackermann's formula needs no inverse:
+    ``k = e_m^T H^m / (beta * prod(h_{i+1,i}))`` makes ``H - beta e_1 k``
+    nilpotent, and ``l = Q k^T``.  The gain is unique, so it is the one
+    deflation finds, up to rounding.  Each factor of the product is split
+    into mantissa and power of two, and each power divides one row
+    ``e_m^T H^l`` as it is formed: scaling by a power of two is exact, so
+    the formula rounds as written, yet neither ``H^m`` nor the product
+    leaves the float range.  ``k[0]`` is set to ``trace(H) / beta``, which
+    zeroes the closed-loop trace exactly.
+
+    Refuses by deflation's rule.  Its j-th pole pins the unit direction
+    ``u_j`` that completes ``ker N^(j-1)`` to ``ker N^j``, for ``N = H -
+    beta e_1 k``, with a null vector whose state part is
+    ``1 / hypot(1, k u_j)``, and refuses when that is at most
+    ``_NULL_FLOOR``.  ``ker N^j`` is orthogonal to the rows ``e_m^T H^l``,
+    ``l = j, ..., m-1``, so one QR of those rows, last first, gives every
+    ``u_j``; it is needed only when ``|k|`` itself is that large.  A Krylov
+    space that stops short, or a gain past the float range, is refused
+    too.
+    """
+    m = A.shape[0]
+    if m == 0:
+        return np.zeros((0, 1))
+    F = A.T
+    Q = np.empty((m, m))
+    G = np.zeros((m, m + 1))  # [beta e_1 | H]; diagonal beta, h_21, h_32, ...
+    w = c
+    for j in range(m):
+        G[j, j] = math.hypot(*w)
+        if G[j, j] == 0.0:
+            raise NotObservable(_UNMOVABLE)
+        Q[:, j] = w / G[j, j]
+        Qj = Q[:, :j + 1]
+        w = F @ Q[:, j]
+        h = Qj.T @ w
+        w -= Qj @ h
+        h2 = Qj.T @ w  # the second pass restores orthogonality
+        w -= Qj @ h2
+        G[:j + 1, j + 1] = h + h2
+    H = G[:, 1:]
+    mant, expo = np.frexp(G.diagonal())
+    rows = np.zeros((m + 1, m))  # rows[l]: e_m^T H^l over 2**sum(expo[m-l:])
+    rows[0, -1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, -expo)
+        for l in range(1, m + 1):
+            rows[l] = rows[l - 1] @ H * scale[m - l]
+        k = rows[m] / mant.prod()
+        k[0] = G.trace(1) / G[0, 0]
+        size = math.hypot(1.0, math.sqrt(k @ k))
+    if not math.isfinite(size):
+        raise NotObservable(_UNMOVABLE)
+    if size * _NULL_FLOOR >= 1.0:  # hypot(1, k u_j) <= size for every j
+        U = np.linalg.qr(rows[m - 1::-1].T)[0]
+        if np.hypot(1.0, k @ U).max() * _NULL_FLOOR >= 1.0:
+            raise NotObservable(_UNMOVABLE)
+    return (Q @ k).reshape(m, 1)
+
+
 def place_observer_gain(A, C, tol=None):
     """Deadbeat output-injection gain: ``A - L C`` nilpotent.
 
-    The gain is placed on the dual pair ``(A.T, C.T)`` by rank-one deflation
-    (see :func:`_deadbeat_feedback`), for any number of outputs, and drives
-    the observer error to zero in at most ``n`` steps.  The achieved
-    spectrum is verified: rounding scatters the eigenvalues of an ``n``-fold
-    zero like ``eps**(1/n)``, so every eigenvalue of ``A - L C`` must lie
-    within ``max(schur_margin, (1e4 * eps * max(1, ||A - L C||_2)) ** (1/n))``
-    of the origin.
+    One output row is placed by one Hessenberg recursion
+    (:func:`_single_output_gain`); more rows by rank-one deflation on the
+    dual pair ``(A.T, C.T)`` (:func:`_deadbeat_feedback`), whose refusal
+    rule both apply.  The gain drives the observer error to zero in at most
+    ``n`` steps.  The achieved spectrum is verified: rounding scatters the
+    eigenvalues of an ``n``-fold zero like ``eps**(1/n)``, so every
+    eigenvalue of ``A - L C`` must lie within
+    ``max(schur_margin, (1e4 * eps * max(1, ||A - L C||_2)) ** (1/n))`` of
+    the origin.
 
     Raises
     ------
@@ -403,7 +478,10 @@ def place_observer_gain(A, C, tol=None):
     C = as_matrix(C, "C", cols=n)
     if C.shape[0] == 0:
         raise NotObservable("cannot place observer poles with no outputs")
-    L = _deadbeat_feedback(A.T.copy(), C.T.copy(), tol).T
+    if C.shape[0] == 1:
+        L = _single_output_gain(A, C[0])
+    else:
+        L = _deadbeat_feedback(A.T.copy(), C.T.copy(), tol).T
     _verify_assignment(A - L @ C, tol)
     return L
 
@@ -412,7 +490,7 @@ def _verify_assignment(Acl, tol):
     n = Acl.shape[0]
     if n == 0:
         return
-    scale = max(1.0, float(np.linalg.norm(Acl, 2)))
+    scale = max(1.0, float(np.linalg.svd(Acl, compute_uv=False)[0]))
     bound = max(tol.schur_margin, (1e4 * _EPS * scale) ** (1.0 / n))
     achieved = np.linalg.eigvals(Acl)
     worst = int(np.argmax(np.abs(achieved)))

@@ -3,13 +3,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from distobs import numkit as nk
+from distobs.decomp import multisensor_decompose
 from distobs.errors import (
     InvalidMatrix,
     NotObservable,
     NumericalError,
     ShapeError,
 )
-from conftest import krylov_observable, observability_matrix, random_orthogonal
+from conftest import (
+    krylov_observable,
+    observability_matrix,
+    random_orthogonal,
+    structured_plant,
+)
 
 
 def test_tolerance_defaults():
@@ -286,9 +292,154 @@ def test_place_observer_gain_refuses_a_gain_off_the_origin(monkeypatch):
     # this gain puts both eigenvalues of A - L C at 0.1 instead of 0
     L = np.array([[2.8], [3.61]])
     np.testing.assert_allclose(np.linalg.eigvals(A - L @ C), 0.1, atol=1e-6)
+    monkeypatch.setattr(nk, "_single_output_gain", lambda A, c: L)
+    with pytest.raises(NumericalError, match="pole assignment failed"):
+        nk.place_observer_gain(A, C)
+
+
+def test_place_observer_gain_refuses_a_two_output_gain_off_the_origin(
+        monkeypatch):
+    A = np.array([[1.0, 1.0], [0.0, 2.0]])
+    C = np.eye(2)
+    # the second output gets no gain, so A - L C is the one-output loop
+    # with both eigenvalues at 0.1
+    L = np.array([[2.8, 0.0], [3.61, 0.0]])
+    np.testing.assert_allclose(np.linalg.eigvals(A - L @ C), 0.1, atol=1e-6)
     monkeypatch.setattr(nk, "_deadbeat_feedback", lambda A, B, tol: L.T)
     with pytest.raises(NumericalError, match="pole assignment failed"):
         nk.place_observer_gain(A, C)
+
+
+def _deflation_gain(A, c):
+    """Deadbeat gain of ``(A, c)`` by rank-one deflation, the routine that
+    places pairs with more than one output."""
+    return nk._deadbeat_feedback(A.T.copy(), c.reshape(-1, 1), nk.DEFAULT_TOL).T
+
+
+def _assert_deflation_gain(A, c):
+    L = nk._single_output_gain(A, c)
+    ref = _deflation_gain(A, c)
+    assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10**6))
+def test_single_output_gain_is_the_deflation_gain(n, seed):
+    # the deadbeat gain of an observable single-output pair is unique
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+    if nk.is_observable(A, c[None]):
+        _assert_deflation_gain(A, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_single_output_gain_is_the_deflation_gain_on_scheme1_blocks(seed):
+    p, _ = structured_plant(np.random.default_rng(seed))
+    d = multisensor_decompose(p)
+    for j, oj in enumerate(d.o, 1):
+        if oj:
+            C = d.C_block(d.source_node(j), j)
+            assert C.shape[0] == 1
+            _assert_deflation_gain(d.A_sub(j), C[0])
+
+
+def _refused(place):
+    try:
+        L = place()
+    except NotObservable:
+        return True
+    assert np.isfinite(L).all()
+    return False
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("lam, first_refused", [
+    ((0.5, 2.0), 13),
+    ((2.0, 3.0), 12),
+    ((0.5, -1.0, 2.0), 12),
+    ((0.5, -1.0, 2.0, 1.5), 12),
+    ((0.0, 2.0), 13),
+    ((1.0, 1.0, 1.0), 13),
+    # the weakly observed mode is at 0 already, so it is never refused
+    ((2.0, 0.0), 17),
+])
+def test_single_output_refusals_are_the_deflation_refusals(lam, first_refused,
+                                                           rotate):
+    # the output sees the last state only through a coupling of 10^-u
+    n = len(lam)
+    Q = random_orthogonal(np.random.default_rng(n), n)
+    verdicts = []
+    for u in range(1, 17):
+        A = np.diag(lam) + np.diag(np.ones(n - 1), 1)
+        A[n - 2, n - 1] = 10.0 ** -u
+        c = np.eye(n)[0]
+        if rotate:
+            A, c = Q @ A @ Q.T, Q @ c
+        refused = _refused(lambda: nk._single_output_gain(A, c))
+        assert refused == _refused(lambda: _deflation_gain(A, c))
+        verdicts.append(refused)
+    assert verdicts == [u >= first_refused for u in range(1, 17)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_single_output_refusals_are_the_deflation_refusals_at_the_floor(n):
+    # scaling the output row by a scales the gain by 1/a: sweep its norm
+    # over a decade around the refusal floor, where deflation's verdict
+    # rests on each flag direction's part of the gain, not on its norm
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        c = rng.standard_normal(n)
+        size = np.linalg.norm(nk._single_output_gain(A, c)) * nk._NULL_FLOOR
+        verdicts = set()
+        for x in np.linspace(-0.5, 0.5, 101):
+            ca = size * 10 ** x * c
+            refused = _refused(lambda: nk._single_output_gain(A, ca))
+            assert refused == _refused(lambda: _deflation_gain(A, ca))
+            verdicts.add(refused)
+        assert verdicts == {False, True}
+
+
+def test_single_output_gain_places_the_blind_node_pair():
+    # the second state is seen through the 4e-8 coupling only
+    d = 4e-8
+    L = nk.place_observer_gain(np.array([[1.5, d], [-d, 1.5]]),
+                               np.array([[1.0, 0.0]]))
+    # the first entry is trace(A) exactly: a nilpotent loop has zero trace
+    assert L[0, 0] == 3.0
+    np.testing.assert_allclose(L[1, 0], 2.25 / d - d, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n, coupling", [(12, 1e-30), (3, 1e-200), (2, 1e-310)])
+def test_single_output_gain_past_the_float_range_is_refused(n, coupling):
+    # the product of the couplings underflows and the gain overflows; no
+    # floating-point warning escapes (warnings fail the suite)
+    A = np.diag(np.linspace(1.0, 2.0, n)) + np.diag(np.full(n - 1, coupling), 1)
+    with pytest.raises(NotObservable):
+        nk.place_observer_gain(A, np.eye(n)[:1])
+
+
+def test_single_output_gain_scales_with_the_plant():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 8)) / 3
+    c = rng.standard_normal(8)
+    L = nk._single_output_gain(A, c)
+    # scaling by a power of two is exact: the product of the scaled pair's
+    # couplings underflows, yet its gain is the scaled gain bit for bit
+    s = 2.0 ** -200
+    assert np.array_equal(nk._single_output_gain(s * A, c), s * L)
+    nk.place_observer_gain(s * A, c[None])
+    # an output row whose squared norm overflows
+    assert np.array_equal(nk._single_output_gain(A, 2.0 ** 600 * c),
+                          L / 2.0 ** 600)
+    # scaled up, the gain passes deflation's refusal bound, as the
+    # product of the couplings passes the float range
+    with pytest.raises(NotObservable):
+        nk.place_observer_gain(2.0 ** 200 * A, c[None])
+    with pytest.raises(NotObservable):
+        _deflation_gain(2.0 ** 200 * A, c)
 
 
 @settings(max_examples=40, deadline=None)
